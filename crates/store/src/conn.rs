@@ -86,8 +86,9 @@ pub struct ConnConfig {
     pub write_budget: usize,
     /// Largest acceptable declared message length; larger is fatal.
     pub max_frame: u32,
-    /// Stop reading while this many requests are in flight (parsed but not
-    /// yet answered).
+    /// Stop reading while this many requests are in flight (parsed, but
+    /// their responses not yet released in request order — an answer
+    /// parked behind a slower predecessor still counts).
     pub max_pipeline: usize,
 }
 
@@ -288,7 +289,8 @@ impl Conn {
         self.scan().0
     }
 
-    /// Requests parsed but not yet answered.
+    /// Requests parsed whose responses are not yet released in order
+    /// (answered-but-parked ones included).
     pub fn in_flight(&self) -> usize {
         self.in_flight
     }
@@ -310,9 +312,12 @@ impl Conn {
             return;
         }
         debug_assert!(seq >= self.next_flush, "duplicate response for {seq}");
-        self.in_flight = self.in_flight.saturating_sub(1);
         self.parked.insert(seq, message.into());
+        // A request leaves flight only when its response is released in
+        // order: one parked behind a slower predecessor still holds its
+        // pipeline slot, so parked bytes stay bounded by `max_pipeline`.
         while let Some(msg) = self.parked.remove(&self.next_flush) {
+            self.in_flight = self.in_flight.saturating_sub(1);
             self.queued_bytes += msg.len();
             self.outbox.push_back((Some(self.next_flush), msg));
             self.next_flush += 1;
@@ -684,6 +689,36 @@ mod tests {
         c.push_response(0, msg(b"ra"));
         assert_eq!(c.in_flight(), 1);
         assert!(c.wants_read(), "a completion frees a slot");
+    }
+
+    #[test]
+    fn parked_responses_hold_their_pipeline_slots() {
+        // Head-of-line stall: request 0 is never answered, every later one
+        // is answered at once. Parked answers must keep counting against
+        // `max_pipeline`, or the connection parses (and parks) without
+        // bound, then releases it all into the outbox at once.
+        let mut c = Conn::new(ConnConfig {
+            max_pipeline: 2,
+            write_budget: 10,
+            ..ConnConfig::default()
+        });
+        let wire: Vec<u8> = (0..50).flat_map(|_| msg(b"q")).collect();
+        let mut ready = c.on_bytes(&wire).unwrap();
+        while !ready.is_empty() {
+            for inbound in ready.iter().filter(|i| i.seq != 0) {
+                c.push_response(inbound.seq, msg(b"answer"));
+            }
+            ready = c.take_ready().unwrap();
+        }
+        assert_eq!(c.requests_seen(), 2, "parsing stops at the pipeline cap");
+        assert_eq!(c.in_flight(), 2);
+        assert!(!c.wants_read());
+        assert_eq!(c.queued_bytes(), 0, "nothing is releasable yet");
+        assert_eq!(c.buffered_requests(), 48);
+        // The head completes: exactly the capped responses land.
+        c.push_response(0, msg(b"answer"));
+        assert_eq!(c.in_flight(), 0);
+        assert_eq!(c.queued_bytes(), 2 * msg(b"answer").len());
     }
 
     #[test]

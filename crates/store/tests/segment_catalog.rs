@@ -8,8 +8,9 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
+use sas_core::varopt::VarOptSampler;
 use sas_core::WeightedKey;
 use sas_store::{frame_path, StorageFormat, Store, StoreConfig};
 use sas_summaries::{Query, StoredSample, Summary, SummaryKind};
@@ -201,6 +202,155 @@ fn compaction_over_cold_windows_matches_warm_store() {
             fs::read(frame_path(cold_dir.path(), &c.key)).unwrap(),
             "{}",
             w.key
+        );
+    }
+}
+
+/// One batch of `n` distinct random keys below `KEY_SPAN`, in random order
+/// — successive batches interleave in key space, as real feeds do.
+fn interleaved_batch(rng: &mut StdRng, kind: SummaryKind, n: usize) -> Box<dyn Summary> {
+    let mut seen = std::collections::HashSet::new();
+    let mut rows = Vec::with_capacity(n);
+    while rows.len() < n {
+        let key = rng.gen_range(0..KEY_SPAN);
+        if seen.insert(key) {
+            let w = if rng.gen_bool(0.05) {
+                rng.gen_range(40.0..300.0)
+            } else {
+                rng.gen_range(0.5..6.0)
+            };
+            rows.push(WeightedKey::new(key, w));
+        }
+    }
+    match kind {
+        SummaryKind::Sample => Box::new(StoredSample::one_dim(sas_sampling::order::sample(
+            &rows,
+            n / 3,
+            rng,
+        ))),
+        _ => {
+            let mut v = VarOptSampler::new(n / 3);
+            for wk in &rows {
+                v.push(wk.key, wk.weight, rng);
+            }
+            Box::new(v)
+        }
+    }
+}
+
+const KEY_SPAN: u64 = 5_000;
+
+/// Interval, 1–16-range multi-range, `Total`, and empty-range probes.
+fn lifecycle_queries(rng: &mut StdRng) -> Vec<Query> {
+    let mut queries = vec![
+        Query::Total,
+        Query::interval(0, KEY_SPAN / 2),
+        Query::interval(KEY_SPAN / 3, u64::MAX),
+        // Empty ranges: beyond every key, and one point nobody ingested.
+        Query::interval(KEY_SPAN, 2 * KEY_SPAN),
+        Query::Point(vec![u64::MAX]),
+    ];
+    for _ in 0..4 {
+        let (a, b) = (rng.gen_range(0..KEY_SPAN), rng.gen_range(0..KEY_SPAN));
+        queries.push(Query::interval(a.min(b), a.max(b)));
+    }
+    for boxes in 1..=16usize {
+        let mut ends: Vec<u64> = (0..2 * boxes).map(|_| rng.gen_range(0..KEY_SPAN)).collect();
+        ends.sort_unstable();
+        ends.dedup();
+        ends.truncate(ends.len() / 2 * 2);
+        if ends.is_empty() {
+            continue;
+        }
+        queries.push(Query::MultiRange(
+            ends.chunks(2).map(|c| vec![(c[0], c[1])]).collect(),
+        ));
+    }
+    queries
+}
+
+type Answer = (u64, [u64; 5]);
+
+fn lifecycle_answers(store: &Store, queries: &[Query]) -> Vec<Answer> {
+    let filters = [
+        None,
+        Some((0, 3_599)),
+        Some((1_800, 9_000)),
+        Some((3 * 3_600, 4 * 3_600)),
+        Some((100_000, 200_000)), // matches no window
+    ];
+    let mut out = Vec::new();
+    for dataset in ["web", "api"] {
+        for kind in [SummaryKind::Sample, SummaryKind::VarOptReservoir] {
+            for time in filters {
+                for q in queries {
+                    let a = store.estimate(dataset, kind, q, 0.9, time).unwrap();
+                    assert!(!a.cached, "the cache is off: every answer is computed");
+                    let e = a.estimate;
+                    out.push((
+                        a.windows,
+                        [e.value, e.lower, e.upper, e.variance, e.confidence].map(f64::to_bits),
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn whole_lifecycle_keeps_estimates_bit_identical_on_segments() {
+    // Interleaved-key batches, several per minute window, for both stored
+    // sample kinds; roll-ups by lifecycle ticks; conversion to mapped
+    // segments; restart. Every estimate must survive the trip bit for bit.
+    for budget in [None, Some(90)] {
+        let dir = TempDir::new("lifecycle");
+        let config = StoreConfig {
+            budget,
+            cache_capacity: 0,
+        };
+        let mut rng = StdRng::seed_from_u64(2026);
+        let queries = lifecycle_queries(&mut rng);
+        let store = Store::open(dir.path(), config.clone()).unwrap();
+        for dataset in ["web", "api"] {
+            for kind in [SummaryKind::Sample, SummaryKind::VarOptReservoir] {
+                // Three hours of minute windows every 20 minutes, three
+                // batches each, then one ingest past them that seals the
+                // hours for compaction.
+                for minute in (0..180u64).step_by(20) {
+                    for _ in 0..3 {
+                        let n = rng.gen_range(30..120);
+                        let batch = interleaved_batch(&mut rng, kind, n);
+                        store.ingest(dataset, minute * 60, batch).unwrap();
+                    }
+                }
+                let batch = interleaved_batch(&mut rng, kind, 60);
+                store.ingest(dataset, 4 * 3_600, batch).unwrap();
+            }
+        }
+        let stats = store.lifecycle_tick().unwrap();
+        assert!(stats.rollups >= 3 * 4, "{budget:?}: {stats:?}");
+        let before = lifecycle_answers(&store, &queries);
+        assert!(before.iter().any(|(windows, _)| *windows > 1));
+
+        let converted = store.convert(StorageFormat::SegmentV2).unwrap();
+        assert_eq!(converted, store.list().len(), "{budget:?}");
+        assert_eq!(
+            lifecycle_answers(&store, &queries),
+            before,
+            "{budget:?}: converted"
+        );
+        drop(store);
+
+        let store = Store::open(dir.path(), config).unwrap();
+        for row in store.list() {
+            let bytes = fs::read(frame_path(dir.path(), &row.key)).unwrap();
+            assert!(sas_codec::segment::is_segment(&bytes), "{}", row.key);
+        }
+        assert_eq!(
+            lifecycle_answers(&store, &queries),
+            before,
+            "{budget:?}: reopened"
         );
     }
 }

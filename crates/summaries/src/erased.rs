@@ -387,6 +387,33 @@ pub(crate) fn in_interval((lo, hi): (u64, u64), v: u64) -> bool {
     (lo..=hi).contains(&v)
 }
 
+/// A VarOpt answer from its two parts: `large`, the in-range large-entry
+/// mass (`Σ max(wᵢ, τ)`, exact), and `small`, the in-range small-key count
+/// (each carrying the HT weight τ, the light part Eqn. (4) bounds).
+pub(crate) fn varopt_estimate(
+    large: f64,
+    small: usize,
+    tau: f64,
+    confidence: f64,
+) -> Result<Estimate, QueryError> {
+    let value = large + small as f64 * tau;
+    if tau <= 0.0 || small == 0 {
+        return Ok(Estimate::exact(value));
+    }
+    if !(confidence > 0.0 && confidence < 1.0) {
+        return Err(QueryError::BadConfidence(confidence));
+    }
+    let light = small as f64 * tau;
+    let (lo, hi) = sas_core::bounds::weight_confidence_interval(light, tau, 1.0 - confidence);
+    Ok(Estimate {
+        value,
+        variance: small as f64 * tau * tau,
+        lower: (large + lo).min(value),
+        upper: (large + hi).max(value),
+        confidence,
+    })
+}
+
 /// The deterministic kinds' shared answer shape: per-box values and bounds
 /// add over a disjoint union.
 fn deterministic_estimate(value: f64, lower: f64, upper: f64) -> Estimate {
@@ -643,25 +670,7 @@ impl Summary for VarOptSampler {
         large_sums
             .into_iter()
             .zip(small_counts)
-            .map(|(large, small)| {
-                let value = large + small as f64 * tau;
-                if tau <= 0.0 || small == 0 {
-                    return Ok(Estimate::exact(value));
-                }
-                if !(confidence > 0.0 && confidence < 1.0) {
-                    return Err(QueryError::BadConfidence(confidence));
-                }
-                let light = small as f64 * tau;
-                let (lo, hi) =
-                    sas_core::bounds::weight_confidence_interval(light, tau, 1.0 - confidence);
-                Ok(Estimate {
-                    value,
-                    variance: small as f64 * tau * tau,
-                    lower: (large + lo).min(value),
-                    upper: (large + hi).max(value),
-                    confidence,
-                })
-            })
+            .map(|(large, small)| varopt_estimate(large, small, tau, confidence))
             .collect()
     }
 

@@ -606,9 +606,10 @@ pub(crate) struct SampleAccumulator {
 
 impl SampleAccumulator {
     /// Folds one in-range item in. Reference form of [`Self::add_classified`]
-    /// (which the batch hot loop uses with the classification hoisted);
-    /// kept for unit tests pinning the accumulator semantics.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// (which the scanning batch loops use with the classification hoisted
+    /// out of their per-query loop); the segment's indexed path folds its
+    /// hits through this directly.
+    #[inline(always)]
     pub fn add(&mut self, weight: f64, adjusted: f64, tau: f64) {
         let light = tau > 0.0 && weight < tau;
         let light_var = if light { tau * (tau - weight) } else { 0.0 };

@@ -5,21 +5,37 @@
 //! [`VarOptSampler`] before it can answer anything; a segment's column runs
 //! **are** the query representation. [`SegmentSummary::open`] validates the
 //! bytes once (checksum, layout, and every invariant the v1 decoder would
-//! enforce), and from then on `answer` / `answer_batch` scan the columns in
+//! enforce), and from then on `answer` / `answer_batch` read the columns in
 //! place — the store keeps cold windows as `mmap`ed segments and serves
 //! Estimate queries off the page cache without ever materializing the
 //! summary on the heap.
 //!
+//! ## Key-order index
+//!
+//! Structure-aware samples are drawn over the key order, so a range (or a
+//! disjoint union of ranges) is answered by the sampled keys inside it
+//! alone. Once validation passes, [`SegmentSummary::open`] builds, for every
+//! 1-D key column (the sample keys, and both VarOpt partitions), a `u32`
+//! permutation of item indices stably sorted by key — 4 bytes per item, no
+//! copy of the keys. A 1-D query then binary-searches each of its boxes in
+//! that index instead of testing every key: O(k·log n + hits + n/64) per
+//! query and window for a `k`-box query over `n` items, against O(n·k) for
+//! a scan. 2-D samples keep the column scan.
+//!
 //! ## Bit-identity contract
 //!
-//! The hot loops below deliberately **mirror** the owned implementations in
-//! `erased.rs` (`StoredSample::answer_batch`, `VarOptSampler::answer_batch`)
-//! operation for operation: same item order, same hoisted light/heavy
-//! classification, same accumulator, same finish. Columns hold the same
-//! little-endian words the v1 wire carries, so every float travels and
-//! folds identically and the answers are bit-identical to decoding the v1
-//! frame and asking it — pinned by the multi-seed property tests at the
-//! bottom of this file. When one side changes, change the other.
+//! Answers are bit-identical to decoding the v1 frame and asking the owned
+//! [`StoredSample`] / [`VarOptSampler`] — pinned by the multi-seed property
+//! tests at the bottom of this file. Columns hold the same little-endian
+//! words the v1 wire carries, and every float fold runs in the **same
+//! order** as the owned scan: the index only *finds* the hits; they are
+//! marked in a bitset and folded in ascending item order (sample hits
+//! through `SampleAccumulator::add`, VarOpt large weights as `w.max(τ)`),
+//! with the same accumulator and the same finish. VarOpt small keys only
+//! count, so their counts are differences of index positions (the boxes of
+//! a validated [`Query`] are disjoint). The 2-D scan mirrors the owned 2-D
+//! loop operation for operation. When the owned fold changes, change this
+//! one.
 //!
 //! Merging is the one thing a segment cannot do in place:
 //! [`SegmentSummary::hydrate`] rebuilds the owned summary (the store calls
@@ -36,7 +52,7 @@ use sas_codec::{CodecError, Writer};
 use sas_core::varopt::VarOptSampler;
 use sas_core::KeyId;
 
-use crate::erased::{answer_one, in_interval, SummaryError};
+use crate::erased::{answer_one, in_interval, varopt_estimate, SummaryError};
 use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
 use crate::stored::StoredSample;
 use crate::{Summary, SummaryKind};
@@ -141,6 +157,88 @@ fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
     u64s(bytes).map(f64::from_bits)
 }
 
+/// Word `i` of a column run.
+fn u64_at(bytes: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("slice of 8"))
+}
+
+/// Word `i` of a column run as an `f64`.
+fn f64_at(bytes: &[u8], i: usize) -> f64 {
+    f64::from_bits(u64_at(bytes, i))
+}
+
+/// The key-order index of one key column: item indices stably sorted by
+/// key (see the module docs). Shared, so cloning a segment stays cheap.
+#[derive(Clone)]
+struct KeyOrder(Arc<[u32]>);
+
+impl fmt::Debug for KeyOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "KeyOrder({} items)", self.0.len())
+    }
+}
+
+/// Items a key-order index can address: its entries are `u32`.
+fn index_len(items: usize) -> Result<u32, CodecError> {
+    u32::try_from(items).map_err(|_| {
+        CodecError::Invalid(format!(
+            "key column of {items} items exceeds the index limit of {}",
+            u32::MAX
+        ))
+    })
+}
+
+impl KeyOrder {
+    /// Sorts the item indices of a validated key column by key, ties in
+    /// item order. The `(key, index)` pairs exist only while sorting.
+    fn build(keys: &[u8]) -> Result<Self, CodecError> {
+        index_len(keys.len() / 8)?;
+        let mut pairs: Vec<(u64, u32)> = u64s(keys).zip(0u32..).collect();
+        pairs.sort_unstable();
+        Ok(KeyOrder(pairs.into_iter().map(|(_, i)| i).collect()))
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The items whose keys lie in `[lo, hi]`, found by binary search.
+    fn span(&self, keys: &[u8], (lo, hi): (u64, u64)) -> &[u32] {
+        let key = |i: &u32| u64_at(keys, *i as usize);
+        let start = self.0.partition_point(|i| key(i) < lo);
+        let rest = &self.0[start..];
+        &rest[..rest.partition_point(|i| key(i) <= hi)]
+    }
+}
+
+/// A bitset over item indices: marks one query's hits, then hands them
+/// back in ascending item order — the fold order of the owned scans.
+struct Hits(Vec<u64>);
+
+impl Hits {
+    fn new(items: usize) -> Self {
+        Hits(vec![0; items.div_ceil(64)])
+    }
+
+    fn mark(&mut self, items: &[u32]) {
+        for &i in items {
+            self.0[i as usize / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Calls `f` on every marked item in ascending order and clears the
+    /// set for the next query.
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 /// The validated column layout of one segment.
 #[derive(Debug, Clone)]
 enum Layout {
@@ -153,6 +251,8 @@ enum Layout {
         adjusted: Col,
         xs: Col,
         ys: Col,
+        /// Key-order index over `keys`; `None` for 2-D, which scans.
+        order: Option<KeyOrder>,
     },
     VarOpt {
         capacity: usize,
@@ -163,6 +263,8 @@ enum Layout {
         large_keys: Col,
         large_weights: Col,
         small_keys: Col,
+        large_order: KeyOrder,
+        small_order: KeyOrder,
     },
 }
 
@@ -268,6 +370,10 @@ impl SegmentSummary {
         }
         // Mirrors `StoredSample::total_estimate` (same fold order).
         let total = f64s(adjusted.slice(b)).sum();
+        let order = match dims {
+            1 => Some(KeyOrder::build(keys.slice(b))?),
+            _ => None,
+        };
         Ok(Layout::Sample {
             dims,
             tau,
@@ -277,6 +383,7 @@ impl SegmentSummary {
             adjusted,
             xs,
             ys,
+            order,
         })
     }
 
@@ -325,6 +432,8 @@ impl SegmentSummary {
             large_keys,
             large_weights,
             small_keys,
+            large_order: KeyOrder::build(large_keys.slice(b))?,
+            small_order: KeyOrder::build(small_keys.slice(b))?,
         })
     }
 
@@ -384,27 +493,43 @@ impl SegmentSummary {
         }
     }
 
-    /// Mirror of `StoredSample::answer_batch` over column bytes — see the
-    /// module docs for the bit-identity contract. Keep the twins in sync.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_batch_sample(
+    /// 1-D sample answers through the key-order index (module docs).
+    fn answer_sample_1d(
         &self,
-        dims: usize,
         tau: f64,
-        keys: Col,
-        weights: Col,
-        adjusted: Col,
-        xs: Col,
-        ys: Col,
+        [keys, weights, adjusted]: [Col; 3],
+        order: &KeyOrder,
         queries: &[Query],
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
         let b = self.data();
-        let compiled: Vec<Vec<Vec<(u64, u64)>>> = queries
+        let (keys, weights, adjusted) = (keys.slice(b), weights.slice(b), adjusted.slice(b));
+        let compiled = compile(queries, 1)?;
+        let mut hits = Hits::new(order.len());
+        compiled
             .iter()
-            .map(|q| q.boxes(dims))
-            .collect::<Result<_, _>>()?;
-        let two_dim = dims == 2;
+            .map(|boxes| {
+                for axes in boxes {
+                    hits.mark(order.span(keys, axes[0]));
+                }
+                let mut acc = SampleAccumulator::default();
+                hits.drain(|i| acc.add(f64_at(weights, i), f64_at(adjusted, i), tau));
+                acc.finish(tau, confidence)
+            })
+            .collect()
+    }
+
+    /// Mirror of the 2-D branch of `StoredSample::answer_batch` over column
+    /// bytes — see the module docs. Keep the twins in sync.
+    fn answer_sample_2d(
+        &self,
+        tau: f64,
+        [weights, adjusted, xs, ys]: [Col; 4],
+        queries: &[Query],
+        confidence: f64,
+    ) -> Result<Vec<Estimate>, QueryError> {
+        let b = self.data();
+        let compiled = compile(queries, 2)?;
         let mut accs = vec![SampleAccumulator::default(); queries.len()];
         let mut qidx: Vec<usize> = Vec::with_capacity(queries.len());
         let mut b0: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
@@ -415,52 +540,30 @@ impl SegmentSummary {
             if let [axes] = boxes.as_slice() {
                 qidx.push(qi);
                 b0.push(axes[0]);
-                if two_dim {
-                    b1.push(axes[1]);
-                }
+                b1.push(axes[1]);
             } else {
                 multi.push((qi, boxes.as_slice()));
             }
         }
         let mut flat = vec![SampleAccumulator::default(); qidx.len()];
-        if two_dim {
-            for (((x, y), w), a) in u64s(xs.slice(b))
-                .zip(u64s(ys.slice(b)))
-                .zip(f64s(weights.slice(b)))
-                .zip(f64s(adjusted.slice(b)))
-            {
-                let light = tau > 0.0 && w < tau;
-                let light_var = if light { tau * (tau - w) } else { 0.0 };
-                for ((acc, &(x0, x1)), &(y0, y1)) in flat.iter_mut().zip(&b0).zip(&b1) {
-                    if x0 <= x && x <= x1 && y0 <= y && y <= y1 {
-                        acc.add_classified(a, tau, light, light_var);
-                    }
-                }
-                for &(qi, boxes) in &multi {
-                    if boxes
-                        .iter()
-                        .any(|axes| in_interval(axes[0], x) && in_interval(axes[1], y))
-                    {
-                        accs[qi].add_classified(a, tau, light, light_var);
-                    }
+        for (((x, y), w), a) in u64s(xs.slice(b))
+            .zip(u64s(ys.slice(b)))
+            .zip(f64s(weights.slice(b)))
+            .zip(f64s(adjusted.slice(b)))
+        {
+            let light = tau > 0.0 && w < tau;
+            let light_var = if light { tau * (tau - w) } else { 0.0 };
+            for ((acc, &(x0, x1)), &(y0, y1)) in flat.iter_mut().zip(&b0).zip(&b1) {
+                if x0 <= x && x <= x1 && y0 <= y && y <= y1 {
+                    acc.add_classified(a, tau, light, light_var);
                 }
             }
-        } else {
-            for ((k, w), a) in u64s(keys.slice(b))
-                .zip(f64s(weights.slice(b)))
-                .zip(f64s(adjusted.slice(b)))
-            {
-                let light = tau > 0.0 && w < tau;
-                let light_var = if light { tau * (tau - w) } else { 0.0 };
-                for (acc, &(lo, hi)) in flat.iter_mut().zip(&b0) {
-                    if lo <= k && k <= hi {
-                        acc.add_classified(a, tau, light, light_var);
-                    }
-                }
-                for &(qi, boxes) in &multi {
-                    if boxes.iter().any(|axes| in_interval(axes[0], k)) {
-                        accs[qi].add_classified(a, tau, light, light_var);
-                    }
+            for &(qi, boxes) in &multi {
+                if boxes
+                    .iter()
+                    .any(|axes| in_interval(axes[0], x) && in_interval(axes[1], y))
+                {
+                    accs[qi].add_classified(a, tau, light, light_var);
                 }
             }
         }
@@ -472,64 +575,44 @@ impl SegmentSummary {
             .collect()
     }
 
-    /// Mirror of the erased `VarOptSampler::answer_batch` over column
-    /// bytes — same bit-identity contract as the sample twin.
-    fn answer_batch_varopt(
+    /// VarOpt answers through the two partitions' key-order indexes: large
+    /// hits fold in item order, small hits are counted by position.
+    fn answer_varopt(
         &self,
         tau: f64,
-        large_keys: Col,
-        large_weights: Col,
-        small_keys: Col,
+        [large_keys, large_weights, small_keys]: [Col; 3],
+        [large_order, small_order]: [&KeyOrder; 2],
         queries: &[Query],
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
         let b = self.data();
-        let compiled: Vec<Vec<Vec<(u64, u64)>>> = queries
+        let (large_keys, large_weights) = (large_keys.slice(b), large_weights.slice(b));
+        let small_keys = small_keys.slice(b);
+        let compiled = compile(queries, 1)?;
+        let mut hits = Hits::new(large_order.len());
+        compiled
             .iter()
-            .map(|q| q.boxes(1))
-            .collect::<Result<_, _>>()?;
-        let hit =
-            |boxes: &[Vec<(u64, u64)>], k: KeyId| boxes.iter().any(|axes| in_interval(axes[0], k));
-        let mut large_sums = vec![0.0; queries.len()];
-        let mut small_counts = vec![0usize; queries.len()];
-        for (k, w) in u64s(large_keys.slice(b)).zip(f64s(large_weights.slice(b))) {
-            for (sum, boxes) in large_sums.iter_mut().zip(&compiled) {
-                if hit(boxes, k) {
-                    *sum += w.max(tau);
+            .map(|boxes| {
+                let mut small = 0;
+                for axes in boxes {
+                    hits.mark(large_order.span(large_keys, axes[0]));
+                    small += small_order.span(small_keys, axes[0]).len();
                 }
-            }
-        }
-        for k in u64s(small_keys.slice(b)) {
-            for (count, boxes) in small_counts.iter_mut().zip(&compiled) {
-                if hit(boxes, k) {
-                    *count += 1;
-                }
-            }
-        }
-        large_sums
-            .into_iter()
-            .zip(small_counts)
-            .map(|(large, small)| {
-                let value = large + small as f64 * tau;
-                if tau <= 0.0 || small == 0 {
-                    return Ok(Estimate::exact(value));
-                }
-                if !(confidence > 0.0 && confidence < 1.0) {
-                    return Err(QueryError::BadConfidence(confidence));
-                }
-                let light = small as f64 * tau;
-                let (lo, hi) =
-                    sas_core::bounds::weight_confidence_interval(light, tau, 1.0 - confidence);
-                Ok(Estimate {
-                    value,
-                    variance: small as f64 * tau * tau,
-                    lower: (large + lo).min(value),
-                    upper: (large + hi).max(value),
-                    confidence,
-                })
+                let mut large = 0.0;
+                hits.drain(|i| large += f64_at(large_weights, i).max(tau));
+                varopt_estimate(large, small, tau, confidence)
             })
             .collect()
     }
+}
+
+/// One query's disjoint boxes, each a list of per-axis closed intervals.
+type Boxes = Vec<Vec<(u64, u64)>>;
+
+/// Every query's boxes, compiled up front so a malformed query fails the
+/// batch before any answer is computed — as the owned paths do.
+fn compile(queries: &[Query], dims: usize) -> Result<Vec<Boxes>, QueryError> {
+    queries.iter().map(|q| q.boxes(dims)).collect()
 }
 
 impl Summary for SegmentSummary {
@@ -581,30 +664,42 @@ impl Summary for SegmentSummary {
         queries: &[Query],
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
-        match self.layout {
+        match &self.layout {
             Layout::Sample {
-                dims,
                 tau,
                 keys,
                 weights,
                 adjusted,
+                order: Some(order),
+                ..
+            } => self.answer_sample_1d(
+                *tau,
+                [*keys, *weights, *adjusted],
+                order,
+                queries,
+                confidence,
+            ),
+            Layout::Sample {
+                tau,
+                weights,
+                adjusted,
                 xs,
                 ys,
+                order: None,
                 ..
-            } => self.answer_batch_sample(
-                dims, tau, keys, weights, adjusted, xs, ys, queries, confidence,
-            ),
+            } => self.answer_sample_2d(*tau, [*weights, *adjusted, *xs, *ys], queries, confidence),
             Layout::VarOpt {
                 tau,
                 large_keys,
                 large_weights,
                 small_keys,
+                large_order,
+                small_order,
                 ..
-            } => self.answer_batch_varopt(
-                tau,
-                large_keys,
-                large_weights,
-                small_keys,
+            } => self.answer_varopt(
+                *tau,
+                [*large_keys, *large_weights, *small_keys],
+                [large_order, small_order],
                 queries,
                 confidence,
             ),
@@ -715,10 +810,18 @@ mod tests {
     }
 
     fn assert_estimates_bit_identical(owned: &dyn Summary, seg: &SegmentSummary, ctx: &str) {
-        let queries = probe_queries(owned.dims() == 2);
+        assert_answers_bit_identical(owned, seg, &probe_queries(owned.dims() == 2), ctx);
+    }
+
+    fn assert_answers_bit_identical(
+        owned: &dyn Summary,
+        seg: &SegmentSummary,
+        queries: &[Query],
+        ctx: &str,
+    ) {
         for confidence in [0.5, 0.9, 0.99] {
-            let a = owned.answer_batch(&queries, confidence).unwrap();
-            let b = seg.answer_batch(&queries, confidence).unwrap();
+            let a = owned.answer_batch(queries, confidence).unwrap();
+            let b = seg.answer_batch(queries, confidence).unwrap();
             assert_eq!(a.len(), b.len());
             for ((q, x), y) in queries.iter().zip(&a).zip(&b) {
                 assert_eq!(x.value.to_bits(), y.value.to_bits(), "{ctx}: {q} value");
@@ -736,7 +839,7 @@ mod tests {
                 );
             }
             // The single-answer path routes through the same batch loop.
-            for q in &queries {
+            for q in queries {
                 let x = owned.answer(q, confidence).unwrap();
                 let y = seg.answer(q, confidence).unwrap();
                 assert_eq!(x.value.to_bits(), y.value.to_bits(), "{ctx}: {q} single");
@@ -779,6 +882,222 @@ mod tests {
             let decoded = decode_summary(&encode_summary(&owned)).unwrap();
             assert_estimates_bit_identical(decoded.as_ref(), &seg, &format!("varopt seed {seed}"));
         }
+    }
+
+    /// Distinct random keys below `span` — plus, now and then, the domain
+    /// ends 0 and `u64::MAX` — in random order, with the fixture weights.
+    fn random_rows(rng: &mut StdRng, n: usize, span: u64) -> Vec<WeightedKey> {
+        let mut seen = std::collections::HashSet::new();
+        let mut rows = Vec::with_capacity(n);
+        while rows.len() < n {
+            let key = match rng.gen_range(0..40) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.gen_range(0..span),
+            };
+            if seen.insert(key) {
+                let w = if rng.gen_bool(0.05) {
+                    rng.gen_range(50.0..400.0)
+                } else {
+                    rng.gen_range(0.1..8.0)
+                };
+                rows.push(WeightedKey::new(key, w));
+            }
+        }
+        rows
+    }
+
+    /// A 1-D sample shaped like a store roll-up: several batches of
+    /// interleaved random keys, each sampled, then concatenated (the
+    /// unbudgeted merge). The key column is out of key order, and a narrow
+    /// `span` makes batches share keys, so the column holds duplicates.
+    fn rollup_sample_fixture(seed: u64, span: u64) -> StoredSample {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut window: Option<StoredSample> = None;
+        for _ in 0..rng.gen_range(2..6) {
+            let n = rng.gen_range(1..160);
+            let rows = random_rows(&mut rng, n, span);
+            let size = rng.gen_range(1..=n.min(60));
+            let batch = StoredSample::one_dim(sas_sampling::order::sample(&rows, size, &mut rng));
+            match window.as_mut() {
+                None => window = Some(batch),
+                Some(w) => w.merge(batch, None, &mut rng).unwrap(),
+            }
+        }
+        window.expect("at least two batches")
+    }
+
+    /// A VarOpt reservoir fed random keys in random order across several
+    /// merged batches, so both partitions hold keys scattered over the
+    /// domain (duplicates included when `span` is narrow).
+    fn rollup_varopt_fixture(seed: u64, span: u64) -> VarOptSampler {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
+        let capacity = rng.gen_range(4..48);
+        let mut window = VarOptSampler::new(capacity);
+        for _ in 0..rng.gen_range(2..5) {
+            let mut batch = VarOptSampler::new(capacity);
+            let n = rng.gen_range(1..200);
+            for wk in random_rows(&mut rng, n, span) {
+                batch.push(wk.key, wk.weight, &mut rng);
+            }
+            window.merge(batch, &mut rng);
+        }
+        window
+    }
+
+    /// Queries aimed at what the key-order index changes: single-key,
+    /// no-hit and domain-end ranges, ranges between held keys, and
+    /// multi-ranges of 1–16 disjoint boxes.
+    fn index_probe_queries(rng: &mut StdRng, held: &[u64]) -> Vec<Query> {
+        let mut sorted = held.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut queries = vec![
+            Query::Total,
+            Query::interval(0, 0),
+            Query::interval(u64::MAX, u64::MAX),
+            Query::interval(0, u64::MAX - 1),
+            Query::interval(1, u64::MAX),
+        ];
+        // A random endpoint: a held key, a neighbour of one, or anything.
+        let endpoint = |rng: &mut StdRng| match (rng.gen_range(0..3), sorted.is_empty()) {
+            (0, false) => sorted[rng.gen_range(0..sorted.len())],
+            (1, false) => sorted[rng.gen_range(0..sorted.len())].wrapping_add(1),
+            _ => rng.gen_range(0..u64::MAX),
+        };
+        for _ in 0..6 {
+            let (a, b) = (endpoint(rng), endpoint(rng));
+            queries.push(Query::interval(a.min(b), a.max(b)));
+            let k = endpoint(rng);
+            queries.push(Query::Point(vec![k]));
+        }
+        // No-hit ranges: strictly between two adjacent held keys.
+        for pair in sorted.windows(2).take(4) {
+            if pair[1] - pair[0] >= 2 {
+                queries.push(Query::interval(pair[0] + 1, pair[1] - 1));
+            }
+        }
+        for boxes in 1..=16usize {
+            let mut ends: Vec<u64> = (0..2 * boxes).map(|_| endpoint(rng)).collect();
+            ends.sort_unstable();
+            ends.dedup();
+            if ends.len() % 2 == 1 {
+                ends.pop();
+            }
+            if ends.is_empty() {
+                continue;
+            }
+            queries.push(Query::MultiRange(
+                ends.chunks(2).map(|c| vec![(c[0], c[1])]).collect(),
+            ));
+        }
+        queries.push(Query::HierarchyNode {
+            level: rng.gen_range(0..64),
+            index: 0,
+        });
+        queries
+    }
+
+    #[test]
+    fn view_matches_decoded_rollup_sample_across_seeds() {
+        // Out-of-key-order columns: a fold in index order instead of item
+        // order would reassociate the float sums and show up here.
+        let mut with_duplicates = 0;
+        for seed in 0..160u64 {
+            let span = if seed % 2 == 0 { 400 } else { u64::MAX };
+            let owned = rollup_sample_fixture(seed, span);
+            assert!(
+                owned.keys().windows(2).any(|w| w[0] > w[1]) || owned.len() < 3,
+                "seed {seed}: fixture keys should be out of order"
+            );
+            let mut distinct = owned.keys().to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            with_duplicates += usize::from(distinct.len() < owned.len());
+            let seg = SegmentSummary::from_vec(encode_segment(&owned).unwrap()).unwrap();
+            let decoded = decode_summary(&encode_summary(&owned)).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let queries = index_probe_queries(&mut rng, owned.keys());
+            let ctx = format!("rollup sample seed {seed}");
+            assert_answers_bit_identical(decoded.as_ref(), &seg, &queries, &ctx);
+        }
+        // The duplicate-key case is real, not vacuous.
+        assert!(with_duplicates >= 40, "only {with_duplicates} fixtures");
+    }
+
+    #[test]
+    fn view_matches_decoded_rollup_varopt_across_seeds() {
+        let mut both_partitions = 0;
+        for seed in 0..160u64 {
+            let span = if seed % 2 == 0 { 300 } else { u64::MAX };
+            let owned = rollup_varopt_fixture(seed, span);
+            let seg = SegmentSummary::from_vec(encode_segment(&owned).unwrap()).unwrap();
+            let decoded = decode_summary(&encode_summary(&owned)).unwrap();
+            let held: Vec<u64> = owned
+                .large_entries()
+                .map(|(k, _)| k)
+                .chain(owned.small_keys().iter().copied())
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let queries = index_probe_queries(&mut rng, &held);
+            let ctx = format!("rollup varopt seed {seed}");
+            assert_answers_bit_identical(decoded.as_ref(), &seg, &queries, &ctx);
+            // Count queries answered from both partitions at once.
+            let hits = |q: &Query, k: u64| {
+                q.boxes(1)
+                    .unwrap()
+                    .iter()
+                    .any(|axes| in_interval(axes[0], k))
+            };
+            both_partitions += queries
+                .iter()
+                .filter(|q| {
+                    owned.large_entries().any(|(k, _)| hits(q, k))
+                        && owned.small_keys().iter().any(|&k| hits(q, k))
+                })
+                .count();
+        }
+        assert!(
+            both_partitions >= 1000,
+            "only {both_partitions} queries hit both partitions"
+        );
+    }
+
+    #[test]
+    fn empty_segments_answer_every_query_shape_like_decoded() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let queries = index_probe_queries(&mut rng, &[]);
+        let sample = StoredSample::one_dim(sas_core::estimate::Sample::from_entries(vec![], 0.0));
+        let varopt = VarOptSampler::new(8);
+        for owned in [&sample as &dyn Summary, &varopt] {
+            let seg = SegmentSummary::from_vec(encode_segment(owned).unwrap()).unwrap();
+            assert_answers_bit_identical(owned, &seg, &queries, "empty");
+        }
+    }
+
+    #[test]
+    fn key_order_index_is_a_stable_sort_by_key() {
+        let keys: Vec<u8> = [5u64, 1, 5, u64::MAX, 0, 1, 5]
+            .iter()
+            .flat_map(|k| k.to_le_bytes())
+            .collect();
+        let order = KeyOrder::build(&keys).unwrap();
+        assert_eq!(&*order.0, &[4, 1, 5, 0, 2, 6, 3]);
+        assert_eq!(order.span(&keys, (5, 5)), &[0, 2, 6]);
+        assert_eq!(order.span(&keys, (2, 4)), &[] as &[u32]);
+        assert_eq!(order.span(&keys, (0, u64::MAX)).len(), 7);
+        assert_eq!(order.span(&keys, (u64::MAX, u64::MAX)), &[3]);
+    }
+
+    #[test]
+    fn key_order_index_caps_columns_at_u32_items() {
+        // `open` refuses a key column the `u32` index cannot address (a
+        // 32 GiB column; the limit is checked on the item count).
+        assert!(index_len(u32::MAX as usize).is_ok());
+        assert!(matches!(
+            index_len(u32::MAX as usize + 1),
+            Err(CodecError::Invalid(_))
+        ));
     }
 
     #[test]
