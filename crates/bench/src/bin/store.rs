@@ -10,7 +10,7 @@
 //! drives it with an event-driven load generator built on the same
 //! exported [`sas_store::poller`] — one client thread multiplexing
 //! thousands of concurrent pipelined connections of mixed
-//! ingest/query/estimate/ping traffic, measuring per-request latency
+//! ingest/estimate/ping traffic, measuring per-request latency
 //! (p50/p95/p99/max) and aggregate throughput.
 //!
 //! Environment knobs: `SAS_STORE_BATCHES` (default 240), `SAS_STORE_ROWS`
@@ -145,9 +145,11 @@ fn local_phase() {
                                     mix((threads * 1_000_003 + t * per_thread + i) as u64)
                                         % key_span
                                 };
-                                let range = [(lo, lo + key_span / 4)];
-                                let ans = store.query("bench", SummaryKind::Sample, &range, None);
-                                assert!(ans.value >= 0.0);
+                                let query = Query::interval(lo, lo + key_span / 4);
+                                let ans = store
+                                    .estimate("bench", SummaryKind::Sample, &query, 0.95, None)
+                                    .expect("estimate");
+                                assert!(ans.estimate.value >= 0.0);
                             }
                         });
                     }
@@ -221,9 +223,9 @@ impl LoadConn {
     }
 }
 
-/// The deterministic mixed workload: one ingest, four queries, one
-/// estimate and one ping per eight requests, varied by connection and
-/// request index.
+/// The deterministic mixed workload: one ingest, five box estimates, one
+/// total estimate and one ping per eight requests, varied by connection
+/// and request index.
 fn nth_request(conn: u64, i: u64, ingest_frame: &[u8]) -> (Request, u16) {
     let span = SEED_WINDOWS * SEED_ROWS;
     match (conn.wrapping_mul(7).wrapping_add(i)) % 8 {
@@ -249,13 +251,14 @@ fn nth_request(conn: u64, i: u64, ingest_frame: &[u8]) -> (Request, u16) {
         slot => {
             let lo = mix(conn * 1_000_003 + i * 8 + slot) % span;
             (
-                Request::Query {
+                Request::Estimate {
                     dataset: "bench".into(),
                     kind: SummaryKind::Sample,
-                    range: vec![(lo, lo + span / 4)],
+                    query: Query::interval(lo, lo + span / 4),
+                    confidence: 0.95,
                     time: None,
                 },
-                proto::REQ_QUERY,
+                proto::REQ_ESTIMATE,
             )
         }
     }
@@ -522,7 +525,7 @@ fn daemon_phase(conns: usize) {
     let max = snap.max as f64 / 1e6;
     let rps = report.requests as f64 / report.secs;
     print_table(
-        "daemon c10k (pipelined mixed ingest/query/estimate/ping)",
+        "daemon c10k (pipelined mixed ingest/estimate/ping)",
         &[
             "conns", "depth", "requests", "secs", "rps", "p50_ms", "p95_ms", "p99_ms", "max_ms",
         ],

@@ -552,12 +552,6 @@ pub fn parse_query(spec: &str, dims: usize) -> Result<Query, CliError> {
     Ok(query)
 }
 
-/// Answers a range query from a loaded summary — pure trait dispatch, no
-/// per-kind branching. Value-only; [`answer_queries`] returns bounds.
-pub fn query(summary: &LoadedSummary, range: &[(u64, u64)]) -> f64 {
-    summary.range_sum(range)
-}
-
 /// Answers a batch of queries with error bounds — one pass over the
 /// summary's items for sample-based kinds.
 pub fn answer_queries(
@@ -775,6 +769,13 @@ mod tests {
     use super::*;
 
     const ONE_D: &str = "# key weight\n1\t5.0\n2\t3.0\n9\t1.5\n";
+
+    /// The point estimate of a box query.
+    fn box_value(s: &dyn Summary, range: &[(u64, u64)]) -> f64 {
+        s.answer(&Query::BoxRange(range.to_vec()), 0.95)
+            .unwrap()
+            .value
+    }
     const TWO_D: &str = "10\t20\t5.0\n30\t40\t2.0\n50\t60\t8.0\n";
 
     #[test]
@@ -823,7 +824,7 @@ mod tests {
         assert_eq!(loaded.kind(), SummaryKind::Sample);
         // Full summary: estimates exact.
         let r = parse_range("0..100", 1).unwrap();
-        assert!((query(&loaded, &r) - 9.5).abs() < 1e-9);
+        assert!((box_value(&*loaded, &r) - 9.5).abs() < 1e-9);
     }
 
     #[test]
@@ -836,7 +837,7 @@ mod tests {
         assert_eq!(loaded.dims(), 2);
         let r = parse_range("0..39,0..59", 2).unwrap();
         // Contains points (10,20) and (30,40): weight 7.
-        assert!((query(&loaded, &r) - 7.0).abs() < 1e-9);
+        assert!((box_value(&*loaded, &r) - 7.0).abs() < 1e-9);
     }
 
     #[test]
@@ -847,7 +848,10 @@ mod tests {
         let loaded = load_summary(&bytes).unwrap();
         assert_eq!(loaded.kind(), SummaryKind::Sample);
         let r = parse_range("0..100", 1).unwrap();
-        assert_eq!(query(&loaded, &r).to_bits(), erased.range_sum(&r).to_bits());
+        assert_eq!(
+            box_value(&*loaded, &r).to_bits(),
+            box_value(erased.as_ref(), &r).to_bits()
+        );
     }
 
     #[test]
@@ -866,16 +870,13 @@ mod tests {
             // budget here far exceeds the data).
             let truth = if s.dims() == 1 { 9.5 } else { 15.0 };
             let full: Vec<(u64, u64)> = vec![(0, u64::MAX); s.dims()];
-            assert!(
-                (s.range_sum(&full) - truth).abs() < 1e-6,
-                "{kind}: {} vs {truth}",
-                s.range_sum(&full)
-            );
+            let est = box_value(s.as_ref(), &full);
+            assert!((est - truth).abs() < 1e-6, "{kind}: {est} vs {truth}");
             // And the binary round trip is queried identically.
             let loaded = load_summary(&encode_summary(s.as_ref())).unwrap();
             assert_eq!(
-                loaded.range_sum(&full).to_bits(),
-                s.range_sum(&full).to_bits(),
+                box_value(&*loaded, &full).to_bits(),
+                est.to_bits(),
                 "{kind}"
             );
         }
@@ -989,7 +990,10 @@ mod tests {
         let seg = sas_summaries::encode_segment(s.as_ref()).unwrap();
         let loaded = load_summary(&seg).unwrap();
         let r = parse_range("0..100", 1).unwrap();
-        assert_eq!(query(&loaded, &r).to_bits(), s.range_sum(&r).to_bits());
+        assert_eq!(
+            box_value(&*loaded, &r).to_bits(),
+            box_value(s.as_ref(), &r).to_bits()
+        );
         // Hydration is total: the loaded summary re-encodes to the exact v1
         // frame, and merging (which raw segments refuse) just works.
         assert_eq!(encode_summary(&*loaded), encode_summary(s.as_ref()));
@@ -1121,9 +1125,13 @@ mod tests {
         for (q, e) in queries.iter().zip(&estimates) {
             assert!(e.lower <= e.value && e.value <= e.upper, "{q}: {e:?}");
         }
-        // The box answer's value is bit-identical to the plain query path.
+        // The batched box answer's value is bit-identical to a single
+        // answer at another confidence.
         let r = parse_range("100..999", 1).unwrap();
-        assert_eq!(estimates[0].value.to_bits(), query(&loaded, &r).to_bits());
+        assert_eq!(
+            estimates[0].value.to_bits(),
+            box_value(&*loaded, &r).to_bits()
+        );
         // The exact total is inside the Total query's interval.
         let truth: f64 = (0..2000u64).map(|i| 0.5 + (i % 7) as f64).sum();
         assert!(
@@ -1187,7 +1195,7 @@ mod tests {
         let (sample, _) = summarize(&d, 300, 42).unwrap();
         let loaded = read_summary(&write_summary(&sample, &d)).unwrap();
         let r = parse_range("1000..3999", 1).unwrap();
-        let est = query(&loaded, &r);
+        let est = box_value(&*loaded, &r);
         let truth: f64 = (1000..4000u64).map(|i| 0.5 + (i % 17) as f64).sum();
         assert!(
             (est - truth).abs() / truth < 0.1,

@@ -62,3 +62,10 @@ pub fn parse_info_field(info: &str, field: &str) -> f64 {
         .parse()
         .expect("numeric info field")
 }
+
+/// The point estimate of a box query against a summary.
+pub fn box_value(s: &dyn sas_summaries::Summary, range: &[(u64, u64)]) -> f64 {
+    s.answer(&sas_summaries::Query::BoxRange(range.to_vec()), 0.95)
+        .expect("box query")
+        .value
+}

@@ -6,9 +6,9 @@
 
 mod common;
 
-use common::{parse_info_field, sas, TempFile};
+use common::{box_value, parse_info_field, sas, TempFile};
 
-use sas_cli::{load_summary, merge_summaries, parse_range, query, LoadedSummary};
+use sas_cli::{load_summary, merge_summaries, parse_range, LoadedSummary};
 use sas_summaries::SummaryKind;
 
 /// Deterministic heavy-tailed-ish weight (no RNG dependency).
@@ -92,7 +92,7 @@ fn save_then_query_binary_summary() {
     for spec in ["0..499", "100..399", "250..250"] {
         let (line, _) = sas(&["query", out.path(), "--range", spec], true);
         let cli_est: f64 = line.trim().parse().expect("estimate");
-        let mem_est = query(&loaded, &parse_range(spec, 1).unwrap());
+        let mem_est = box_value(&*loaded, &parse_range(spec, 1).unwrap());
         assert_eq!(cli_est.to_bits(), mem_est.to_bits(), "range {spec}");
     }
     let total = parse_info_field(&info, "total estimate");
@@ -163,7 +163,7 @@ fn shard_files_merged_in_separate_process_match_in_memory_merge_bit_for_bit() {
     for spec in ["0..1199", "0..399", "400..799", "137..1042"] {
         let (line, _) = sas(&["query", merged_path.path(), "--range", spec], true);
         let cli_est: f64 = line.trim().parse().expect("estimate");
-        let mem_est = query(&reference, &parse_range(spec, 1).unwrap());
+        let mem_est = box_value(&*reference, &parse_range(spec, 1).unwrap());
         assert_eq!(
             cli_est.to_bits(),
             mem_est.to_bits(),

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use common::{parse_info_field, sas, TempFile};
+use common::{box_value, parse_info_field, sas, TempFile};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,7 +136,7 @@ fn query_and_merge_accept_segment_files() {
     let files = seeded_store_dir(&dir);
     let frame = fs::read(&files[0]).unwrap();
     let decoded = sas_summaries::decode_summary(&frame).unwrap();
-    let expect = decoded.range_sum(&[(0, 500)]);
+    let expect = box_value(decoded.as_ref(), &[(0, 500)]);
     sas(&["compact", dir.path(), "--format", "v2"], true);
 
     let seg_path = files[0].to_str().unwrap();
@@ -159,7 +159,7 @@ fn query_and_merge_accept_segment_files() {
     );
     assert!(status.contains("merged 2"), "{status}");
     let loaded = sas_summaries::decode_summary(&fs::read(merged.path()).unwrap()).unwrap();
-    let doubled = loaded.range_sum(&[(0, 500)]);
+    let doubled = box_value(loaded.as_ref(), &[(0, 500)]);
     assert!(
         (doubled - 2.0 * expect).abs() <= 1e-9 * expect.abs(),
         "merge of two copies doubles the mass: {doubled} vs {}",

@@ -452,7 +452,11 @@ pub mod proto {
     /// owned by `sas-summaries::query`).
     pub const TAG_ESTIMATE: u16 = 50;
 
-    /// Request: range query against a dataset series.
+    /// Request: value-only range query against a dataset series — the
+    /// legacy tag. The daemon answers it as a [`REQ_ESTIMATE`] of the same
+    /// box at confidence 0.95 (same cache line, bit-identical value) and
+    /// returns only the value; a box the estimate path rejects (more axes
+    /// than the summary has, say) gets an error response.
     pub const REQ_QUERY: u16 = 64;
     /// Request: ingest a batch summary frame into a time window.
     pub const REQ_INGEST: u16 = 65;

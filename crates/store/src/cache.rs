@@ -1,4 +1,8 @@
-//! LRU cache for query answers.
+//! LRU cache for query answers — the daemon's only answer cache. Every
+//! query tag (`REQ_QUERY`, `REQ_ESTIMATE`, `REQ_ESTIMATE_COV`, watch
+//! evaluations) reads and fills it through [`crate::Store::estimate`];
+//! the legacy value-only tag is a box estimate at confidence 0.95, so it
+//! shares a line with a `REQ_ESTIMATE` of the same box at 0.95.
 //!
 //! Keys embed the catalog snapshot **version**, so a cache entry can never
 //! serve a stale answer: any ingest or compaction bumps the version and all
@@ -26,34 +30,21 @@ pub struct CacheKey {
     pub kind_tag: u16,
     /// Canonical wire bytes of the query.
     pub query: Vec<u8>,
-    /// Bit pattern of the requested confidence, or [`PLAIN_CONFIDENCE`]
-    /// for the value-only legacy path (a NaN pattern no real confidence
-    /// can collide with).
+    /// Bit pattern of the requested confidence.
     pub confidence_bits: u64,
     /// Optional window-time filter.
     pub time: Option<(u64, u64)>,
 }
 
-/// The `confidence_bits` sentinel for the value-only (pre-estimate) query
-/// path.
-pub const PLAIN_CONFIDENCE: u64 = u64::MAX;
-
-/// A cached answer: either a plain value (legacy `REQ_QUERY` path) or a
-/// full estimate, each with the window count it consulted (both pure
-/// functions of the versioned key, so a hit answers the whole query
+/// A cached answer: the estimate and the window count it consulted (both
+/// pure functions of the versioned key, so a hit answers the whole query
 /// without touching the catalog).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CachedAnswer {
-    /// Value-only answer.
-    Plain(f64, u64),
-    /// Estimate with bounds.
-    Estimate(Estimate, u64),
-}
+type Answer = (Estimate, u64);
 
 #[derive(Debug, Default)]
 struct Inner {
     /// key → (answer, recency stamp)
-    map: HashMap<CacheKey, (CachedAnswer, u64)>,
+    map: HashMap<CacheKey, (Answer, u64)>,
     /// recency stamp → key (oldest first; stamps are unique)
     order: BTreeMap<u64, CacheKey>,
     next_stamp: u64,
@@ -76,7 +67,7 @@ impl QueryCache {
     }
 
     /// Looks up an answer, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedAnswer> {
+    pub fn get(&self, key: &CacheKey) -> Option<(Estimate, u64)> {
         if self.capacity == 0 {
             return None;
         }
@@ -98,7 +89,7 @@ impl QueryCache {
 
     /// Stores an answer, evicting the least-recently-used entry at
     /// capacity.
-    pub fn put(&self, key: CacheKey, value: CachedAnswer) {
+    pub fn put(&self, key: CacheKey, value: (Estimate, u64)) {
         if self.capacity == 0 {
             return;
         }
@@ -138,13 +129,13 @@ mod tests {
             dataset: "d".into(),
             kind_tag: 1,
             query: Query::interval(lo, lo + 10).canonical_bytes().unwrap(),
-            confidence_bits: PLAIN_CONFIDENCE,
+            confidence_bits: 0.95f64.to_bits(),
             time: None,
         }
     }
 
-    fn plain(v: f64) -> CachedAnswer {
-        CachedAnswer::Plain(v, 1)
+    fn plain(v: f64) -> (Estimate, u64) {
+        (Estimate::exact(v), 1)
     }
 
     #[test]
@@ -173,7 +164,7 @@ mod tests {
             dataset: "d".into(),
             kind_tag: 1,
             query: q.canonical_bytes().unwrap(),
-            confidence_bits: PLAIN_CONFIDENCE,
+            confidence_bits: 0.95f64.to_bits(),
             time: None,
         };
         cache.put(mk(&spellings[0]), plain(7.0));
@@ -184,15 +175,13 @@ mod tests {
     }
 
     #[test]
-    fn confidence_isolates_estimates_from_plain_answers() {
+    fn confidence_isolates_estimates() {
         let cache = QueryCache::new(8);
-        let mk = |bits: u64| CacheKey {
-            confidence_bits: bits,
+        let mk = |confidence: f64| CacheKey {
+            confidence_bits: confidence.to_bits(),
             ..key(1, 0)
         };
-        cache.put(mk(PLAIN_CONFIDENCE), plain(5.0));
-        assert_eq!(cache.get(&mk(0.95f64.to_bits())), None);
-        let est = CachedAnswer::Estimate(
+        let est = (
             Estimate {
                 value: 5.0,
                 variance: 1.0,
@@ -202,11 +191,11 @@ mod tests {
             },
             2,
         );
-        cache.put(mk(0.95f64.to_bits()), est);
-        assert_eq!(cache.get(&mk(0.95f64.to_bits())), Some(est));
-        assert_eq!(cache.get(&mk(PLAIN_CONFIDENCE)), Some(plain(5.0)));
+        cache.put(mk(0.95), est);
+        assert_eq!(cache.get(&mk(0.95)), Some(est));
         // A different confidence is a different answer.
-        assert_eq!(cache.get(&mk(0.5f64.to_bits())), None);
+        assert_eq!(cache.get(&mk(0.5)), None);
+        assert_eq!(cache.get(&mk(0.99)), None);
     }
 
     #[test]

@@ -32,51 +32,6 @@
 //!   fewer responses, never a torn one.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
-
-/// An outbound wire message: owned bytes, or a shared reference into the
-/// server's response cache. Sharing is what makes a cached estimate *one*
-/// encode per snapshot — every connection writes the same `Arc`'d bytes
-/// straight to its socket with no per-connection copy.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// A message built for this connection alone.
-    Owned(Vec<u8>),
-    /// A message shared with other connections (cache hits).
-    Shared(Arc<Vec<u8>>),
-}
-
-impl Payload {
-    /// The message bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            Payload::Owned(v) => v,
-            Payload::Shared(v) => v,
-        }
-    }
-
-    /// The message length in bytes.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether the message is empty.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-}
-
-impl From<Vec<u8>> for Payload {
-    fn from(v: Vec<u8>) -> Payload {
-        Payload::Owned(v)
-    }
-}
-
-impl From<Arc<Vec<u8>>> for Payload {
-    fn from(v: Arc<Vec<u8>>) -> Payload {
-        Payload::Shared(v)
-    }
-}
 
 /// Flow-control and framing limits for one connection.
 #[derive(Debug, Clone, Copy)]
@@ -162,11 +117,11 @@ pub struct Conn {
     // Outbound ordering + drain state.
     in_flight: usize,
     next_flush: u64,
-    parked: BTreeMap<u64, Payload>,
+    parked: BTreeMap<u64, Vec<u8>>,
     /// In-order messages awaiting the socket, each tagged with the request
     /// sequence it answers (`None`: unsolicited, e.g. a shed BUSY) so the
     /// server can attribute flush completion back to the request.
-    outbox: VecDeque<(Option<u64>, Payload)>,
+    outbox: VecDeque<(Option<u64>, Vec<u8>)>,
     front_written: usize,
     queued_bytes: usize,
 }
@@ -304,15 +259,15 @@ impl Conn {
     // ---- outbound ---------------------------------------------------
 
     /// Queues the response for request `seq` (a complete length-prefixed
-    /// wire message, owned or cache-shared). Responses may arrive in any
-    /// order; the outbox releases them in sequence order. Ignored after
-    /// abort/poison — the peer is no longer owed anything.
-    pub fn push_response(&mut self, seq: u64, message: impl Into<Payload>) {
+    /// wire message). Responses may arrive in any order; the outbox
+    /// releases them in sequence order. Ignored after abort/poison — the
+    /// peer is no longer owed anything.
+    pub fn push_response(&mut self, seq: u64, message: Vec<u8>) {
         if matches!(self.phase, Phase::Aborting | Phase::Poisoned) {
             return;
         }
         debug_assert!(seq >= self.next_flush, "duplicate response for {seq}");
-        self.parked.insert(seq, message.into());
+        self.parked.insert(seq, message);
         // A request leaves flight only when its response is released in
         // order: one parked behind a slower predecessor still holds its
         // pipeline slot, so parked bytes stay bounded by `max_pipeline`.
@@ -328,11 +283,10 @@ impl Conn {
     /// connection receives before anything was parsed, or a watch-update
     /// push. Bypasses sequence ordering — an unsolicited frame goes out at
     /// its queueing position, between (never inside) ordered responses.
-    pub fn inject_unsolicited(&mut self, message: impl Into<Payload>) {
+    pub fn inject_unsolicited(&mut self, message: Vec<u8>) {
         if matches!(self.phase, Phase::Aborting | Phase::Poisoned) {
             return;
         }
-        let message = message.into();
         self.queued_bytes += message.len();
         self.outbox.push_back((None, message));
     }
@@ -340,9 +294,7 @@ impl Conn {
     /// The next unwritten slice, if any. Write some prefix of it to the
     /// socket, then call [`Conn::advance`] with the byte count.
     pub fn next_chunk(&self) -> Option<&[u8]> {
-        self.outbox
-            .front()
-            .map(|(_, m)| &m.as_slice()[self.front_written..])
+        self.outbox.front().map(|(_, m)| &m[self.front_written..])
     }
 
     /// The request sequence the front (currently draining) outbox message
@@ -969,45 +921,6 @@ mod tests {
         c.abort_at_boundary();
         assert!(c.take_ready().unwrap().is_empty());
         assert!(c.closable(), "parked messages are forfeit on abort");
-    }
-
-    #[test]
-    fn shared_payload_flushes_like_owned_and_counts_toward_budget() {
-        let shared = Arc::new(msg(b"cached-estimate"));
-        let mut a = conn();
-        let mut b = conn();
-        a.on_bytes(&msg(b"q")).unwrap();
-        b.on_bytes(&msg(b"q")).unwrap();
-        a.push_response(0, shared.clone());
-        b.push_response(0, msg(b"cached-estimate"));
-        assert_eq!(a.queued_bytes(), b.queued_bytes());
-        // Partial writes work identically on the shared front message.
-        assert_eq!(a.next_chunk().unwrap(), b.next_chunk().unwrap());
-        a.advance(4);
-        b.advance(4);
-        assert_eq!(a.next_chunk().unwrap(), b.next_chunk().unwrap());
-        a.advance(a.next_chunk().unwrap().len());
-        assert!(a.next_chunk().is_none());
-        assert_eq!(a.queued_bytes(), 0);
-        // The connection never cloned the bytes: the cache and this test
-        // still hold the only other references.
-        assert_eq!(Arc::strong_count(&shared), 1);
-    }
-
-    #[test]
-    fn abort_mid_frame_finishes_a_shared_frame_too() {
-        let shared = Arc::new(msg(b"shared-response"));
-        let mut c = conn();
-        c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
-        c.push_response(0, shared.clone());
-        c.push_response(1, msg(b"dropped"));
-        c.advance(5);
-        c.abort_at_boundary();
-        assert!(!c.closable());
-        let rest = c.next_chunk().unwrap().to_vec();
-        assert_eq!(rest, &shared[5..]);
-        c.advance(rest.len());
-        assert!(c.closable());
     }
 
     #[test]

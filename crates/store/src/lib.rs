@@ -51,7 +51,6 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -69,7 +68,7 @@ use sas_summaries::{
     QueryError, SegmentSummary, Summary, SummaryError, SummaryKind,
 };
 
-use cache::{CacheKey, CachedAnswer, QueryCache, PLAIN_CONFIDENCE};
+use cache::{CacheKey, QueryCache};
 use manifest::{Manifest, ManifestEntry};
 use policy::{Coverage, Policy};
 use window::{valid_dataset, window_seed, Level, WindowKey};
@@ -195,29 +194,11 @@ impl Snapshot {
             .collect()
     }
 
-    /// Directly computes a range query against this snapshot (no cache):
-    /// the sum of every matching window's estimate. Returns the value and
-    /// the number of windows consulted.
-    pub fn query(
-        &self,
-        dataset: &str,
-        kind: SummaryKind,
-        range: &[(u64, u64)],
-        time: Option<(u64, u64)>,
-    ) -> (f64, u64) {
-        let windows = self.matching(dataset, kind, time);
-        let value: f64 = windows.iter().map(|w| w.summary.range_sum(range)).sum();
-        // f64's empty-sum identity is -0.0; serve a plain 0 instead.
-        (value + 0.0, windows.len() as u64)
-    }
-
     /// Directly computes a query estimate against this snapshot (no
     /// cache): values, variances, and bounds add across the matching
     /// windows (disjoint data). The requested failure probability is split
     /// across the windows (each answers at `1 − δ/k`), so by the union
-    /// bound the summed interval holds at the requested confidence. The
-    /// value accumulates in the same window order as [`Snapshot::query`],
-    /// so old-tag and new-tag clients see bit-identical values.
+    /// bound the summed interval holds at the requested confidence.
     pub fn estimate(
         &self,
         dataset: &str,
@@ -264,19 +245,6 @@ impl Snapshot {
     }
 }
 
-/// A range-query answer from [`Store::query`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryAnswer {
-    /// The estimate.
-    pub value: f64,
-    /// Windows consulted.
-    pub windows: u64,
-    /// Whether the value came from the LRU cache.
-    pub cached: bool,
-    /// Snapshot version answered against.
-    pub version: u64,
-}
-
 /// A query answer with error bounds, from [`Store::estimate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimateAnswer {
@@ -309,33 +277,24 @@ struct WriterState {
     manifest_sequence: u64,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    ingested: AtomicU64,
-    rollups: AtomicU64,
-    compaction_passes: AtomicU64,
-    retention_passes: AtomicU64,
-    expired_windows: AtomicU64,
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    recovered_windows: AtomicU64,
-    orphans_removed: AtomicU64,
-    temp_files_swept: AtomicU64,
-}
-
-/// The store's metric registry plus pre-resolved hot-path handles. Fixed
+/// The store's metric registry plus pre-resolved hot-path handles — the
+/// store's only counters ([`Store::stats`] is a view over them). Fixed
 /// cells are resolved once at open; per-dataset cache counters arrive at
 /// runtime, so they are memoized in a map and the query path pays one
 /// `RwLock` read instead of a registry lock per request.
 #[derive(Debug)]
 struct StoreObs {
     registry: Arc<Registry>,
+    ingested_batches: Arc<ObsCounter>,
+    rollups: Arc<ObsCounter>,
     compactions: Arc<ObsCounter>,
     compaction_ns: Arc<ObsHistogram>,
     segment_hydrations: Arc<ObsCounter>,
     retention_passes: Arc<ObsCounter>,
     expired_windows: Arc<ObsCounter>,
+    recovered_windows: Arc<ObsCounter>,
+    orphans_removed: Arc<ObsCounter>,
+    temp_files_swept: Arc<ObsCounter>,
     datasets: RwLock<HashMap<String, CacheCells>>,
 }
 
@@ -349,11 +308,16 @@ struct CacheCells {
 impl StoreObs {
     fn new(registry: Arc<Registry>) -> StoreObs {
         StoreObs {
+            ingested_batches: registry.counter("sas_store_ingested_batches_total"),
+            rollups: registry.counter("sas_store_rollups_total"),
             compactions: registry.counter("sas_store_compactions_total"),
             compaction_ns: registry.histogram("sas_store_compaction_ns"),
             segment_hydrations: registry.counter("sas_store_segment_hydrations_total"),
             retention_passes: registry.counter("sas_store_retention_passes_total"),
             expired_windows: registry.counter("sas_store_expired_windows_total"),
+            recovered_windows: registry.counter("sas_store_recovered_windows"),
+            orphans_removed: registry.counter("sas_store_orphans_removed"),
+            temp_files_swept: registry.counter("sas_store_temp_files_swept"),
             datasets: RwLock::new(HashMap::new()),
             registry,
         }
@@ -368,7 +332,6 @@ pub struct Store {
     snapshot: RwLock<Arc<Snapshot>>,
     writer: Mutex<WriterState>,
     cache: QueryCache,
-    counters: Counters,
     obs: StoreObs,
 }
 
@@ -495,26 +458,15 @@ impl Store {
                 retention_floors: manifest.retention_floors.clone(),
             })),
             writer: Mutex::new(writer),
-            counters: Counters::default(),
             obs: StoreObs::new(Arc::new(Registry::new())),
         };
         let recovered = manifest.entries.len() as u64;
-        store
-            .counters
-            .recovered_windows
-            .store(recovered, Ordering::Relaxed);
-        store
-            .counters
-            .orphans_removed
-            .store(orphans, Ordering::Relaxed);
-        store
-            .counters
-            .temp_files_swept
-            .store(swept, Ordering::Relaxed);
+        store.obs.recovered_windows.add(recovered);
+        store.obs.orphans_removed.add(orphans);
+        store.obs.temp_files_swept.add(swept);
         let recovery_ns = recovery_started.elapsed().as_nanos() as u64;
         let obs = &store.obs.registry;
         obs.counter("sas_store_recovery_ns").record_max(recovery_ns);
-        obs.counter("sas_store_recovered_windows").add(recovered);
         obs.counter("sas_store_recovered_windows_mapped")
             .add(mapped_windows);
         obs.counter("sas_store_recovered_windows_hydrated")
@@ -651,65 +603,15 @@ impl Store {
         // persisted lifecycle state can never lag the windows it governs.
         bump_max(&mut writer.watermarks, series, key.end());
         self.persist_and_publish(&mut writer, windows, snap.version)?;
-        self.counters.ingested.fetch_add(1, Ordering::Relaxed);
+        self.obs.ingested_batches.inc();
         Ok(state)
-    }
-
-    /// Answers a value-only range query from the current snapshot, through
-    /// the LRU cache — the legacy `REQ_QUERY` path, kept bit-identical for
-    /// old clients. New code should prefer [`Store::estimate`].
-    pub fn query(
-        &self,
-        dataset: &str,
-        kind: SummaryKind,
-        range: &[(u64, u64)],
-        time: Option<(u64, u64)>,
-    ) -> QueryAnswer {
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let snap = self.snapshot();
-        // An unencodable range (reversed bounds) cannot be cached; answer
-        // it directly (range_sum treats it as empty, preserving the old
-        // behaviour).
-        let cache_key = Query::BoxRange(range.to_vec())
-            .canonical_bytes()
-            .ok()
-            .map(|query| CacheKey {
-                version: snap.version,
-                dataset: dataset.to_string(),
-                kind_tag: kind.tag(),
-                query,
-                confidence_bits: PLAIN_CONFIDENCE,
-                time,
-            });
-        if let Some(key) = &cache_key {
-            if let Some(CachedAnswer::Plain(value, windows)) = self.cache.get(key) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.cache_cells(dataset).hits.inc();
-                return QueryAnswer {
-                    value,
-                    windows,
-                    cached: true,
-                    version: snap.version,
-                };
-            }
-        }
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.cache_cells(dataset).misses.inc();
-        let (value, windows) = snap.query(dataset, kind, range, time);
-        if let Some(key) = cache_key {
-            self.cache.put(key, CachedAnswer::Plain(value, windows));
-        }
-        QueryAnswer {
-            value,
-            windows,
-            cached: false,
-            version: snap.version,
-        }
     }
 
     /// Answers a query with error bounds from the current snapshot,
     /// through the LRU cache. The cache key is the query's **canonical**
-    /// form, so equivalent spellings share one entry.
+    /// form, so equivalent spellings share one entry. This is the single
+    /// answer path: every daemon query tag, the legacy value-only
+    /// `REQ_QUERY` included, comes through here.
     pub fn estimate(
         &self,
         dataset: &str,
@@ -724,8 +626,8 @@ impl Store {
     /// [`Store::estimate`] plus a gap report, both computed against the
     /// *same* snapshot: the answer can never describe one catalog state
     /// and the coverage another. The estimate goes through the LRU cache
-    /// exactly like the plain tag, so old and new clients polling the same
-    /// canonical query read bit-identical values.
+    /// exactly like [`Store::estimate`], so clients of every query tag
+    /// polling the same canonical query read bit-identical values.
     pub fn estimate_with_coverage(
         &self,
         dataset: &str,
@@ -751,18 +653,17 @@ impl Store {
         time: Option<(u64, u64)>,
     ) -> Result<EstimateAnswer, StoreError> {
         let bad = |e: QueryError| StoreError::BadRequest(e.to_string());
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let cache_key = CacheKey {
+        let cells = self.cache_cells(dataset);
+        let cache_key = query.canonical_bytes().map(|query| CacheKey {
             version: snap.version,
             dataset: dataset.to_string(),
             kind_tag: kind.tag(),
-            query: query.canonical_bytes().map_err(bad)?,
+            query,
             confidence_bits: confidence.to_bits(),
             time,
-        };
-        if let Some(CachedAnswer::Estimate(estimate, windows)) = self.cache.get(&cache_key) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.cache_cells(dataset).hits.inc();
+        });
+        if let Some((estimate, windows)) = cache_key.as_ref().ok().and_then(|k| self.cache.get(k)) {
+            cells.hits.inc();
             return Ok(EstimateAnswer {
                 estimate,
                 windows,
@@ -770,13 +671,14 @@ impl Store {
                 version: snap.version,
             });
         }
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.cache_cells(dataset).misses.inc();
+        // Every query is a hit or a miss — a malformed one, rejected just
+        // below, included — so `queries` in [`Store::stats`] is their sum.
+        cells.misses.inc();
+        let cache_key = cache_key.map_err(bad)?;
         let (estimate, windows) = snap
             .estimate(dataset, kind, query, confidence, time)
             .map_err(bad)?;
-        self.cache
-            .put(cache_key, CachedAnswer::Estimate(estimate, windows));
+        self.cache.put(cache_key, (estimate, windows));
         Ok(EstimateAnswer {
             estimate,
             windows,
@@ -800,7 +702,9 @@ impl Store {
     }
 
     /// Store statistics as ordered name/value pairs (also the `stats`
-    /// protocol response).
+    /// protocol response): catalog shape from the current snapshot, plus a
+    /// view over the store's registry counters (the same cells
+    /// [`Store::obs`] reports).
     pub fn stats(&self) -> Vec<(String, u64)> {
         let snap = self.snapshot();
         let per_level =
@@ -818,8 +722,13 @@ impl Store {
                 .map(|w| w.frame_bytes)
                 .sum()
         };
-        let c = &self.counters;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let o = &self.obs;
+        let (hits, misses) = o
+            .datasets
+            .read()
+            .expect("obs lock")
+            .values()
+            .fold((0, 0), |(h, m), c| (h + c.hits.get(), m + c.misses.get()));
         vec![
             ("windows".into(), snap.windows.len() as u64),
             ("minute_windows".into(), per_level(Level::Minute)),
@@ -831,18 +740,18 @@ impl Store {
             ("hour_frame_bytes".into(), level_bytes(Level::Hour)),
             ("day_frame_bytes".into(), level_bytes(Level::Day)),
             ("snapshot_version".into(), snap.version),
-            ("ingested_batches".into(), get(&c.ingested)),
-            ("rollups".into(), get(&c.rollups)),
-            ("compaction_passes".into(), get(&c.compaction_passes)),
-            ("retention_passes".into(), get(&c.retention_passes)),
-            ("expired_windows".into(), get(&c.expired_windows)),
-            ("queries".into(), get(&c.queries)),
-            ("cache_hits".into(), get(&c.cache_hits)),
-            ("cache_misses".into(), get(&c.cache_misses)),
+            ("ingested_batches".into(), o.ingested_batches.get()),
+            ("rollups".into(), o.rollups.get()),
+            ("compaction_passes".into(), o.compactions.get()),
+            ("retention_passes".into(), o.retention_passes.get()),
+            ("expired_windows".into(), o.expired_windows.get()),
+            ("queries".into(), hits + misses),
+            ("cache_hits".into(), hits),
+            ("cache_misses".into(), misses),
             ("cache_entries".into(), self.cache.len() as u64),
-            ("recovered_windows".into(), get(&c.recovered_windows)),
-            ("orphans_removed".into(), get(&c.orphans_removed)),
-            ("temp_files_swept".into(), get(&c.temp_files_swept)),
+            ("recovered_windows".into(), o.recovered_windows.get()),
+            ("orphans_removed".into(), o.orphans_removed.get()),
+            ("temp_files_swept".into(), o.temp_files_swept.get()),
         ]
     }
 
@@ -852,9 +761,6 @@ impl Store {
     pub fn compact_once(&self) -> Result<usize, StoreError> {
         let pass_started = Instant::now();
         let mut writer = self.writer.lock().expect("writer lock");
-        self.counters
-            .compaction_passes
-            .fetch_add(1, Ordering::Relaxed);
         self.obs.compactions.inc();
         let snap = self.snapshot();
         let mut windows = snap.windows.clone();
@@ -925,9 +831,7 @@ impl Store {
             for path in doomed_paths {
                 fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
             }
-            self.counters
-                .rollups
-                .fetch_add(rollups as u64, Ordering::Relaxed);
+            self.obs.rollups.add(rollups as u64);
         }
         let elapsed = pass_started.elapsed();
         self.obs.compaction_ns.record_duration(elapsed);
@@ -958,9 +862,6 @@ impl Store {
     /// Returns the number of windows dropped.
     pub fn retain_once(&self) -> Result<usize, StoreError> {
         let mut writer = self.writer.lock().expect("writer lock");
-        self.counters
-            .retention_passes
-            .fetch_add(1, Ordering::Relaxed);
         self.obs.retention_passes.inc();
         let snap = self.snapshot();
         let mut windows = snap.windows.clone();
@@ -990,9 +891,6 @@ impl Store {
             for path in doomed_paths {
                 fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
             }
-            self.counters
-                .expired_windows
-                .fetch_add(expired as u64, Ordering::Relaxed);
             self.obs.expired_windows.add(expired as u64);
             slog!(LogLevel::Debug, "retention_pass", expired = expired);
         }

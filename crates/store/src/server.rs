@@ -77,7 +77,7 @@ use sas_summaries::decode_summary;
 
 use sas_summaries::{Query, SummaryKind};
 
-use crate::conn::{Conn, ConnConfig, Payload};
+use crate::conn::{Conn, ConnConfig};
 use crate::poller::{Backend, Event, Interest, InterestCache, Poller, WakeHandle, Waker};
 use crate::wire::{decode_request, encode_push, encode_response, Request, Response, WatchUpdate};
 use crate::Store;
@@ -140,7 +140,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Counters the event loop publishes; readable at any time via
+/// The event loop's counters, readable at any time via
 /// [`Server::metrics`]. All values are cumulative since start except
 /// `active_conns`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -396,7 +396,7 @@ struct Completion {
     delivery: Delivery,
     dataset: Option<String>,
     /// `None`: nothing to write (lifecycle, or a watch eval that errored).
-    message: Option<Payload>,
+    message: Option<Vec<u8>>,
     tag: &'static str,
     read_ns: u64,
     parse_ns: u64,
@@ -408,120 +408,6 @@ struct Completion {
     ingested: Option<(String, u16)>,
     /// A validated watch registration for the loop to install.
     register_watch: Option<(u64, Arc<WatchSpec>)>,
-}
-
-/// Key identifying one cacheable estimate response within a snapshot
-/// version: the same fields the store's own LRU keys on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct MsgKey {
-    dataset: String,
-    kind_tag: u16,
-    query: Vec<u8>,
-    confidence_bits: u64,
-    time: Option<(u64, u64)>,
-}
-
-/// Fully encoded, length-prefixed `cached = true` estimate messages,
-/// shared across workers and connections. A hit skips the wire encode
-/// entirely and every connection's outbox holds the same `Arc` — the bytes
-/// are copied exactly once, by the kernel, per socket write. Keyed by
-/// snapshot version; any version bump clears the lot (a stale entry could
-/// otherwise outlive the windows it describes).
-/// Snapshot version + the encoded messages cached under it.
-type VersionedMessages = (u64, HashMap<MsgKey, Arc<Vec<u8>>>);
-
-#[derive(Debug)]
-struct MessageCache {
-    max_entries: usize,
-    inner: Mutex<VersionedMessages>,
-}
-
-impl MessageCache {
-    fn new(max_entries: usize) -> MessageCache {
-        MessageCache {
-            max_entries,
-            inner: Mutex::new((0, HashMap::new())),
-        }
-    }
-
-    fn sync_version(
-        guard: &mut VersionedMessages,
-        version: u64,
-    ) -> &mut HashMap<MsgKey, Arc<Vec<u8>>> {
-        if guard.0 != version {
-            guard.1.clear();
-            guard.0 = version;
-        }
-        &mut guard.1
-    }
-
-    fn get(&self, version: u64, key: &MsgKey) -> Option<Arc<Vec<u8>>> {
-        let mut guard = self.inner.lock().expect("message cache lock");
-        Self::sync_version(&mut guard, version).get(key).cloned()
-    }
-
-    fn put(&self, version: u64, key: MsgKey, message: Arc<Vec<u8>>) {
-        let mut guard = self.inner.lock().expect("message cache lock");
-        let map = Self::sync_version(&mut guard, version);
-        // At capacity, skip the insert: the next snapshot bump clears the
-        // map anyway, and an LRU here would buy little for its bookkeeping.
-        if map.len() < self.max_entries {
-            map.insert(key, message);
-        }
-    }
-}
-
-/// Answers an estimate request through the shared message cache: once the
-/// store reports the answer as cached, the encoded response is built one
-/// time per snapshot and every later hit returns the same shared bytes.
-/// Also returns the number of windows consulted (slow-query metadata).
-fn estimate_message(
-    store: &Store,
-    cache: &MessageCache,
-    dataset: String,
-    kind: SummaryKind,
-    query: Query,
-    confidence: f64,
-    time: Option<(u64, u64)>,
-) -> (Payload, u64) {
-    let canonical = query.canonical_bytes().ok();
-    match store.estimate(&dataset, kind, &query, confidence, time) {
-        Err(e) => (
-            Payload::Owned(to_message(&encode_response(&Response::Err(e.to_string())))),
-            0,
-        ),
-        Ok(answer) => {
-            if answer.cached {
-                if let Some(canonical) = canonical {
-                    let key = MsgKey {
-                        dataset,
-                        kind_tag: kind.tag(),
-                        query: canonical,
-                        confidence_bits: confidence.to_bits(),
-                        time,
-                    };
-                    if let Some(message) = cache.get(answer.version, &key) {
-                        return (Payload::Shared(message), answer.windows);
-                    }
-                    let message = Arc::new(to_message(&encode_response(&Response::Estimate {
-                        estimate: answer.estimate,
-                        windows: answer.windows,
-                        cached: true,
-                    })));
-                    cache.put(answer.version, key, message.clone());
-                    return (Payload::Shared(message), answer.windows);
-                }
-            }
-            (
-                Payload::Owned(to_message(&encode_response(&Response::Estimate {
-                    estimate: answer.estimate,
-                    windows: answer.windows,
-                    cached: answer.cached,
-                }))),
-                answer.windows,
-            )
-        }
-    }
 }
 
 /// The canonical query bytes of a request, hex-encoded for the slow-query
@@ -611,7 +497,6 @@ impl Server {
         let (job_tx, job_rx): (Sender<Job>, Receiver<Job>) = channel();
         let (done_tx, done_rx): (Sender<Completion>, Receiver<Completion>) = channel();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let message_cache = Arc::new(MessageCache::new(config.max_conns.max(1024)));
         let slow_enabled = config.slow_query.is_some();
         let workers = (0..config.threads)
             .map(|i| {
@@ -619,7 +504,6 @@ impl Server {
                 let done_tx = done_tx.clone();
                 let store = store.clone();
                 let wake = shared.wake.clone();
-                let message_cache = message_cache.clone();
                 std::thread::Builder::new()
                     .name(format!("sas-serve-worker-{i}"))
                     .spawn(move || loop {
@@ -655,50 +539,27 @@ impl Server {
                                     query: canonical_query_hex(&req),
                                     windows: 0,
                                 });
-                                let message = match req {
-                                    Request::Estimate {
-                                        dataset,
-                                        kind,
-                                        query,
-                                        confidence,
-                                        time,
-                                    } => {
-                                        let (message, windows) = estimate_message(
-                                            &store,
-                                            &message_cache,
-                                            dataset,
-                                            kind,
-                                            query,
-                                            confidence,
-                                            time,
-                                        );
-                                        if let Some(meta) = &mut slow {
-                                            meta.windows = windows;
-                                        }
-                                        message
-                                    }
+                                let response = match req {
                                     Request::Ingest { dataset, ts, frame } => {
                                         let (response, series) =
                                             ingest_response(&store, &dataset, ts, &frame);
                                         ingested = series;
-                                        Payload::Owned(to_message(&encode_response(&response)))
+                                        response
                                     }
-                                    req => {
-                                        let response = handle_request(&store, req);
-                                        if let Some(meta) = &mut slow {
-                                            meta.windows = match &response {
-                                                Response::Query { windows, .. }
-                                                | Response::Estimate { windows, .. }
-                                                | Response::EstimateCov { windows, .. } => {
-                                                    *windows
-                                                }
-                                                _ => 0,
-                                            };
-                                        }
-                                        Payload::Owned(to_message(&encode_response(&response)))
-                                    }
+                                    req => handle_request(&store, req),
                                 };
-                                (Delivery::Response { seq }, Some(message))
+                                if let Some(meta) = &mut slow {
+                                    meta.windows = match &response {
+                                        Response::Query { windows, .. }
+                                        | Response::Estimate { windows, .. }
+                                        | Response::EstimateCov { windows, .. } => *windows,
+                                        _ => 0,
+                                    };
+                                }
+                                (
+                                    Delivery::Response { seq },
+                                    Some(to_message(&encode_response(&response))),
+                                )
                             }
                             Work::WatchRegister { watch_id, spec } => {
                                 // Validate by answering once: a query the
@@ -731,9 +592,7 @@ impl Server {
                                 };
                                 (
                                     Delivery::Response { seq },
-                                    Some(Payload::Owned(to_message(&encode_response(
-                                        &response,
-                                    )))),
+                                    Some(to_message(&encode_response(&response))),
                                 )
                             }
                             Work::WatchEval { watch_id, spec } => {
@@ -749,15 +608,13 @@ impl Server {
                                     // ingest retriggers the evaluation.
                                     Err(_) => None,
                                     Ok((answer, coverage)) => {
-                                        Some(Payload::Owned(to_message(&encode_push(
-                                            &WatchUpdate {
-                                                watch_id,
-                                                version: answer.version,
-                                                windows: answer.windows,
-                                                estimate: answer.estimate,
-                                                coverage,
-                                            },
-                                        ))))
+                                        Some(to_message(&encode_push(&WatchUpdate {
+                                            watch_id,
+                                            version: answer.version,
+                                            windows: answer.windows,
+                                            estimate: answer.estimate,
+                                            coverage,
+                                        })))
                                     }
                                 };
                                 (Delivery::Push { watch_id }, message)
@@ -1587,7 +1444,7 @@ impl EventLoop {
     /// Lands one watch evaluation: inject the push if the subscription
     /// still exists and the peer is keeping up, shed the subscriber if it
     /// is not, and re-evaluate immediately when ingests landed meanwhile.
-    fn deliver_push(&mut self, token: u64, watch_id: u64, message: Option<Payload>) {
+    fn deliver_push(&mut self, token: u64, watch_id: u64, message: Option<Vec<u8>>) {
         let write_budget = self.config.write_budget;
         let Some(entry) = self.conns.get_mut(&token) else {
             return; // connection closed while the eval ran
@@ -1942,11 +1799,17 @@ pub fn handle_request(store: &Store, req: Request) -> Response {
             range,
             time,
         } => {
-            let answer = store.query(&dataset, kind, &range, time);
-            Response::Query {
-                value: answer.value,
-                windows: answer.windows,
-                cached: answer.cached,
+            // The legacy value-only tag is a box estimate at 0.95, the
+            // confidence its values have always been computed at, so it
+            // shares cache lines (and values, bit for bit) with
+            // `REQ_ESTIMATE` at 0.95.
+            match store.estimate(&dataset, kind, &Query::BoxRange(range), 0.95, time) {
+                Err(e) => Response::Err(e.to_string()),
+                Ok(answer) => Response::Query {
+                    value: answer.estimate.value,
+                    windows: answer.windows,
+                    cached: answer.cached,
+                },
             }
         }
         Request::Estimate {

@@ -1,15 +1,18 @@
-//! The zero-copy cached-estimate path: repeated identical estimates must
-//! come back byte-identical (the shared message), flip to `cached = true`
-//! after the first answer, and revert to fresh answers the moment an
-//! ingest bumps the snapshot version.
+//! The daemon's answer cache — the store's LRU, shared by every query
+//! tag: repeated identical estimates must come back bit-identical, flip
+//! to `cached = true` after the first answer, and revert to fresh answers
+//! the moment an ingest bumps the snapshot version. The legacy value-only
+//! `REQ_QUERY` tag reads and fills the same lines as `REQ_ESTIMATE` at
+//! confidence 0.95, and is validated the same way.
 
 mod util;
 
 use std::io::Write;
 use std::net::TcpStream;
 
-use sas_store::client::Client;
+use sas_store::client::{Client, ClientError};
 use sas_store::server::ServerConfig;
+use sas_summaries::query::MAX_QUERY_AXES;
 use sas_summaries::{Query, SummaryKind};
 
 use sas_store::wire::{Request, Response};
@@ -128,6 +131,83 @@ fn distinct_queries_do_not_collide_in_the_message_cache() {
         .estimate("web", SummaryKind::Sample, &wide, 0.99, None)
         .unwrap();
     assert_eq!(w99.estimate.value.to_bits(), w.estimate.value.to_bits());
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn legacy_query_and_estimate_share_one_cache_line() {
+    let (_dir, store, server) = start("legacy-shared-line", ServerConfig::default());
+    store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // REQ_ESTIMATE at 0.95 first: the legacy tag then hits its line.
+    let est = client
+        .estimate(
+            "web",
+            SummaryKind::Sample,
+            &Query::interval(0, 40),
+            0.95,
+            None,
+        )
+        .unwrap();
+    assert!(!est.cached);
+    let old = client
+        .query("web", SummaryKind::Sample, &[(0, 40)], None)
+        .unwrap();
+    assert!(old.cached, "REQ_QUERY reads the line REQ_ESTIMATE filled");
+    assert_eq!(old.value.to_bits(), est.estimate.value.to_bits());
+    assert_eq!(old.windows, est.windows);
+    // The reverse order, on a box nobody has asked about yet.
+    let old = client
+        .query("web", SummaryKind::Sample, &[(50, 90)], None)
+        .unwrap();
+    assert!(!old.cached);
+    let est = client
+        .estimate(
+            "web",
+            SummaryKind::Sample,
+            &Query::interval(50, 90),
+            0.95,
+            None,
+        )
+        .unwrap();
+    assert!(est.cached, "REQ_ESTIMATE reads the line REQ_QUERY filled");
+    assert_eq!(est.estimate.value.to_bits(), old.value.to_bits());
+    assert_eq!(est.windows, old.windows);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn legacy_query_with_too_many_axes_is_an_error() {
+    let (_dir, store, server) = start("legacy-axes", ServerConfig::default());
+    store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let two_axes = [(0u64, 40u64), (0, 10)];
+    let too_wide = vec![(0u64, 40u64); MAX_QUERY_AXES + 1];
+    for range in [&two_axes[..], &too_wide] {
+        // The legacy tag rejects the box exactly as REQ_ESTIMATE does,
+        // instead of dropping the axes the 1-D dataset lacks.
+        match client.query("web", SummaryKind::Sample, range, None) {
+            Err(ClientError::Server(_)) => {}
+            other => panic!(
+                "{} axes: expected a server error, got {other:?}",
+                range.len()
+            ),
+        }
+        let query = Query::BoxRange(range.to_vec());
+        match client.estimate("web", SummaryKind::Sample, &query, 0.95, None) {
+            Err(ClientError::Server(_)) => {}
+            other => panic!(
+                "{} axes: expected a server error, got {other:?}",
+                range.len()
+            ),
+        }
+    }
+    // The connection keeps serving well-formed queries.
+    assert!(client
+        .query("web", SummaryKind::Sample, &[(0, 40)], None)
+        .is_ok());
     server.shutdown();
     server.wait();
 }

@@ -12,9 +12,10 @@ use rand::SeedableRng;
 
 use sas_core::WeightedKey;
 use sas_store::client::{Client, ClientError};
-use sas_store::server::Server;
+use sas_store::server::{handle_request, Server};
 use sas_store::window::{Level, WindowKey};
-use sas_store::{frame_path, rebuild_parent, Store, StoreConfig, StoreError};
+use sas_store::wire::{Request, Response};
+use sas_store::{frame_path, rebuild_parent, EstimateAnswer, Store, StoreConfig, StoreError};
 use sas_summaries::{decode_summary, encode_summary, Query, StoredSample, Summary, SummaryKind};
 
 /// A unique store directory, removed on drop.
@@ -62,6 +63,41 @@ fn exact_total(lo: u64, n: u64) -> f64 {
 
 const FULL: &[(u64, u64)] = &[(0, u64::MAX)];
 
+/// A box estimate at confidence 0.95 — the answer the value-only
+/// `REQ_QUERY` tag serves.
+fn query(
+    store: &Store,
+    dataset: &str,
+    kind: SummaryKind,
+    range: &[(u64, u64)],
+    time: Option<(u64, u64)>,
+) -> EstimateAnswer {
+    store
+        .estimate(dataset, kind, &Query::BoxRange(range.to_vec()), 0.95, time)
+        .unwrap()
+}
+
+/// The point estimate of a box query against one summary.
+fn box_value(s: &dyn Summary, range: &[(u64, u64)]) -> f64 {
+    s.answer(&Query::BoxRange(range.to_vec()), 0.95)
+        .unwrap()
+        .value
+}
+
+/// The value a legacy `REQ_QUERY` request for a sample series answers.
+fn legacy_query(store: &Store, dataset: &str, range: &[(u64, u64)]) -> f64 {
+    let req = Request::Query {
+        dataset: dataset.into(),
+        kind: SummaryKind::Sample,
+        range: range.to_vec(),
+        time: None,
+    };
+    match handle_request(store, req) {
+        Response::Query { value, .. } => value,
+        other => panic!("expected a query answer, got {other:?}"),
+    }
+}
+
 #[test]
 fn ingest_persists_and_recovers_bit_identically() {
     let dir = TempDir::new("recover");
@@ -74,10 +110,16 @@ fn ingest_persists_and_recovers_bit_identically() {
         store.ingest("api", 5, batch(0, 30, 4)).unwrap();
         let answers: Vec<f64> = ranges
             .iter()
-            .map(|r| store.query("web", SummaryKind::Sample, r, None).value)
+            .map(|r| {
+                query(&store, "web", SummaryKind::Sample, r, None)
+                    .estimate
+                    .value
+            })
             .collect();
         assert_eq!(
-            store.query("web", SummaryKind::Sample, FULL, None).value,
+            query(&store, "web", SummaryKind::Sample, FULL, None)
+                .estimate
+                .value,
             exact_total(0, 200)
         );
         // Two minute windows for web (65 and 70 share one), one for api.
@@ -88,19 +130,21 @@ fn ingest_persists_and_recovers_bit_identically() {
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     assert_eq!(store.list(), rows);
     for (r, expect) in ranges.iter().zip(&answers) {
-        let got = store.query("web", SummaryKind::Sample, r, None).value;
+        let got = query(&store, "web", SummaryKind::Sample, r, None)
+            .estimate
+            .value;
         assert_eq!(got.to_bits(), expect.to_bits(), "range {r:?}");
     }
     // Time filtering selects windows by span.
     assert_eq!(
-        store
-            .query("web", SummaryKind::Sample, FULL, Some((0, 59)))
+        query(&store, "web", SummaryKind::Sample, FULL, Some((0, 59)))
+            .estimate
             .value,
         exact_total(0, 100)
     );
     assert_eq!(
-        store
-            .query("web", SummaryKind::Sample, FULL, Some((60, 119)))
+        query(&store, "web", SummaryKind::Sample, FULL, Some((60, 119)))
+            .estimate
             .value,
         exact_total(100, 100)
     );
@@ -176,7 +220,9 @@ fn compaction_is_bit_identical_to_offline_rebuild() {
             .ingest("web", ts, batch(i as u64 * 1000, 80, i as u64))
             .unwrap();
     }
-    let total_before = store.query("web", SummaryKind::Sample, FULL, None).value;
+    let total_before = query(&store, "web", SummaryKind::Sample, FULL, None)
+        .estimate
+        .value;
 
     // Capture the minute frames compaction will consume.
     let minute_frames: Vec<(WindowKey, Vec<u8>)> = store
@@ -226,7 +272,9 @@ fn compaction_is_bit_identical_to_offline_rebuild() {
     }
 
     // The answers survive the roll-up (same data, re-associated sum).
-    let total_after = store.query("web", SummaryKind::Sample, FULL, None).value;
+    let total_after = query(&store, "web", SummaryKind::Sample, FULL, None)
+        .estimate
+        .value;
     assert!((total_after - total_before).abs() / total_before < 1e-12);
 
     // History below the compaction floor is immutable.
@@ -242,19 +290,21 @@ fn compaction_is_bit_identical_to_offline_rebuild() {
     assert_eq!(store.compact_once().unwrap(), 2);
     let levels: Vec<Level> = store.list().iter().map(|r| r.key.level).collect();
     assert_eq!(levels, vec![Level::Minute, Level::Day]);
-    let total_final = store.query("web", SummaryKind::Sample, FULL, None).value;
+    let total_final = query(&store, "web", SummaryKind::Sample, FULL, None)
+        .estimate
+        .value;
     let truth = total_before + exact_total(9000, 40);
     assert!((total_final - truth).abs() / truth < 1e-12);
 
     // Restart after compaction recovers the same catalog and answers.
-    let answer = store
-        .query("web", SummaryKind::Sample, &[(0, 5000)], None)
+    let answer = query(&store, "web", SummaryKind::Sample, &[(0, 5000)], None)
+        .estimate
         .value;
     drop(store);
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     assert_eq!(
-        store
-            .query("web", SummaryKind::Sample, &[(0, 5000)], None)
+        query(&store, "web", SummaryKind::Sample, &[(0, 5000)], None)
+            .estimate
             .value
             .to_bits(),
         answer.to_bits()
@@ -284,7 +334,9 @@ fn budgeted_windows_stay_bounded_and_conserve_totals() {
     assert_eq!(rows.len(), 1);
     assert!(rows[0].items <= 64, "window capped by the merge budget");
     let truth: f64 = (0..12u64).map(|i| exact_total(i * 500, 300)).sum();
-    let est = store.query("web", SummaryKind::Sample, FULL, None).value;
+    let est = query(&store, "web", SummaryKind::Sample, FULL, None)
+        .estimate
+        .value;
     // The threshold merge conserves the total exactly.
     assert!((est - truth).abs() / truth < 1e-9, "{est} vs {truth}");
 }
@@ -327,19 +379,19 @@ fn concurrent_ingest_and_queries_see_consistent_snapshots() {
                 let mut last_value = 0.0f64;
                 let mut observed = 0u64;
                 while !done.load(Ordering::Relaxed) {
-                    let ans = store.query(dataset, SummaryKind::Sample, FULL, None);
+                    let ans = query(&store, dataset, SummaryKind::Sample, FULL, None);
                     assert!(
                         ans.version >= last_version,
                         "snapshot versions must be monotone"
                     );
                     assert!(
-                        ans.value >= last_value,
+                        ans.estimate.value >= last_value,
                         "{dataset}: estimate went backwards: {} after {}",
-                        ans.value,
+                        ans.estimate.value,
                         last_value
                     );
                     last_version = ans.version;
-                    last_value = ans.value;
+                    last_value = ans.estimate.value;
                     observed += 1;
                 }
                 observed
@@ -364,10 +416,12 @@ fn concurrent_ingest_and_queries_see_consistent_snapshots() {
             .filter(|r| r.key.dataset == dataset)
             .map(|r| {
                 let bytes = fs::read(frame_path(dir.path(), &r.key)).unwrap();
-                decode_summary(&bytes).unwrap().range_sum(FULL)
+                box_value(decode_summary(&bytes).unwrap().as_ref(), FULL)
             })
             .sum();
-        let served = store.query(dataset, SummaryKind::Sample, FULL, None).value;
+        let served = query(&store, dataset, SummaryKind::Sample, FULL, None)
+            .estimate
+            .value;
         assert_eq!(served.to_bits(), offline.to_bits(), "{dataset}");
         let truth: f64 = (0..BATCHES).map(|i| exact_total(i * 200, 100)).sum();
         assert!((served - truth).abs() / truth < 1e-9);
@@ -390,8 +444,8 @@ fn daemon_round_trip_over_tcp() {
     let remote = client
         .query("web", SummaryKind::Sample, FULL, None)
         .unwrap();
-    let local = store.query("web", SummaryKind::Sample, FULL, None);
-    assert_eq!(remote.value.to_bits(), local.value.to_bits());
+    let local = query(&store, "web", SummaryKind::Sample, FULL, None);
+    assert_eq!(remote.value.to_bits(), local.estimate.value.to_bits());
     assert_eq!(remote.windows, 1);
     // Same query again: served from the LRU cache.
     let again = client
@@ -520,7 +574,9 @@ fn crash_debris_and_orphans_are_swept_on_open() {
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     assert_eq!(store.list().len(), 1, "orphan not resurrected");
     assert_eq!(
-        store.query("web", SummaryKind::Sample, FULL, None).value,
+        query(&store, "web", SummaryKind::Sample, FULL, None)
+            .estimate
+            .value,
         exact_total(0, 60)
     );
     let stats = store.stats();
@@ -540,19 +596,29 @@ fn cache_serves_repeats_and_never_goes_stale() {
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     store.ingest("web", 5, batch(0, 50, 1)).unwrap();
     let r = [(0u64, 30u64)];
-    let first = store.query("web", SummaryKind::Sample, &r, None);
+    let first = query(&store, "web", SummaryKind::Sample, &r, None);
     assert!(!first.cached);
-    let second = store.query("web", SummaryKind::Sample, &r, None);
+    let second = query(&store, "web", SummaryKind::Sample, &r, None);
     assert!(second.cached);
-    assert_eq!(second.value.to_bits(), first.value.to_bits());
+    assert_eq!(
+        second.estimate.value.to_bits(),
+        first.estimate.value.to_bits()
+    );
     // Ingest bumps the snapshot version: the cache may not answer with
     // the old value.
     store.ingest("web", 7, batch(10_000, 20, 2)).unwrap();
-    let third = store.query("web", SummaryKind::Sample, &r, None);
+    let third = query(&store, "web", SummaryKind::Sample, &r, None);
     assert!(!third.cached, "version bump must invalidate");
-    assert_eq!(third.value.to_bits(), first.value.to_bits()); // keys 10000.. outside range
-    let fourth = store.query("web", SummaryKind::Sample, FULL, None);
-    assert_eq!(fourth.value, exact_total(0, 50) + exact_total(10_000, 20));
+    // Keys 10000.. are outside the range.
+    assert_eq!(
+        third.estimate.value.to_bits(),
+        first.estimate.value.to_bits()
+    );
+    let fourth = query(&store, "web", SummaryKind::Sample, FULL, None);
+    assert_eq!(
+        fourth.estimate.value,
+        exact_total(0, 50) + exact_total(10_000, 20)
+    );
 }
 
 #[test]
@@ -592,14 +658,13 @@ fn estimates_carry_bounds_and_match_the_legacy_value_path() {
             "{q}: {e:?}"
         );
     }
-    // The estimate's value is bit-identical to the legacy value path for
-    // box queries — old-tag and new-tag clients must agree.
-    let r = [(0u64, 599u64)];
-    let old = store.query("web", SummaryKind::Sample, &r, None);
+    // The estimate's value is bit-identical to the legacy `REQ_QUERY`
+    // tag's for box queries — old-tag and new-tag clients must agree.
+    let old = legacy_query(&store, "web", &[(0, 599)]);
     let new = store
         .estimate("web", SummaryKind::Sample, &queries[0], 0.95, None)
         .unwrap();
-    assert_eq!(old.value.to_bits(), new.estimate.value.to_bits());
+    assert_eq!(old.to_bits(), new.estimate.value.to_bits());
     // The exact total lies inside the Total estimate's interval (union
     // bound across the three windows).
     let truth: f64 = (0..3)
@@ -668,9 +733,9 @@ fn estimate_cache_keys_on_canonical_queries() {
         .estimate("web", SummaryKind::Sample, &Query::Total, 0.5, None)
         .unwrap();
     assert!(!other.cached);
-    // …and the legacy value path never collides with estimates.
-    let plain = store.query("web", SummaryKind::Sample, FULL, None);
-    assert_eq!(plain.value.to_bits(), first.estimate.value.to_bits());
+    // …and the legacy tag (confidence 0.95) agrees on the value.
+    let plain = legacy_query(&store, "web", FULL);
+    assert_eq!(plain.to_bits(), first.estimate.value.to_bits());
     // Ingest bumps the version: estimates recompute.
     store.ingest("web", 70, batch(1000, 10, 2)).unwrap();
     let after = store
@@ -692,12 +757,71 @@ fn mixed_kinds_coexist_and_mismatches_fail_cleanly() {
     }
     store.ingest("web", 5, Box::new(varopt)).unwrap();
     assert_eq!(store.list().len(), 2);
-    let sample_ans = store.query("web", SummaryKind::Sample, FULL, None);
-    let varopt_ans = store.query("web", SummaryKind::VarOptReservoir, FULL, None);
+    let sample_ans = query(&store, "web", SummaryKind::Sample, FULL, None);
+    let varopt_ans = query(&store, "web", SummaryKind::VarOptReservoir, FULL, None);
     assert_eq!(sample_ans.windows, 1);
     assert_eq!(varopt_ans.windows, 1);
-    assert!(varopt_ans.value > 0.0);
+    assert!(varopt_ans.estimate.value > 0.0);
     // Unknown series: zero windows, zero estimate — not an error.
-    let missing = store.query("nope", SummaryKind::Sample, FULL, None);
-    assert_eq!((missing.value, missing.windows), (0.0, 0));
+    let missing = query(&store, "nope", SummaryKind::Sample, FULL, None);
+    assert_eq!((missing.estimate.value, missing.windows), (0.0, 0));
+}
+
+#[test]
+fn stats_counters_are_a_view_over_the_registry() {
+    let dir = TempDir::new("stats-view");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    // Two minutes of hour 0, then an hour-1 batch that seals hour 0.
+    for ts in [5u64, 65, 3605] {
+        store.ingest("web", ts, batch(ts, 20, ts)).unwrap();
+    }
+    let total = |store: &Store, dataset: &str| {
+        store.estimate(dataset, SummaryKind::Sample, &Query::Total, 0.95, None)
+    };
+    total(&store, "web").unwrap(); // miss
+    total(&store, "web").unwrap(); // hit
+    legacy_query(&store, "web", &[(0, 50)]); // miss
+    legacy_query(&store, "web", &[(0, 50)]); // hit
+                                             // An invalid dataset name answers zero over zero windows, counted
+                                             // under its own label; a malformed query is rejected, but counted.
+    total(&store, "bad/name").unwrap(); // miss
+    let reversed = Query::BoxRange(vec![(9, 3)]);
+    assert!(store
+        .estimate("web", SummaryKind::Sample, &reversed, 0.95, None)
+        .is_err()); // miss
+    assert_eq!(store.lifecycle_tick().unwrap().rollups, 1);
+    legacy_query(&store, "web", &[(0, 50)]); // miss: the roll-up bumped the version
+
+    let stats = store.stats();
+    let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+    let report = store.obs().snapshot();
+    let counter = |name: &str| report.counters.iter().find(|(n, _)| n == name).unwrap().1;
+    let labelled = |family: &str| -> u64 {
+        let prefix = format!("{family}{{");
+        report
+            .counters
+            .iter()
+            .filter(|(n, _)| n.starts_with(&prefix))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    assert_eq!(stat("cache_hits"), labelled("sas_store_cache_hits_total"));
+    assert_eq!(
+        stat("cache_misses"),
+        labelled("sas_store_cache_misses_total")
+    );
+    assert_eq!((stat("cache_hits"), stat("cache_misses")), (2, 5));
+    assert_eq!(stat("queries"), 7);
+    assert_eq!(
+        stat("ingested_batches"),
+        counter("sas_store_ingested_batches_total")
+    );
+    assert_eq!(stat("ingested_batches"), 3);
+    assert_eq!(stat("rollups"), counter("sas_store_rollups_total"));
+    assert_eq!(stat("rollups"), 1);
+    assert_eq!(
+        stat("compaction_passes"),
+        counter("sas_store_compactions_total")
+    );
+    assert_eq!(stat("compaction_passes"), 1);
 }

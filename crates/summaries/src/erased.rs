@@ -173,24 +173,6 @@ pub trait Summary: fmt::Debug + Send + Sync {
         queries.iter().map(|q| self.answer(q, confidence)).collect()
     }
 
-    /// Estimated weight inside an axis-aligned range: `range[i]` is the
-    /// closed interval on axis `i`; missing axes default to the full
-    /// domain.
-    ///
-    /// **Deprecated shim** — this is [`Summary::answer`] with a box query,
-    /// discarding the error bounds. It is a provided method (extra axes
-    /// ignored as they historically were) and deliberately has **no
-    /// per-kind overrides**: [`Summary::answer`] is the single source of
-    /// truth for query values, so the shim cannot drift from it. Pre-PR-5
-    /// callers and the old `REQ_QUERY` wire tag keep receiving
-    /// bit-identical values; new code should call [`Summary::answer`].
-    fn range_sum(&self, range: &[(u64, u64)]) -> f64 {
-        let range = &range[..range.len().min(self.dims())];
-        self.answer(&Query::BoxRange(range.to_vec()), 0.95)
-            .map(|e| e.value)
-            .unwrap_or(0.0)
-    }
-
     /// Merges a type-erased summary of *disjoint* data into `self`.
     ///
     /// `budget` bounds the merged size where the kind supports it (finished
@@ -986,6 +968,15 @@ mod tests {
         ]
     }
 
+    /// The point estimate of a box query. The probes mix 1-D and 2-D
+    /// boxes, so axes beyond the summary's dimensionality are dropped.
+    fn box_value(s: &dyn Summary, range: &[(u64, u64)]) -> f64 {
+        let range = &range[..range.len().min(s.dims())];
+        s.answer(&Query::BoxRange(range.to_vec()), 0.95)
+            .unwrap_or_else(|e| panic!("{}: {range:?}: {e}", s.kind()))
+            .value
+    }
+
     fn probe_ranges() -> Vec<Vec<(u64, u64)>> {
         vec![
             vec![(0, u64::MAX), (0, u64::MAX)],
@@ -1024,8 +1015,8 @@ mod tests {
             assert_eq!(decoded.item_count(), original.item_count());
             assert_eq!(decoded.tau(), original.tau());
             for range in probe_ranges() {
-                let a = original.range_sum(&range);
-                let b = decoded.range_sum(&range);
+                let a = box_value(original.as_ref(), &range);
+                let b = box_value(decoded.as_ref(), &range);
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
@@ -1124,8 +1115,8 @@ mod tests {
             .unwrap();
         for range in probe_ranges() {
             assert_eq!(
-                concrete.range_sum(&range).to_bits(),
-                erased.range_sum(&range).to_bits()
+                box_value(&concrete, &range).to_bits(),
+                box_value(erased.as_ref(), &range).to_bits()
             );
         }
     }
@@ -1218,11 +1209,11 @@ mod tests {
                 let e = s
                     .answer(&q, 0.9)
                     .unwrap_or_else(|err| panic!("{}: {q}: {err}", s.kind()));
-                // The estimate's value is bit-identical to the legacy
-                // range_sum path, and sits inside its own interval.
+                // The value does not depend on the requested confidence,
+                // and sits inside its own interval.
                 assert_eq!(
                     e.value.to_bits(),
-                    s.range_sum(range).to_bits(),
+                    box_value(s.as_ref(), range).to_bits(),
                     "{}: {q}",
                     s.kind()
                 );

@@ -590,7 +590,7 @@ impl QueryBatch {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SampleAccumulator {
     /// Running estimate — adjusted weights in item order (bit-identical to
-    /// the historical `range_sum` accumulation).
+    /// the reference scan `StoredSample::range_sum`).
     pub value: f64,
     /// Exact part: adjusted weights of heavy keys (`wᵢ ≥ τ`, included with
     /// probability 1).

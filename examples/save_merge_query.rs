@@ -16,6 +16,7 @@ use rand::SeedableRng;
 use structure_aware_sampling::core::{total_weight, WeightedKey};
 use structure_aware_sampling::sampling::order;
 use structure_aware_sampling::summaries::{decode_summary, encode_summary, StoredSample};
+use structure_aware_sampling::Query;
 
 fn main() {
     // A heavy-tailed 1-D stream, split across two workers by key range.
@@ -63,7 +64,7 @@ fn main() {
 
     // --- query phase -------------------------------------------------------
     let truth_total = total_weight(&data);
-    let est_total = merged.range_sum(&[(0, u64::MAX)]);
+    let est_total = merged.answer(&Query::Total, 0.95).expect("total").value;
     println!("total:      estimate {est_total:.1} vs truth {truth_total:.1} (conserved exactly)");
     assert!((est_total - truth_total).abs() / truth_total < 1e-9);
 
@@ -73,7 +74,10 @@ fn main() {
             .filter(|wk| (lo..=hi).contains(&wk.key))
             .map(|wk| wk.weight)
             .sum();
-        let est = merged.range_sum(&[(lo, hi)]);
+        let est = merged
+            .answer(&Query::interval(lo, hi), 0.95)
+            .expect("interval")
+            .value;
         println!(
             "[{lo:>6}, {hi:>6}]: estimate {est:>12.1} vs truth {truth:>12.1} ({:+.3}%)",
             (est - truth) / truth * 100.0

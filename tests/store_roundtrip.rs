@@ -10,15 +10,41 @@ use rand::SeedableRng;
 
 use structure_aware_sampling::core::WeightedKey;
 use structure_aware_sampling::sampling::product::SpatialData;
+use structure_aware_sampling::store::server::handle_request;
 use structure_aware_sampling::store::window::Level;
+use structure_aware_sampling::store::wire::{Request, Response};
 use structure_aware_sampling::store::{Store, StoreConfig};
 use structure_aware_sampling::summaries::qdigest::QDigestSummary;
 use structure_aware_sampling::summaries::{StoredSample, Summary, SummaryKind};
+use structure_aware_sampling::Query;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sas-facade-store-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A box estimate's value at confidence 0.95.
+fn box_value(store: &Store, dataset: &str, kind: SummaryKind, range: &[(u64, u64)]) -> f64 {
+    store
+        .estimate(dataset, kind, &Query::BoxRange(range.to_vec()), 0.95, None)
+        .unwrap()
+        .estimate
+        .value
+}
+
+/// The value a legacy `REQ_QUERY` request answers.
+fn legacy_query(store: &Store, dataset: &str, kind: SummaryKind, range: &[(u64, u64)]) -> f64 {
+    let req = Request::Query {
+        dataset: dataset.into(),
+        kind,
+        range: range.to_vec(),
+        time: None,
+    };
+    match handle_request(store, req) {
+        Response::Query { value, .. } => value,
+        other => panic!("expected a query answer, got {other:?}"),
+    }
 }
 
 fn sample_batch(lo: u64, n: u64, seed: u64) -> Box<dyn Summary> {
@@ -67,9 +93,7 @@ fn windowed_store_tracks_direct_summaries_across_kinds_and_restart() {
         .flat_map(|i| (i * 300..i * 300 + 200).map(|k| 0.5 + (k % 11) as f64))
         .sum();
     let full1 = [(0u64, u64::MAX)];
-    let got = store
-        .query("flows", SummaryKind::Sample, &full1, None)
-        .value;
+    let got = box_value(&store, "flows", SummaryKind::Sample, &full1);
     assert!((got - sample_truth).abs() / sample_truth < 1e-9);
 
     // The q-digest store answer equals merging the same batches directly.
@@ -81,8 +105,11 @@ fn windowed_store_tracks_direct_summaries_across_kinds_and_restart() {
             .unwrap();
     }
     let boxq = [(5u64, 40u64), (10u64, 55u64)];
-    let got = store.query("grid", SummaryKind::QDigest, &boxq, None).value;
-    let want = direct.range_sum(&boxq);
+    let got = box_value(&store, "grid", SummaryKind::QDigest, &boxq);
+    let want = direct
+        .answer(&Query::BoxRange(boxq.to_vec()), 0.95)
+        .unwrap()
+        .value;
     assert!(
         (got - want).abs() <= want.abs() * 1e-9,
         "store {got} vs direct {want}"
@@ -91,26 +118,18 @@ fn windowed_store_tracks_direct_summaries_across_kinds_and_restart() {
     // Compact (hours 0 and 1 are sealed), then restart: answers persist.
     let rollups = store.compact_once().unwrap();
     assert_eq!(rollups, 4, "two sealed hours × two series");
-    let q_after = store.query("grid", SummaryKind::QDigest, &boxq, None).value;
+    let q_after = box_value(&store, "grid", SummaryKind::QDigest, &boxq);
     assert!((q_after - want).abs() <= want.abs() * 1e-9);
-    let flows_after = store
-        .query("flows", SummaryKind::Sample, &full1, None)
-        .value;
+    let flows_after = box_value(&store, "flows", SummaryKind::Sample, &full1);
 
     drop(store);
     let store = Arc::new(Store::open(&dir, StoreConfig::default()).unwrap());
     assert_eq!(
-        store
-            .query("flows", SummaryKind::Sample, &full1, None)
-            .value
-            .to_bits(),
+        box_value(&store, "flows", SummaryKind::Sample, &full1).to_bits(),
         flows_after.to_bits()
     );
     assert_eq!(
-        store
-            .query("grid", SummaryKind::QDigest, &boxq, None)
-            .value
-            .to_bits(),
+        box_value(&store, "grid", SummaryKind::QDigest, &boxq).to_bits(),
         q_after.to_bits()
     );
     let hours = store
@@ -128,7 +147,6 @@ fn facade_estimates_across_kinds_and_compaction() {
     // returns an Estimate with bounds for sampled *and* deterministic
     // series, the value agrees bit-for-bit with the legacy path, and the
     // guarantee survives compaction.
-    use structure_aware_sampling::Query;
     let dir = temp_dir("estimate");
     let store = Store::open(&dir, StoreConfig::default()).unwrap();
     for (i, ts) in [0u64, 60, 120, 3700].iter().enumerate() {
@@ -160,17 +178,13 @@ fn facade_estimates_across_kinds_and_compaction() {
     assert!(grid.lower <= grid.value && grid.value <= grid.upper);
 
     // Values agree with the legacy path before and after compaction.
-    let legacy = store
-        .query("flows", SummaryKind::Sample, &[(0, 999)], None)
-        .value;
+    let legacy = legacy_query(&store, "flows", SummaryKind::Sample, &[(0, 999)]);
     let est = store
         .estimate("flows", SummaryKind::Sample, &probes[0], 0.95, None)
         .unwrap();
     assert_eq!(legacy.to_bits(), est.estimate.value.to_bits());
     assert!(store.compact_once().unwrap() > 0);
-    let legacy_after = store
-        .query("flows", SummaryKind::Sample, &[(0, 999)], None)
-        .value;
+    let legacy_after = legacy_query(&store, "flows", SummaryKind::Sample, &[(0, 999)]);
     let est_after = store
         .estimate("flows", SummaryKind::Sample, &probes[0], 0.95, None)
         .unwrap();
