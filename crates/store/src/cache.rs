@@ -4,9 +4,15 @@
 //! the legacy value-only tag is a box estimate at confidence 0.95, so it
 //! shares a line with a `REQ_ESTIMATE` of the same box at 0.95.
 //!
-//! Keys embed the catalog snapshot **version**, so a cache entry can never
-//! serve a stale answer: any ingest or compaction bumps the version and all
-//! older entries simply stop being addressable (and age out of the LRU).
+//! Keys embed the **series stamp** of the `(dataset, kind)` series they
+//! read ([`crate::Snapshot::series_version`]): the global snapshot version
+//! at which that series' window set last changed. An answer is a pure
+//! function of the series' windows, and the store re-stamps a series on
+//! every publish that adds, removes or replaces one of its windows, so a
+//! cache entry can never serve a stale answer. Global versions are never
+//! reused, so once a series is re-stamped its older entries stop being
+//! addressable (and age out of the LRU), while a write to one series
+//! leaves every other series' entries live.
 //! The query itself is keyed by its **canonical wire bytes**
 //! ([`sas_summaries::Query::canonical_bytes`]): equivalent spellings — a
 //! full-domain box and `Total`, a point and its degenerate box, re-ordered
@@ -18,12 +24,13 @@ use std::sync::Mutex;
 
 use sas_summaries::Estimate;
 
-/// What a cached answer is keyed by: snapshot version plus the full query
+/// What a cached answer is keyed by: the series stamp plus the full query
 /// coordinates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Snapshot version the answer was computed against.
-    pub version: u64,
+    /// Stamp of the `(dataset, kind)` series the answer reads
+    /// ([`crate::Snapshot::series_version`]) — never the global version.
+    pub series_version: u64,
     /// Dataset name.
     pub dataset: String,
     /// Summary kind wire tag.
@@ -123,9 +130,9 @@ mod tests {
     use super::*;
     use sas_summaries::Query;
 
-    fn key(version: u64, lo: u64) -> CacheKey {
+    fn key(series_version: u64, lo: u64) -> CacheKey {
         CacheKey {
-            version,
+            series_version,
             dataset: "d".into(),
             kind_tag: 1,
             query: Query::interval(lo, lo + 10).canonical_bytes().unwrap(),
@@ -139,12 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_and_version_isolation() {
+    fn hit_miss_and_series_version_isolation() {
         let cache = QueryCache::new(8);
         assert_eq!(cache.get(&key(1, 0)), None);
         cache.put(key(1, 0), plain(42.0));
         assert_eq!(cache.get(&key(1, 0)), Some(plain(42.0)));
-        // A new snapshot version misses — stale answers are unaddressable.
+        // A new series stamp misses — stale answers are unaddressable.
         assert_eq!(cache.get(&key(2, 0)), None);
     }
 
@@ -160,7 +167,7 @@ mod tests {
             },
         ];
         let mk = |q: &Query| CacheKey {
-            version: 1,
+            series_version: 1,
             dataset: "d".into(),
             kind_tag: 1,
             query: q.canonical_bytes().unwrap(),

@@ -16,8 +16,12 @@
 //!   [`Snapshot`] behind an `Arc`. Readers clone the `Arc` (a refcount
 //!   bump under a briefly-held read lock) and then query entirely
 //!   lock-free; writers build the next snapshot on the side and swap it in.
-//!   An LRU [`QueryCache`](cache::QueryCache) keyed by snapshot version
-//!   memoizes hot range queries and can never serve a stale answer.
+//!   An LRU [`QueryCache`](cache::QueryCache) memoizes hot estimates,
+//!   keyed by the **series stamp** of the series they read
+//!   ([`Snapshot::series_version`]): the snapshot version at which that
+//!   `(dataset, kind)` series last changed. A write therefore retires only
+//!   the answers of the series it touched, and since versions are never
+//!   reused, a stale answer can never be addressed.
 //! * **Merge-tree compaction** — a background pass rolls sealed minute
 //!   windows into hours and hours into days with
 //!   [`sas_summaries::merge_tree`] under a per-window deterministic seed,
@@ -164,10 +168,19 @@ pub struct WindowState {
 /// writers publish newer versions.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// Monotonic version, bumped by every mutation.
+    /// Global catalog version: bumped by every publish (ingest, roll-up,
+    /// retention, convert, policy change) and never reused within a
+    /// process. This is the version answers, watch pushes and `stats`
+    /// report; the answer cache keys on [`Snapshot::series_versions`].
     pub version: u64,
     /// All windows in key order.
     pub windows: BTreeMap<WindowKey, Arc<WindowState>>,
+    /// Series stamps per `(dataset, kind tag)`: the global version at
+    /// which the series' window set last changed (a window added, removed
+    /// or replaced). Derived by the store on every publish, so no writer
+    /// can forget to stamp a series it changed. A series whose windows all
+    /// expired keeps its entry, so its stamp still moves forward.
+    pub series_versions: BTreeMap<(String, u16), u64>,
     /// Retention floors per `(dataset, kind tag)` series: the largest
     /// window end retention has dropped. Lets gap-aware answers classify
     /// uncovered spans as *expired* (below the floor) vs *missing*.
@@ -175,6 +188,17 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// The series stamp of `(dataset, kind)` (see
+    /// [`Snapshot::series_versions`]); 0 for a series this process has
+    /// never seen. Every answer over the series is a pure function of its
+    /// windows, so it is a pure function of this stamp.
+    pub fn series_version(&self, dataset: &str, kind: SummaryKind) -> u64 {
+        self.series_versions
+            .get(&(dataset.to_string(), kind.tag()))
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// The windows a query over `(dataset, kind, time)` consults, in key
     /// order.
     pub fn matching(
@@ -448,6 +472,9 @@ impl Store {
             orphans += 1;
         }
 
+        // Recovery publishes version 1, so every recovered series is
+        // stamped 1; the cache starts empty, so no older line exists.
+        let series_versions = windows.keys().map(|k| (series_of(k), 1)).collect();
         let store = Store {
             dir,
             cache: QueryCache::new(config.cache_capacity),
@@ -455,6 +482,7 @@ impl Store {
             snapshot: RwLock::new(Arc::new(Snapshot {
                 version: 1,
                 windows,
+                series_versions,
                 retention_floors: manifest.retention_floors.clone(),
             })),
             writer: Mutex::new(writer),
@@ -602,7 +630,7 @@ impl Store {
         // The watermark advances before the manifest write so the
         // persisted lifecycle state can never lag the windows it governs.
         bump_max(&mut writer.watermarks, series, key.end());
-        self.persist_and_publish(&mut writer, windows, snap.version)?;
+        self.persist_and_publish(&mut writer, windows, &snap)?;
         self.obs.ingested_batches.inc();
         Ok(state)
     }
@@ -655,7 +683,7 @@ impl Store {
         let bad = |e: QueryError| StoreError::BadRequest(e.to_string());
         let cells = self.cache_cells(dataset);
         let cache_key = query.canonical_bytes().map(|query| CacheKey {
-            version: snap.version,
+            series_version: snap.series_version(dataset, kind),
             dataset: dataset.to_string(),
             kind_tag: kind.tag(),
             query,
@@ -824,7 +852,7 @@ impl Store {
         }
 
         if rollups > 0 {
-            self.persist_and_publish(&mut writer, windows, snap.version)?;
+            self.persist_and_publish(&mut writer, windows, &snap)?;
             // Child frames go last: if we crash before this point the
             // manifest no longer names them and open() sweeps them as
             // orphans.
@@ -887,7 +915,7 @@ impl Store {
             }
         }
         if expired > 0 {
-            self.persist_and_publish(&mut writer, windows, snap.version)?;
+            self.persist_and_publish(&mut writer, windows, &snap)?;
             for path in doomed_paths {
                 fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
             }
@@ -938,7 +966,9 @@ impl Store {
         } else {
             writer.policies.insert(dataset.to_string(), policy);
         }
-        self.persist_and_publish(&mut writer, snap.windows.clone(), snap.version)
+        // No window changes, so every series keeps its stamp and no cached
+        // answer is retired.
+        self.persist_and_publish(&mut writer, snap.windows.clone(), &snap)
     }
 
     /// The installed policy for one dataset, if any.
@@ -1018,19 +1048,20 @@ impl Store {
             converted += 1;
         }
         if converted > 0 {
-            self.persist_and_publish(&mut writer, windows, snap.version)?;
+            self.persist_and_publish(&mut writer, windows, &snap)?;
         }
         Ok(converted)
     }
 
-    /// Writes the manifest for `windows` and swaps in the new snapshot.
-    /// Callers must hold the writer lock (enforced by the `&mut
-    /// WriterState` borrow).
+    /// Writes the manifest for `windows` and swaps in the new snapshot,
+    /// the successor of `prev`, re-stamping exactly the series whose
+    /// windows differ from `prev`'s. Callers must hold the writer lock
+    /// (enforced by the `&mut WriterState` borrow).
     fn persist_and_publish(
         &self,
         writer: &mut WriterState,
         windows: BTreeMap<WindowKey, Arc<WindowState>>,
-        prev_version: u64,
+        prev: &Snapshot,
     ) -> Result<(), StoreError> {
         writer.manifest_sequence += 1;
         let manifest = Manifest {
@@ -1048,9 +1079,12 @@ impl Store {
         };
         let path = self.dir.join(MANIFEST_FILE);
         fsio::write_atomic(&path, &manifest.encode()).map_err(|e| StoreError::Io(path, e))?;
+        let version = prev.version + 1;
+        let series_versions = restamp(prev, &windows, version);
         let next = Arc::new(Snapshot {
-            version: prev_version + 1,
+            version,
             windows,
+            series_versions,
             retention_floors: writer.retention_floors.clone(),
         });
         *self.snapshot.write().expect("snapshot lock") = next;
@@ -1127,6 +1161,46 @@ pub fn frame_path(dir: &Path, key: &WindowKey) -> PathBuf {
 
 fn series_of(key: &WindowKey) -> (String, u16) {
     (key.dataset.clone(), key.kind.tag())
+}
+
+/// `prev`'s series stamps, with every series whose window set differs
+/// between `prev.windows` and `windows` stamped `version`: a window was
+/// added, removed, or replaced by a different `Arc`. One merge walk over
+/// both maps, which are in key order.
+fn restamp(
+    prev: &Snapshot,
+    windows: &BTreeMap<WindowKey, Arc<WindowState>>,
+    version: u64,
+) -> BTreeMap<(String, u16), u64> {
+    let mut stamps = prev.series_versions.clone();
+    let (mut old, mut new) = (prev.windows.iter().peekable(), windows.iter().peekable());
+    loop {
+        let changed = match (old.peek(), new.peek()) {
+            (None, None) => break,
+            (Some(&(ko, wo)), Some(&(kn, wn))) if ko == kn => {
+                old.next();
+                new.next();
+                if Arc::ptr_eq(wo, wn) {
+                    continue;
+                }
+                ko
+            }
+            (Some(&(ko, _)), Some(&(kn, _))) if ko > kn => {
+                new.next();
+                kn
+            }
+            (Some(&(ko, _)), _) => {
+                old.next();
+                ko
+            }
+            (None, Some(&(kn, _))) => {
+                new.next();
+                kn
+            }
+        };
+        stamps.insert(series_of(changed), version);
+    }
+    stamps
 }
 
 fn bump_max(map: &mut HashMap<(String, u16), u64>, series: (String, u16), value: u64) {

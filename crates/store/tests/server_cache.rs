@@ -1,7 +1,8 @@
 //! The daemon's answer cache — the store's LRU, shared by every query
 //! tag: repeated identical estimates must come back bit-identical, flip
 //! to `cached = true` after the first answer, and revert to fresh answers
-//! the moment an ingest bumps the snapshot version. The legacy value-only
+//! the moment an ingest changes the series they read — but not when an
+//! ingest lands in another dataset. The legacy value-only
 //! `REQ_QUERY` tag reads and fills the same lines as `REQ_ESTIMATE` at
 //! confidence 0.95, and is validated the same way.
 
@@ -85,19 +86,47 @@ fn ingest_invalidates_the_cached_message() {
         .unwrap();
     assert!(b.cached);
     assert_eq!(b.estimate.value.to_bits(), a.estimate.value.to_bits());
-    // New data: the snapshot version bumps, so the shared message may not
-    // be served again.
+    // New data in the same series re-stamps it, so the cached answer may
+    // not be served again.
     client.ingest("web", 6, batch_frame(100, 50, 2)).unwrap();
     let c = client
         .estimate("web", SummaryKind::Sample, &q, 0.95, None)
         .unwrap();
-    assert!(!c.cached, "version bump must invalidate");
+    assert!(!c.cached, "a re-stamped series must invalidate");
     assert!(c.estimate.value > a.estimate.value);
     let d = client
         .estimate("web", SummaryKind::Sample, &q, 0.95, None)
         .unwrap();
     assert!(d.cached);
     assert_eq!(d.estimate.value.to_bits(), c.estimate.value.to_bits());
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn ingest_into_another_dataset_keeps_the_cached_answer() {
+    let (_dir, store, server) = start("estimate-isolation", ServerConfig::default());
+    store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let ask = |client: &mut Client| {
+        client
+            .query("web", SummaryKind::Sample, &[(0, 500)], None)
+            .unwrap()
+    };
+    let first = ask(&mut client);
+    assert!(!first.cached);
+    // An REQ_INGEST into `other` changes no window of `web`, so the
+    // repeated REQ_QUERY is still a cache hit, with the same value.
+    client.ingest("other", 6, batch_frame(0, 50, 2)).unwrap();
+    let second = ask(&mut client);
+    assert!(second.cached, "another dataset's ingest must not evict web");
+    assert_eq!(second.value.to_bits(), first.value.to_bits());
+    assert_eq!(second.windows, first.windows);
+    // An ingest into `web` itself still retires the line.
+    client.ingest("web", 6, batch_frame(100, 50, 3)).unwrap();
+    let third = ask(&mut client);
+    assert!(!third.cached);
+    assert!(third.value > first.value);
     server.shutdown();
     server.wait();
 }

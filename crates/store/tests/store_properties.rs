@@ -8,15 +8,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use sas_core::WeightedKey;
 use sas_store::client::{Client, ClientError};
+use sas_store::policy::Policy;
 use sas_store::server::{handle_request, Server};
 use sas_store::window::{Level, WindowKey};
 use sas_store::wire::{Request, Response};
-use sas_store::{frame_path, rebuild_parent, EstimateAnswer, Store, StoreConfig, StoreError};
-use sas_summaries::{decode_summary, encode_summary, Query, StoredSample, Summary, SummaryKind};
+use sas_store::{
+    frame_path, rebuild_parent, EstimateAnswer, LifecycleStats, StorageFormat, Store, StoreConfig,
+    StoreError,
+};
+use sas_summaries::{
+    decode_summary, encode_summary, Estimate, Query, StoredSample, Summary, SummaryKind,
+};
 
 /// A unique store directory, removed on drop.
 struct TempDir(PathBuf);
@@ -604,11 +610,11 @@ fn cache_serves_repeats_and_never_goes_stale() {
         second.estimate.value.to_bits(),
         first.estimate.value.to_bits()
     );
-    // Ingest bumps the snapshot version: the cache may not answer with
-    // the old value.
+    // Ingest re-stamps the series: the cache may not answer with the old
+    // value.
     store.ingest("web", 7, batch(10_000, 20, 2)).unwrap();
     let third = query(&store, "web", SummaryKind::Sample, &r, None);
-    assert!(!third.cached, "version bump must invalidate");
+    assert!(!third.cached, "a re-stamped series must invalidate");
     // Keys 10000.. are outside the range.
     assert_eq!(
         third.estimate.value.to_bits(),
@@ -736,12 +742,12 @@ fn estimate_cache_keys_on_canonical_queries() {
     // …and the legacy tag (confidence 0.95) agrees on the value.
     let plain = legacy_query(&store, "web", FULL);
     assert_eq!(plain.to_bits(), first.estimate.value.to_bits());
-    // Ingest bumps the version: estimates recompute.
+    // Ingest re-stamps the series: estimates recompute.
     store.ingest("web", 70, batch(1000, 10, 2)).unwrap();
     let after = store
         .estimate("web", SummaryKind::Sample, &Query::Total, 0.9, None)
         .unwrap();
-    assert!(!after.cached, "version bump must invalidate");
+    assert!(!after.cached, "a re-stamped series must invalidate");
 }
 
 #[test]
@@ -790,7 +796,7 @@ fn stats_counters_are_a_view_over_the_registry() {
         .estimate("web", SummaryKind::Sample, &reversed, 0.95, None)
         .is_err()); // miss
     assert_eq!(store.lifecycle_tick().unwrap().rollups, 1);
-    legacy_query(&store, "web", &[(0, 50)]); // miss: the roll-up bumped the version
+    legacy_query(&store, "web", &[(0, 50)]); // miss: the roll-up re-stamped web
 
     let stats = store.stats();
     let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
@@ -824,4 +830,281 @@ fn stats_counters_are_a_view_over_the_registry() {
         counter("sas_store_compactions_total")
     );
     assert_eq!(stat("compaction_passes"), 1);
+}
+
+/// A VarOpt reservoir batch (16 slots over `n` rows), so a dataset can
+/// carry a second series kind next to its samples.
+fn varopt_batch(lo: u64, n: u64, seed: u64) -> Box<dyn Summary> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut varopt = sas_core::varopt::VarOptSampler::new(16);
+    for k in lo..lo + n {
+        varopt.push(k, 1.0 + (k % 5) as f64, &mut rng);
+    }
+    Box::new(varopt)
+}
+
+fn estimate_bits(e: &Estimate) -> [u64; 5] {
+    [
+        e.value.to_bits(),
+        e.variance.to_bits(),
+        e.lower.to_bits(),
+        e.upper.to_bits(),
+        e.confidence.to_bits(),
+    ]
+}
+
+/// [`Store::estimate`], checked bit for bit — estimate and window count —
+/// against the uncached answer over the store's current snapshot.
+fn ask_checked(
+    store: &Store,
+    dataset: &str,
+    kind: SummaryKind,
+    query: &Query,
+    confidence: f64,
+    time: Option<(u64, u64)>,
+) -> EstimateAnswer {
+    let answer = store
+        .estimate(dataset, kind, query, confidence, time)
+        .unwrap();
+    let (fresh, windows) = store
+        .snapshot()
+        .estimate(dataset, kind, query, confidence, time)
+        .unwrap();
+    assert_eq!(
+        (estimate_bits(&answer.estimate), answer.windows),
+        (estimate_bits(&fresh), windows),
+        "{dataset}/{kind} {query} @{confidence} {time:?} (cached: {})",
+        answer.cached
+    );
+    answer
+}
+
+fn ttl_policy(ticks: u64) -> Policy {
+    Policy {
+        retention_ttl: Some(ticks),
+        ..Policy::default()
+    }
+}
+
+#[test]
+fn writes_to_other_series_keep_cached_answers_live() {
+    let dir = TempDir::new("series-isolation");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    store.ingest("a", 5, batch(0, 40, 1)).unwrap();
+    store.ingest("a", 5, varopt_batch(0, 200, 2)).unwrap();
+    store.ingest("b", 5, batch(0, 40, 3)).unwrap();
+    let q = Query::interval(0, 30);
+    let ask = || ask_checked(&store, "a", SummaryKind::Sample, &q, 0.95, None);
+    let first = ask();
+    assert!(!first.cached);
+    assert!(ask().cached);
+
+    store.ingest("b", 3605, batch(100, 20, 4)).unwrap();
+    assert!(
+        ask().cached,
+        "an ingest into b/sample must not evict a/sample"
+    );
+    store.ingest("a", 65, varopt_batch(200, 50, 5)).unwrap();
+    assert!(
+        ask().cached,
+        "an ingest into a/varopt must not evict a/sample: the kind is part of the series"
+    );
+    store.set_policy("b", ttl_policy(5000)).unwrap();
+    assert!(ask().cached, "a policy change must not evict anything");
+    store.ingest("b", 7205, batch(200, 20, 6)).unwrap();
+    // b's watermark is 7260: its minute 0 is 5000 ticks behind it and its
+    // hour 1 is sealed. Nothing of a's is due (a has no policy and its
+    // watermarks are still inside hour 0).
+    assert_eq!(
+        store.lifecycle_tick().unwrap(),
+        LifecycleStats {
+            expired: 1,
+            rollups: 1
+        }
+    );
+    let last = ask();
+    assert!(
+        last.cached,
+        "a lifecycle tick confined to b must not evict a"
+    );
+    // Answers still report the global version, which every publish above
+    // moved: three ingests, the policy change, and the tick's retention
+    // and compaction passes.
+    assert_eq!(last.version, store.snapshot().version);
+    assert_eq!(last.version, first.version + 6);
+}
+
+#[test]
+fn writes_to_a_series_retire_only_its_cached_answers() {
+    let dir = TempDir::new("series-invalidation");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    store.ingest("a", 5, batch(0, 40, 1)).unwrap();
+    store.ingest("b", 5, batch(0, 40, 2)).unwrap();
+    // Map both series up front, so the convert below has only a's new
+    // window left to rewrite.
+    assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 2);
+    let q = Query::interval(0, 30);
+    let ask = |dataset: &str| ask_checked(&store, dataset, SummaryKind::Sample, &q, 0.95, None);
+    for dataset in ["a", "b"] {
+        assert!(!ask(dataset).cached);
+        assert!(ask(dataset).cached);
+    }
+    let expect_retired = |what: &str| {
+        assert!(!ask("a").cached, "{what} must retire a/sample's answer");
+        assert!(ask("a").cached, "{what}: the fresh answer is cached again");
+        assert!(ask("b").cached, "{what} must leave b/sample's answer live");
+    };
+
+    store.ingest("a", 3605, batch(20, 30, 3)).unwrap();
+    expect_retired("an ingest");
+    assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 1);
+    expect_retired("a SegmentV2 convert");
+    // a's watermark (3660) has sealed hour 0; b's (60) has not.
+    assert_eq!(store.compact_once().unwrap(), 1);
+    expect_retired("a roll-up");
+    store.set_policy("a", ttl_policy(60)).unwrap();
+    assert!(ask("a").cached, "a policy change alone retires nothing");
+    // The hour-0 roll-up ends 60 ticks behind a's watermark.
+    assert_eq!(store.retain_once().unwrap(), 1);
+    expect_retired("a retention pass");
+}
+
+/// Cached ≡ uncached through the whole window lifecycle. Each seeded
+/// history randomly interleaves ingests into three datasets × two kinds,
+/// lifecycle ticks, conversions to and from mapped segments, policy
+/// changes, and dropping and reopening the store. After every step, every
+/// estimate asked so far must come back from [`Store::estimate`] bit for
+/// bit equal to the uncached snapshot answer. Dataset `c` runs a TTL plus
+/// `compact_after` policy, and halfway through each history retention
+/// empties `c`'s sample series completely before it is ingested into
+/// again — the history in which a reused series stamp would address a
+/// stale line.
+#[test]
+fn cached_answers_equal_uncached_through_the_lifecycle() {
+    const SEEDS: u64 = 64;
+    const STEPS: usize = 48;
+    const DATASETS: [&str; 3] = ["a", "b", "c"];
+    const KINDS: [SummaryKind; 2] = [SummaryKind::Sample, SummaryKind::VarOptReservoir];
+    let lifecycle = Policy {
+        retention_ttl: Some(1800),
+        compact_after: Some(120),
+        ..Policy::default()
+    };
+    let config = StoreConfig {
+        budget: Some(24),
+        ..StoreConfig::default()
+    };
+    type Asked = (usize, usize, Query, f64, Option<(u64, u64)>);
+    let (mut hits, mut total) = (0u64, 0u64);
+    for seed in 0..SEEDS {
+        let dir = TempDir::new("cached-uncached");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = Store::open(dir.path(), config.clone()).unwrap();
+        store.set_policy("c", lifecycle.clone()).unwrap();
+        // Next ingest tick per series; each advances on its own clock.
+        let mut clock = [[0u64; 2]; 3];
+        let ingest =
+            |store: &Store, clock: &mut [[u64; 2]; 3], rng: &mut StdRng, d: usize, k: usize| {
+                let ts = clock[d][k];
+                clock[d][k] += rng.gen_range(60..2400);
+                let lo = rng.gen_range(0..400u64);
+                let n = rng.gen_range(10..60u64);
+                let batch_seed = rng.gen::<u64>();
+                let summary = match KINDS[k] {
+                    SummaryKind::Sample => batch(lo, n, batch_seed),
+                    _ => varopt_batch(lo, n, batch_seed),
+                };
+                match store.ingest(DATASETS[d], ts, summary) {
+                    Ok(_) => true,
+                    // A roll-up or retention pass may already have sealed the
+                    // minute this tick lands in.
+                    Err(StoreError::Stale { .. }) => false,
+                    Err(e) => panic!("seed {seed}: ingest failed: {e}"),
+                }
+            };
+        // One total per series up front, so every series has lines to go
+        // stale from the first step on.
+        let mut asked: Vec<Asked> = (0..DATASETS.len())
+            .flat_map(|d| (0..KINDS.len()).map(move |k| (d, k, Query::Total, 0.9, None)))
+            .collect();
+        for step in 0..STEPS {
+            if step == STEPS / 2 {
+                // Empty c/sample by retention, ask over the empty series,
+                // then ingest into it again.
+                store.set_policy("c", ttl_policy(0)).unwrap();
+                store.retain_once().unwrap();
+                let c_windows = store.list().iter().filter(|r| r.key.dataset == "c").count();
+                assert_eq!(c_windows, 0, "seed {seed}: retention emptied c");
+                let empty = ask_checked(&store, "c", KINDS[0], &Query::Total, 0.9, None);
+                assert_eq!((empty.estimate.value, empty.windows), (0.0, 0));
+                store.set_policy("c", lifecycle.clone()).unwrap();
+                // The next minute boundary is past every window end, so
+                // past every floor retention just raised.
+                clock[2][0] = (clock[2][0] / 60 + 1) * 60;
+                assert!(ingest(&store, &mut clock, &mut rng, 2, 0));
+            } else {
+                match rng.gen_range(0..12u32) {
+                    0..=5 => {
+                        let (d, k) = (rng.gen_range(0..3usize), rng.gen_range(0..2usize));
+                        ingest(&store, &mut clock, &mut rng, d, k);
+                    }
+                    6 | 7 => {
+                        store.lifecycle_tick().unwrap();
+                    }
+                    8 => {
+                        store.convert(StorageFormat::SegmentV2).unwrap();
+                    }
+                    9 => {
+                        store.convert(StorageFormat::FrameV1).unwrap();
+                    }
+                    10 => {
+                        let dataset = DATASETS[rng.gen_range(0..2usize)];
+                        let policy = match rng.gen_range(0..3u32) {
+                            0 => Policy::default(),
+                            1 => ttl_policy(2400),
+                            _ => Policy {
+                                compact_after: Some(300),
+                                ..Policy::default()
+                            },
+                        };
+                        store.set_policy(dataset, policy).unwrap();
+                    }
+                    _ => {
+                        drop(store);
+                        store = Store::open(dir.path(), config.clone()).unwrap();
+                    }
+                }
+            }
+            let lo = rng.gen_range(0..300u64);
+            let query = if rng.gen_bool(0.2) {
+                Query::Total
+            } else {
+                Query::interval(lo, lo + rng.gen_range(1..200u64))
+            };
+            let time = match rng.gen_range(0..3u32) {
+                0 => None,
+                1 => Some((0, 3600)),
+                _ => Some((1800, 9000)),
+            };
+            let confidence = if rng.gen_bool(0.5) { 0.9 } else { 0.95 };
+            asked.push((
+                rng.gen_range(0..3usize),
+                rng.gen_range(0..2usize),
+                query,
+                confidence,
+                time,
+            ));
+            for (d, k, query, confidence, time) in &asked {
+                let answer =
+                    ask_checked(&store, DATASETS[*d], KINDS[*k], query, *confidence, *time);
+                hits += answer.cached as u64;
+                total += 1;
+            }
+        }
+    }
+    // The property is vacuous unless the cache actually answers.
+    assert!(
+        hits * 2 > total,
+        "only {hits} of {total} answers were cached"
+    );
 }
