@@ -12,6 +12,11 @@
 //!    (distinct canonical queries, every call walks the windows) and hot
 //!    (one repeated query, served by the LRU cache).
 //!
+//! Plus one kernel rate, `interval_per_s`: `weight_confidence_interval`
+//! calls per second over a fixed `(a_j, τ, δ)` grid (light-key counts
+//! 0–3000, three thresholds, per-window δ of 0.1 split over 1–20 windows)
+//! — the Eqn-4 inversion every sample and VarOpt window answer pays.
+//!
 //! Environment knobs: `SAS_QUERY_ITEMS` (rows per dataset, default 20000),
 //! `SAS_QUERY_BATCH` (queries per batch, default 64), `SAS_QUERY_OPS`
 //! (store queries per thread count, default 4000), `SAS_QUERY_REPS`
@@ -78,6 +83,21 @@ fn battery(count: usize, dims: usize, span: u64, salt: u64) -> Vec<Query> {
             }
         })
         .collect()
+}
+
+/// The `interval_per_s` grid: `a_j = k·τ` for light-key counts `k` a
+/// window answer sees, at three thresholds, with δ = 0.1 and 0.01 split
+/// over 1, 7 and 20 windows (the store's per-window `δ/k`).
+fn interval_grid() -> Vec<(f64, f64, f64)> {
+    let mut grid = Vec::new();
+    for k in [0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0] {
+        for tau in [0.37, 12.5, 4400.0] {
+            for delta in [0.1, 0.1 / 7.0, 0.1 / 20.0, 0.01, 0.01 / 20.0] {
+                grid.push((k * tau, tau, delta));
+            }
+        }
+    }
+    grid
 }
 
 fn main() -> std::process::ExitCode {
@@ -209,6 +229,39 @@ fn run() -> Result<(), String> {
         &table,
     );
 
+    let grid = interval_grid();
+    let rounds = reps * 40;
+    let (checksum, secs) = timed(|| {
+        let mut sum = 0.0;
+        for _ in 0..rounds {
+            for &(a_j, tau, delta) in &grid {
+                let (lo, hi) = sas_core::bounds::weight_confidence_interval(
+                    std::hint::black_box(a_j),
+                    tau,
+                    delta,
+                );
+                sum += lo + hi;
+            }
+        }
+        sum
+    });
+    if !checksum.is_finite() {
+        return Err("interval grid produced a non-finite end".into());
+    }
+    let interval_per_s = (rounds * grid.len()) as f64 / secs;
+    print_table(
+        &format!(
+            "Eqn-4 interval inversion ({} grid points x {rounds})",
+            grid.len()
+        ),
+        &["op", "per_s", "ns_per_call"],
+        &[vec![
+            "weight_confidence_interval".into(),
+            format!("{interval_per_s:.0}"),
+            format!("{:.0}", 1e9 / interval_per_s),
+        ]],
+    );
+
     // Store-level: ingest one window per kind, then hammer estimates.
     let dir = std::env::temp_dir().join(format!("sas-query-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -311,7 +364,8 @@ fn run() -> Result<(), String> {
             kinds.obj(label, &kind);
         }
         obj.obj("kinds", &kinds)
-            .num("store_hot_8t_ops_per_s", store_hot_8t);
+            .num("store_hot_8t_ops_per_s", store_hot_8t)
+            .num("interval_per_s", interval_per_s);
         obj.write(&path)?;
         eprintln!("wrote {}", path.display());
     }

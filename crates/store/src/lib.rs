@@ -199,6 +199,27 @@ impl Snapshot {
             .unwrap_or(0)
     }
 
+    /// The windows of one series, in key order. Keys order by
+    /// `(dataset, kind, level, start)`, so a series is one contiguous run:
+    /// walk it from the series' first possible key and stop at the first
+    /// key of another series, instead of filtering the whole catalog.
+    fn series<'a>(
+        &'a self,
+        dataset: &'a str,
+        kind: SummaryKind,
+    ) -> impl Iterator<Item = &'a Arc<WindowState>> + 'a {
+        let first = WindowKey {
+            dataset: dataset.to_string(),
+            kind,
+            level: Level::Minute,
+            start: 0,
+        };
+        self.windows
+            .range(first..)
+            .map(|(_, w)| w)
+            .take_while(move |w| w.key.dataset == dataset && w.key.kind == kind)
+    }
+
     /// The windows a query over `(dataset, kind, time)` consults, in key
     /// order.
     pub fn matching(
@@ -207,13 +228,8 @@ impl Snapshot {
         kind: SummaryKind,
         time: Option<(u64, u64)>,
     ) -> Vec<Arc<WindowState>> {
-        self.windows
-            .values()
-            .filter(|w| {
-                w.key.dataset == dataset
-                    && w.key.kind == kind
-                    && time.is_none_or(|(t0, t1)| w.key.overlaps(t0, t1))
-            })
+        self.series(dataset, kind)
+            .filter(|w| time.is_none_or(|(t0, t1)| w.key.overlaps(t0, t1)))
             .cloned()
             .collect()
     }
@@ -255,9 +271,7 @@ impl Snapshot {
     /// disagree about which windows exist.
     pub fn coverage(&self, dataset: &str, kind: SummaryKind, time: Option<(u64, u64)>) -> Coverage {
         let spans: Vec<(u64, u64)> = self
-            .windows
-            .values()
-            .filter(|w| w.key.dataset == dataset && w.key.kind == kind)
+            .series(dataset, kind)
             .map(|w| (w.key.start, w.key.end()))
             .collect();
         let floor = self
@@ -1270,5 +1284,93 @@ impl Compactor {
 impl Drop for Compactor {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::Rng;
+    use sas_core::varopt::VarOptSampler;
+
+    /// A catalog of 4 datasets (one name a prefix of another) × 2 kinds ×
+    /// all three levels, plus the filters the range walk replaced.
+    #[test]
+    fn series_walk_matches_the_full_catalog_filter() {
+        let datasets = ["a", "an", "an_a", "b-1"];
+        let kinds = [SummaryKind::Sample, SummaryKind::VarOptReservoir];
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut windows = BTreeMap::new();
+        for dataset in datasets {
+            for kind in kinds {
+                for level in Level::all() {
+                    for _ in 0..rng.gen_range(1..6usize) {
+                        let start = level.window_start(rng.gen_range(0..400_000u64));
+                        let key = WindowKey {
+                            dataset: dataset.to_string(),
+                            kind,
+                            level,
+                            start,
+                        };
+                        let state = WindowState {
+                            key: key.clone(),
+                            summary: Box::new(VarOptSampler::new(4)),
+                            batches: 1,
+                            frame_bytes: 0,
+                        };
+                        windows.insert(key, Arc::new(state));
+                    }
+                }
+            }
+        }
+        let snapshot = Snapshot {
+            version: 1,
+            windows,
+            series_versions: BTreeMap::new(),
+            retention_floors: BTreeMap::new(),
+        };
+        let keys = |ws: &[Arc<WindowState>]| -> Vec<WindowKey> {
+            ws.iter().map(|w| w.key.clone()).collect()
+        };
+        for dataset in datasets.iter().copied().chain(["", "am", "an_", "c"]) {
+            for kind in kinds.into_iter().chain([SummaryKind::QDigest]) {
+                for round in 0..50 {
+                    let time = (round > 0).then(|| {
+                        let t0 = rng.gen_range(0..400_000u64);
+                        (t0, t0 + rng.gen_range(0..200_000u64))
+                    });
+                    let filtered: Vec<Arc<WindowState>> = snapshot
+                        .windows
+                        .values()
+                        .filter(|w| {
+                            w.key.dataset == dataset
+                                && w.key.kind == kind
+                                && time.is_none_or(|(t0, t1)| w.key.overlaps(t0, t1))
+                        })
+                        .cloned()
+                        .collect();
+                    let walked = snapshot.matching(dataset, kind, time);
+                    assert_eq!(keys(&walked), keys(&filtered), "{dataset}/{kind}/{time:?}");
+                    let spans: Vec<(u64, u64)> = snapshot
+                        .windows
+                        .values()
+                        .filter(|w| w.key.dataset == dataset && w.key.kind == kind)
+                        .map(|w| (w.key.start, w.key.end()))
+                        .collect();
+                    assert_eq!(
+                        snapshot.coverage(dataset, kind, time),
+                        Coverage::compute(&spans, time, 0),
+                        "{dataset}/{kind}/{time:?}"
+                    );
+                }
+            }
+        }
+        // The prefix pair really shares the catalog's neighbourhood.
+        assert!(!snapshot
+            .matching("an", SummaryKind::Sample, None)
+            .is_empty());
+        assert!(!snapshot
+            .matching("an_a", SummaryKind::Sample, None)
+            .is_empty());
     }
 }

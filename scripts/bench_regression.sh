@@ -30,7 +30,7 @@ if [ "${1:-}" = "--core" ]; then
     codec_encode_mb_s codec_decode_mb_s merge_from_disk_mb_s \
     merge_from_disk_merges_per_s answer_batch_1d_qps answer_loop_1d_qps \
     answer_batch_2d_qps answer_loop_2d_qps store_hot_8t_ops_per_s \
-    cold_query_view_qps cold_query_decode_qps"
+    cold_query_view_qps cold_query_decode_qps interval_per_s"
   for name in $rates; do
     c=$(field "$cur" "$name" || true)
     b=$(field "$base" "$name" || true)

@@ -1,8 +1,9 @@
-//! Certification of the query API's error bars (ISSUE 5): the interval an
+//! Certification of the query API's error bars: the interval an
 //! [`Estimate`] reports must actually contain the exact answer —
 //! *probabilistically* at the configured confidence for the sample-based
-//! kinds (coverage measured over 150 seeds), *always* for the q-digest and
-//! wavelet deterministic bounds.
+//! kinds (coverage measured over 150 seeds, and over 100 seeds through the
+//! store's whole window lifecycle), *always* for the q-digest and wavelet
+//! deterministic bounds.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -11,10 +12,11 @@ use rand::{Rng, SeedableRng};
 use structure_aware_sampling::core::varopt::VarOptSampler;
 use structure_aware_sampling::core::WeightedKey;
 use structure_aware_sampling::sampling::product::SpatialData;
+use structure_aware_sampling::store::{StorageFormat, Store, StoreConfig};
 use structure_aware_sampling::summaries::qdigest::QDigestSummary;
 use structure_aware_sampling::summaries::wavelet::WaveletSummary;
 use structure_aware_sampling::summaries::StoredSample;
-use structure_aware_sampling::{Query, Summary};
+use structure_aware_sampling::{Query, Summary, SummaryKind};
 
 const CONFIDENCE: f64 = 0.9;
 const SEEDS: u64 = 150;
@@ -125,6 +127,139 @@ fn multirange_and_total_cover_too() {
         assert!(
             rate >= CONFIDENCE - 0.03,
             "{name} coverage {rate} below {CONFIDENCE}"
+        );
+    }
+}
+
+/// One ingested row: tick, key, weight.
+type Row = (u64, u64, f64);
+
+const LIFECYCLE_SEEDS: u64 = 100;
+const LIFECYCLE_KEYS: u64 = 2_000;
+
+/// One batch of `n` rows with distinct random keys, summarized as `kind`
+/// below its row count, so every window is genuinely probabilistic.
+fn lifecycle_batch(
+    rng: &mut StdRng,
+    kind: SummaryKind,
+    ts: u64,
+    rows: &mut Vec<Row>,
+) -> Box<dyn Summary> {
+    let n = rng.gen_range(150..300u64);
+    let mut keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..LIFECYCLE_KEYS)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let batch: Vec<WeightedKey> = keys
+        .iter()
+        .map(|&k| {
+            let w = if rng.gen_bool(0.1) {
+                rng.gen_range(20.0..100.0)
+            } else {
+                rng.gen_range(0.1..3.0)
+            };
+            WeightedKey::new(k, w)
+        })
+        .collect();
+    rows.extend(batch.iter().map(|wk| (ts, wk.key, wk.weight)));
+    if kind == SummaryKind::Sample {
+        let size = batch.len() / 2;
+        Box::new(StoredSample::one_dim(
+            structure_aware_sampling::sampling::order::sample(&batch, size, rng),
+        ))
+    } else {
+        let mut sampler = VarOptSampler::new(batch.len() / 3);
+        for wk in &batch {
+            sampler.push(wk.key, wk.weight, rng);
+        }
+        Box::new(sampler)
+    }
+}
+
+#[test]
+fn sample_kinds_cover_through_the_store_lifecycle() {
+    // Per seed and kind: two batches into each of three hours' minute
+    // windows under a merge budget, one batch past them that seals the
+    // hours, a lifecycle tick rolling the minutes into hours, conversion to
+    // mapped v2 segments, and a restart. The reopened store then answers at
+    // 0.9 over time filters spanning 3–4 windows, so each window answers at
+    // 1 − δ/k and only the union bound certifies the sum.
+    const HOUR: u64 = 3_600;
+    let filters = [None, Some((0, 3 * HOUR - 1)), Some((HOUR, 4 * HOUR + 59))];
+    for kind in [SummaryKind::Sample, SummaryKind::VarOptReservoir] {
+        let (mut covered, mut probes) = (0u64, 0u64);
+        for seed in 0..LIFECYCLE_SEEDS {
+            let dir = std::env::temp_dir().join(format!(
+                "sas-bounds-lifecycle-{}-{kind}-{seed}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = StoreConfig {
+                budget: Some(80),
+                cache_capacity: 0,
+            };
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x11fe);
+            let mut rows: Vec<Row> = Vec::new();
+            {
+                let store = Store::open(&dir, config.clone()).unwrap();
+                for ts in [
+                    0,
+                    1_800,
+                    HOUR,
+                    HOUR + 1_800,
+                    2 * HOUR,
+                    2 * HOUR + 1_800,
+                    4 * HOUR,
+                ] {
+                    let batch = lifecycle_batch(&mut rng, kind, ts, &mut rows);
+                    store.ingest("flows", ts, batch).unwrap();
+                }
+                let stats = store.lifecycle_tick().unwrap();
+                assert_eq!(stats.rollups, 3, "seed {seed}: {stats:?}");
+                assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 4);
+            }
+            let store = Store::open(&dir, config).unwrap();
+            let lo = rng.gen_range(0..LIFECYCLE_KEYS / 2);
+            let hi = rng.gen_range(lo..LIFECYCLE_KEYS);
+            let queries = [
+                (Query::interval(lo, hi), lo, hi),
+                (Query::Total, 0, u64::MAX),
+            ];
+            for time in filters {
+                for (query, lo, hi) in &queries {
+                    let a = store
+                        .estimate("flows", kind, query, CONFIDENCE, time)
+                        .unwrap();
+                    assert!(
+                        a.windows >= 3,
+                        "seed {seed}: {time:?} read {} windows",
+                        a.windows
+                    );
+                    let e = a.estimate;
+                    assert!(
+                        e.lower <= e.value && e.value <= e.upper,
+                        "seed {seed}: {e:?}"
+                    );
+                    let exact: f64 = rows
+                        .iter()
+                        .filter(|&&(ts, key, _)| {
+                            (*lo..=*hi).contains(&key)
+                                && time.is_none_or(|(t0, t1)| (t0..=t1).contains(&ts))
+                        })
+                        .map(|&(_, _, w)| w)
+                        .sum();
+                    probes += 1;
+                    if e.lower <= exact && exact <= e.upper {
+                        covered += 1;
+                    }
+                }
+            }
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let rate = covered as f64 / probes as f64;
+        assert!(
+            rate >= CONFIDENCE - 0.03,
+            "{kind}: lifecycle coverage {rate} below {CONFIDENCE} ({covered}/{probes})"
         );
     }
 }
