@@ -19,8 +19,8 @@
 //! non-zero if any answer drifts bitwise — the ratio is only meaningful if
 //! the two paths agree. `scripts/bench_core.sh` records the two rates in
 //! `BENCH_core.json` (`cold_query_view_qps`, `cold_query_decode_qps`) and
-//! `scripts/bench_regression.sh --core` gates them; CI additionally
-//! asserts the view/decode ratio stays ≥ 2x.
+//! `scripts/bench_regression.sh` gates them; CI additionally asserts the
+//! view/decode ratio stays ≥ 2x.
 //!
 //! The battery per round is deliberately small (default 8 queries): the
 //! cold-catalog access pattern is a few queries arriving at a window whose
@@ -41,21 +41,13 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sas_bench::{env_usize, parse_json_flag, print_table, timed, JsonObj};
+use sas_bench::{env_usize, mix, parse_json_flag, print_table, timed, JsonObj};
 use sas_core::WeightedKey;
 use sas_store::mapped::Mapped;
 use sas_summaries::{
     decode_summary, encode_segment, encode_summary, Estimate, Query, SegmentSummary, StoredSample,
     Summary,
 };
-
-/// splitmix64, decorrelating query indices from probed ranges.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn main() -> std::process::ExitCode {
     match run() {

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sas_bench::{env_usize, parse_json_flag, print_table, timed, JsonObj};
+use sas_bench::{env_usize, mix, parse_json_flag, print_table, timed, JsonObj};
 use sas_core::varopt::VarOptSampler;
 use sas_core::{KeyId, WeightedKey};
 use sas_sampling::product::SpatialData;
@@ -42,14 +42,6 @@ use sas_summaries::countsketch::SketchSummary;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
 use sas_summaries::{Query, StoredSample, Summary, SummaryKind};
-
-/// splitmix64, decorrelating query indices from probed ranges.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A mixed battery over a 1-D key span or a 2-D `2^bits` square: boxes,
 /// multi-ranges, points, hierarchy nodes, and totals.

@@ -241,10 +241,10 @@ pub fn rank_value(sorted: &[f64], p: f64) -> f64 {
 
 /// Asserts that a histogram snapshot's p50/p95/p99 each land within one
 /// log-bucket of the sort-based percentile over the raw latencies
-/// (milliseconds, ascending). Shared by the `store` and `cold` bins, whose
-/// reported percentiles come from [`sas_obs::Histogram`] — the same math
-/// the daemon's metrics endpoint serves — with the raw vector kept as
-/// ground truth.
+/// (milliseconds, ascending). Used by the `cold` bin, whose reported
+/// percentiles come from [`sas_obs::Histogram`] — the same math the
+/// daemon's metrics endpoint serves — with the raw vector kept as ground
+/// truth.
 pub fn assert_hist_matches_sorted(
     snap: &sas_obs::HistogramSnapshot,
     sorted_ms: &[f64],
@@ -267,6 +267,16 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// splitmix64: decorrelates a query index from the range it probes (a
+/// linear stride aliases modulo the key span and quietly turns distinct
+/// probes into cache hits). Shared by the bins that generate batteries.
+pub fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Parses the bin's command line: `--json PATH` selects machine-readable

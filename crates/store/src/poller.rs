@@ -71,16 +71,6 @@ impl Interest {
     };
 }
 
-/// Which readiness backend a [`Poller`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// `epoll` where available (Linux), otherwise `poll`.
-    #[default]
-    Auto,
-    /// Always the portable `poll(2)` backend.
-    Poll,
-}
-
 enum Impl {
     #[cfg(target_os = "linux")]
     Epoll(epoll::Epoll),
@@ -122,14 +112,6 @@ impl Poller {
         Ok(Poller {
             inner: Impl::Poll(pollfds::PollSet::new()),
         })
-    }
-
-    /// Creates a poller on the requested backend.
-    pub fn with_backend(backend: Backend) -> io::Result<Poller> {
-        match backend {
-            Backend::Auto => Poller::new(),
-            Backend::Poll => Poller::new_poll(),
-        }
     }
 
     /// Starts watching `fd` under `token`. One registration per fd.
@@ -724,8 +706,7 @@ mod tests {
 
     #[test]
     fn waker_interrupts_a_blocking_wait() {
-        for backend in [Backend::Auto, Backend::Poll] {
-            let mut poller = Poller::with_backend(backend).unwrap();
+        for mut poller in backends() {
             let waker = Waker::new().unwrap();
             poller
                 .register(waker.read_fd(), u64::MAX, Interest::READ)
@@ -740,14 +721,14 @@ mod tests {
             poller
                 .wait(&mut events, Some(Duration::from_secs(30)))
                 .unwrap();
-            assert!(start.elapsed() < Duration::from_secs(10));
-            assert_eq!(events.len(), 1);
+            assert!(start.elapsed() < Duration::from_secs(10), "{poller:?}");
+            assert_eq!(events.len(), 1, "{poller:?}");
             assert_eq!(events[0].token, u64::MAX);
             waker.drain();
             poller
                 .wait(&mut events, Some(Duration::from_millis(10)))
                 .unwrap();
-            assert!(events.is_empty(), "drained waker is quiet");
+            assert!(events.is_empty(), "{poller:?} drained waker is quiet");
             t.join().unwrap();
         }
     }

@@ -78,7 +78,7 @@ use sas_summaries::decode_summary;
 use sas_summaries::{Query, SummaryKind};
 
 use crate::conn::{Conn, ConnConfig};
-use crate::poller::{Backend, Event, Interest, InterestCache, Poller, WakeHandle, Waker};
+use crate::poller::{Event, Interest, InterestCache, Poller, WakeHandle, Waker};
 use crate::wire::{decode_request, encode_push, encode_response, Request, Response, WatchUpdate};
 use crate::Store;
 
@@ -107,8 +107,6 @@ pub struct ServerConfig {
     /// How long shutdown waits for half-written frames to reach a
     /// boundary before force-closing.
     pub shutdown_grace: Duration,
-    /// Readiness backend (`Auto`: epoll on Linux).
-    pub backend: Backend,
     /// Log (at `warn`) any request whose end-to-end time — first byte read
     /// to last byte flushed — reaches this threshold, with its per-stage
     /// breakdown, dataset, and canonical query bytes (`None`: disabled).
@@ -132,7 +130,6 @@ impl Default for ServerConfig {
             max_pipeline: 128,
             dataset_inflight: 0,
             shutdown_grace: Duration::from_secs(5),
-            backend: Backend::Auto,
             slow_query: None,
             max_watches_per_conn: 16,
             lifecycle_every: None,
@@ -845,7 +842,7 @@ impl EventLoop {
         done_rx: Receiver<Completion>,
         registry: &Registry,
     ) -> io::Result<EventLoop> {
-        let mut poller = Poller::with_backend(config.backend)?;
+        let mut poller = Poller::new()?;
         let mut interest = InterestCache::new();
         interest.register(
             &mut poller,

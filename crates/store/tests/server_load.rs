@@ -1,18 +1,26 @@
 //! Load shedding and backpressure: connections beyond `max_conns` get an
 //! explicit BUSY (never a silent drop), per-dataset admission control
 //! sheds excess in-flight requests, and a peer that refuses to read its
-//! responses cannot grow the server's memory past the write budget.
+//! responses cannot grow the server's memory past the write budget. Under
+//! hundreds of concurrent pipelined connections within the limits, every
+//! request is answered, in order and bit-identically to the store.
 
 mod util;
 
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use sas_codec::proto;
+use sas_core::WeightedKey;
 use sas_store::client::{Client, ClientError};
 use sas_store::server::ServerConfig;
 use sas_store::wire::{Request, Response};
+use sas_summaries::{Estimate, Query, StoredSample, SummaryKind};
 
 use util::{batch_frame, message, recv_message, recv_response, start, wait_metrics, Recv};
 
@@ -252,6 +260,163 @@ fn metrics_count_accepts_and_requests() {
     drop(a);
     drop(b);
     wait_metrics(&server, "disconnect count", |m| m.active_conns == 0);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn many_pipelined_connections_answer_every_request() {
+    const CONNS: u64 = 256;
+    const PER_CONN: u64 = 20;
+    const DEPTH: usize = 8;
+    const WINDOWS: u64 = 24;
+    const ROWS: u64 = 256;
+    const SPAN: u64 = WINDOWS * ROWS;
+    let started = Instant::now();
+    let (_dir, store, server) = start(
+        "many-conns",
+        ServerConfig {
+            threads: 2,
+            max_conns: 320,
+            ..ServerConfig::default()
+        },
+    );
+    // Sampled (not exact) windows, so estimates carry real intervals.
+    for i in 0..WINDOWS {
+        let rows: Vec<WeightedKey> = (i * ROWS..(i + 1) * ROWS)
+            .map(|k| WeightedKey::new(k, 1.0 + (k % 5) as f64))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(i);
+        let sample = sas_sampling::order::sample(&rows, ROWS as usize / 4, &mut rng);
+        store
+            .ingest(
+                "bench",
+                61 + i * 60,
+                Box::new(StoredSample::one_dim(sample)),
+            )
+            .unwrap();
+    }
+    let ingest_frame = util::batch_frame(0, 16, 42);
+
+    // Per eight requests: one ingest into `load`, five 1-D box estimates
+    // and one total estimate on `bench`, and one ping — varied by
+    // connection and request index.
+    let nth_request = |conn: u64, i: u64| -> Request {
+        let estimate = |query| Request::Estimate {
+            dataset: "bench".into(),
+            kind: SummaryKind::Sample,
+            query,
+            confidence: 0.95,
+            time: None,
+        };
+        match (conn * 7 + i) % 8 {
+            0 => Request::Ingest {
+                dataset: "load".into(),
+                ts: 61 + ((conn * 13 + i) % 240) * 60,
+                frame: ingest_frame.clone(),
+            },
+            6 => estimate(Query::Total),
+            7 => Request::Ping,
+            slot => {
+                let lo = (conn * 7919 + i * 104_729 + slot * 31) % SPAN;
+                estimate(Query::interval(lo, lo + SPAN / 4))
+            }
+        }
+    };
+
+    struct Conn {
+        stream: TcpStream,
+        sent: u64,
+        pending: VecDeque<Request>,
+    }
+    let send = |c: &mut Conn, conn: u64| {
+        let mut burst = Vec::new();
+        while c.sent < PER_CONN && c.pending.len() < DEPTH {
+            let req = nth_request(conn, c.sent);
+            burst.extend_from_slice(&message(&req));
+            c.pending.push_back(req);
+            c.sent += 1;
+        }
+        c.stream.write_all(&burst).unwrap();
+    };
+    let mut conns: Vec<Conn> = (0..CONNS)
+        .map(|conn| {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            let mut c = Conn {
+                stream,
+                sent: 0,
+                pending: VecDeque::new(),
+            };
+            send(&mut c, conn);
+            c
+        })
+        .collect();
+
+    // Round-robin over the connections, one response each per pass: every
+    // connection keeps up to DEPTH requests in flight the whole time, and
+    // each response must answer the oldest request still pending on it.
+    let mut answered: Vec<(Query, Estimate)> = Vec::new();
+    let mut open = CONNS;
+    while open > 0 {
+        for (conn, c) in conns.iter_mut().enumerate() {
+            let Some(req) = c.pending.pop_front() else {
+                continue;
+            };
+            let tag = match &req {
+                Request::Ingest { .. } => proto::REQ_INGEST,
+                Request::Estimate { .. } => proto::REQ_ESTIMATE,
+                _ => proto::REQ_PING,
+            };
+            match (req, recv_response(&mut c.stream, tag)) {
+                (Request::Ingest { .. }, Response::Ingest { .. }) => {}
+                (Request::Ping, Response::Pong) => {}
+                (Request::Estimate { query, .. }, Response::Estimate { estimate, .. }) => {
+                    answered.push((query, estimate))
+                }
+                (req, resp) => panic!("connection {conn}: {req:?} answered by {resp:?}"),
+            }
+            send(c, conn as u64);
+            if c.pending.is_empty() {
+                open -= 1;
+            }
+        }
+    }
+    assert_eq!(answered.len() as u64, CONNS * PER_CONN * 6 / 8);
+    assert!(
+        answered.iter().all(|(_, e)| e.upper > e.lower),
+        "sampled windows must give non-degenerate intervals"
+    );
+
+    // `bench` takes no ingest during the load, so the daemon's answers must
+    // be exactly what the store answers in process.
+    for (query, got) in &answered {
+        let want = store
+            .estimate("bench", SummaryKind::Sample, query, 0.95, None)
+            .unwrap()
+            .estimate;
+        for (name, g, w) in [
+            ("value", got.value, want.value),
+            ("variance", got.variance, want.variance),
+            ("lower", got.lower, want.lower),
+            ("upper", got.upper, want.upper),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{query:?} {name}: {g} vs {w}");
+        }
+    }
+
+    let m = server.metrics();
+    assert_eq!(m.accepted, CONNS, "{m:?}");
+    assert_eq!(
+        (m.shed_conns, m.shed_requests, m.protocol_errors),
+        (0, 0, 0),
+        "{m:?}"
+    );
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(60), "took {elapsed:?}");
+    eprintln!("{CONNS} connections x {PER_CONN} requests (depth {DEPTH}) answered in {elapsed:?}");
     server.shutdown();
     server.wait();
 }

@@ -2,7 +2,7 @@
 # Runs the five core (non-store) bench bins — sharded, codec, query,
 # one_dim, cold — and merges their headline fields into one flat JSON with
 # the shape committed as BENCH_core.json, for scripts/bench_regression.sh
-# --core to gate on.
+# to gate on.
 #
 #   usage: scripts/bench_core.sh <out.json> [bin-dir]
 #
