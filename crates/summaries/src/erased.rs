@@ -28,8 +28,9 @@ use sas_sampling::sharded::MergeArena;
 use sas_structures::product::BoxRange;
 
 use crate::countsketch::SketchSummary;
+use crate::fold::{self, SampleColumns};
 use crate::qdigest::QDigestSummary;
-use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
+use crate::query::{Estimate, Query, QueryError};
 use crate::stored::StoredSample;
 use crate::wavelet::WaveletSummary;
 use crate::RangeSumSummary;
@@ -442,84 +443,18 @@ impl Summary for StoredSample {
         queries: &[Query],
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
-        let tau = StoredSample::tau(self);
-        let compiled: Vec<Vec<Vec<(u64, u64)>>> = queries
-            .iter()
-            .map(|q| q.boxes(StoredSample::dims(self)))
-            .collect::<Result<_, _>>()?;
-        // One pass over the item columns. Single-box queries (every query
-        // shape except MultiRange) have their bounds flattened into
-        // parallel per-axis columns, so the hot loop tests each item's key
-        // or coordinates against plain bound arrays — contiguous loads, no
-        // nested-Vec indirection, no per-entry map lookup; the multi-box
-        // stragglers ride the same item pass with the usual any-box test.
-        let two_dim = StoredSample::dims(self) == 2;
-        let (keys, weights, adjusted) = (self.keys(), self.weights(), self.adjusted_weights());
-        let (xs, ys) = (self.xs(), self.ys());
-        let mut accs = vec![SampleAccumulator::default(); queries.len()];
-        let mut qidx: Vec<usize> = Vec::with_capacity(queries.len());
-        let mut b0: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
-        let mut b1: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
-        // Multi-box queries, as (query index, compiled boxes) pairs.
-        type MultiBox<'a> = (usize, &'a [Vec<(u64, u64)>]);
-        let mut multi: Vec<MultiBox<'_>> = Vec::new();
-        for (qi, boxes) in compiled.iter().enumerate() {
-            if let [axes] = boxes.as_slice() {
-                qidx.push(qi);
-                b0.push(axes[0]);
-                if two_dim {
-                    b1.push(axes[1]);
-                }
-            } else {
-                multi.push((qi, boxes.as_slice()));
-            }
+        let cols = SampleColumns {
+            tau: StoredSample::tau(self),
+            keys: self.keys(),
+            weights: self.weights(),
+            adjusted: self.adjusted_weights(),
+            xs: self.xs(),
+            ys: self.ys(),
+        };
+        match StoredSample::dims(self) {
+            1 => fold::sample_1d(&cols, self.key_order(), queries, confidence),
+            _ => fold::sample_2d(&cols, queries, confidence),
         }
-        // The light/heavy split and the light item's variance term depend
-        // only on the item, not the query, so both are hoisted out of the
-        // per-query loop (unswitching a branch the compiler can't). Each
-        // accumulator still folds hits in item order, so every answer is
-        // bit-identical to the one-query-at-a-time path.
-        let mut flat = vec![SampleAccumulator::default(); qidx.len()];
-        if two_dim {
-            for (((&x, &y), &w), &a) in xs.iter().zip(ys).zip(weights).zip(adjusted) {
-                let light = tau > 0.0 && w < tau;
-                let light_var = if light { tau * (tau - w) } else { 0.0 };
-                for ((acc, &(x0, x1)), &(y0, y1)) in flat.iter_mut().zip(&b0).zip(&b1) {
-                    if x0 <= x && x <= x1 && y0 <= y && y <= y1 {
-                        acc.add_classified(a, tau, light, light_var);
-                    }
-                }
-                for &(qi, boxes) in &multi {
-                    if boxes
-                        .iter()
-                        .any(|axes| in_interval(axes[0], x) && in_interval(axes[1], y))
-                    {
-                        accs[qi].add_classified(a, tau, light, light_var);
-                    }
-                }
-            }
-        } else {
-            for ((&k, &w), &a) in keys.iter().zip(weights).zip(adjusted) {
-                let light = tau > 0.0 && w < tau;
-                let light_var = if light { tau * (tau - w) } else { 0.0 };
-                for (acc, &(lo, hi)) in flat.iter_mut().zip(&b0) {
-                    if lo <= k && k <= hi {
-                        acc.add_classified(a, tau, light, light_var);
-                    }
-                }
-                for &(qi, boxes) in &multi {
-                    if boxes.iter().any(|axes| in_interval(axes[0], k)) {
-                        accs[qi].add_classified(a, tau, light, light_var);
-                    }
-                }
-            }
-        }
-        for (&qi, acc) in qidx.iter().zip(flat) {
-            accs[qi] = acc;
-        }
-        accs.into_iter()
-            .map(|a| a.finish(tau, confidence))
-            .collect()
     }
 
     fn merge_in_place(

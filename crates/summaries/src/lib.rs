@@ -45,6 +45,7 @@
 pub mod countsketch;
 pub mod erased;
 pub mod exact;
+mod fold;
 pub mod qdigest;
 pub mod qdigest1d;
 pub mod query;

@@ -589,8 +589,7 @@ impl QueryBatch {
 /// [`Estimate`] by [`SampleAccumulator::finish`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SampleAccumulator {
-    /// Running estimate — adjusted weights in item order (bit-identical to
-    /// the reference scan `StoredSample::range_sum`).
+    /// Running estimate — adjusted weights in item order.
     pub value: f64,
     /// Exact part: adjusted weights of heavy keys (`wᵢ ≥ τ`, included with
     /// probability 1).
@@ -605,22 +604,26 @@ pub(crate) struct SampleAccumulator {
 }
 
 impl SampleAccumulator {
-    /// Folds one in-range item in. Reference form of [`Self::add_classified`]
-    /// (which the scanning batch loops use with the classification hoisted
-    /// out of their per-query loop); the segment's indexed path folds its
-    /// hits through this directly.
+    /// The light/heavy rule for an item of original weight `weight`:
+    /// whether it is light (`wᵢ < τ` under a positive τ, so it carries the
+    /// HT weight τ) and, if so, its variance term `τ·(τ − wᵢ)` (else 0).
+    #[inline(always)]
+    pub fn classify(weight: f64, tau: f64) -> (bool, f64) {
+        let light = tau > 0.0 && weight < tau;
+        (light, if light { tau * (tau - weight) } else { 0.0 })
+    }
+
+    /// Folds one in-range item in. The indexed kernels fold their hits
+    /// through this directly; the 2-D scan hoists [`Self::classify`] out
+    /// of its per-query loop and calls [`Self::add_classified`].
     #[inline(always)]
     pub fn add(&mut self, weight: f64, adjusted: f64, tau: f64) {
-        let light = tau > 0.0 && weight < tau;
-        let light_var = if light { tau * (tau - weight) } else { 0.0 };
+        let (light, light_var) = Self::classify(weight, tau);
         self.add_classified(adjusted, tau, light, light_var);
     }
 
-    /// Folds one in-range item whose light/heavy classification and light
-    /// variance contribution were hoisted out of a per-query loop (they
-    /// depend only on the item, not the query). Bit-identical to
-    /// [`Self::add`] with `light = tau > 0.0 && weight < tau` and
-    /// `light_var = tau * (tau - weight)`.
+    /// Folds one in-range item already classified by [`Self::classify`]
+    /// (which depends only on the item, not the query).
     #[inline(always)]
     pub fn add_classified(&mut self, adjusted: f64, tau: f64, light: bool, light_var: f64) {
         self.value += adjusted;

@@ -16,13 +16,19 @@
 //! **entry order** (the order the sampler or merge produced), because the
 //! v1 wire format serializes entries in that order and the encoding must
 //! stay bit-identical to the original array-of-structs layout.
+//!
+//! A 1-D sample answers through a key-order index over its keys (see
+//! `crate::fold`), built on the first query and dropped by every merge.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use sas_core::estimate::{Sample, SampleEntry};
 use sas_core::KeyId;
 use sas_sampling::sharded::MergeArena;
 use sas_structures::product::Point;
+
+use crate::fold::KeyOrder;
 
 /// A finished sample with optional 2-D locations, stored as parallel
 /// columns in entry order (see the module docs).
@@ -37,6 +43,9 @@ pub struct StoredSample {
     ys: Vec<u64>,
     tau: f64,
     dims: usize,
+    /// Key-order index over `keys` (1-D only), built on first use and
+    /// reset by [`StoredSample::merge_with`], the only mutator.
+    order: OnceLock<KeyOrder>,
 }
 
 impl StoredSample {
@@ -48,10 +57,9 @@ impl StoredSample {
             keys: Vec::with_capacity(entries.len()),
             weights: Vec::with_capacity(entries.len()),
             adjusted: Vec::with_capacity(entries.len()),
-            xs: Vec::new(),
-            ys: Vec::new(),
             tau,
             dims: 1,
+            ..Self::default()
         };
         for e in entries {
             s.keys.push(e.key);
@@ -73,6 +81,7 @@ impl StoredSample {
             ys: Vec::with_capacity(entries.len()),
             tau,
             dims: 2,
+            ..Self::default()
         };
         for e in entries {
             match points.get(&e.key) {
@@ -164,33 +173,11 @@ impl StoredSample {
             .collect()
     }
 
-    /// HT estimate of the weight inside an axis-aligned range
-    /// (`range[0]` on the key line for 1-D; `range[0]`, `range[1]` as a box
-    /// for 2-D). Missing axes default to the full domain. Folds from +0.0
-    /// in entry order — bit-identical to the query accumulator, including
-    /// on ranges matching nothing (`Iterator::sum` would give -0.0 there).
-    pub fn range_sum(&self, range: &[(u64, u64)]) -> f64 {
-        let axis = |i: usize| range.get(i).copied().unwrap_or((0, u64::MAX));
-        match self.dims {
-            1 => {
-                let (lo, hi) = axis(0);
-                self.keys
-                    .iter()
-                    .zip(&self.adjusted)
-                    .filter(|(&k, _)| lo <= k && k <= hi)
-                    .fold(0.0, |acc, (_, &a)| acc + a)
-            }
-            _ => {
-                let (x0, x1) = axis(0);
-                let (y0, y1) = axis(1);
-                self.xs
-                    .iter()
-                    .zip(&self.ys)
-                    .zip(&self.adjusted)
-                    .filter(|((&x, &y), _)| x0 <= x && x <= x1 && y0 <= y && y <= y1)
-                    .fold(0.0, |acc, (_, &a)| acc + a)
-            }
-        }
+    /// The key-order index over the keys, built on first use.
+    pub(crate) fn key_order(&self) -> &KeyOrder {
+        self.order.get_or_init(|| {
+            KeyOrder::build(self.keys.as_slice()).expect("a sample holds at most u32::MAX items")
+        })
     }
 
     /// Merges a sample of disjoint data.
@@ -227,6 +214,7 @@ impl StoredSample {
                 other.dims, self.dims
             ));
         }
+        self.order.take();
         match budget {
             Some(s) if s > 0 => {
                 // Per-key locations survive the re-subsampling through the
@@ -333,6 +321,7 @@ impl StoredSample {
             ys,
             tau,
             dims,
+            ..Self::default()
         }
     }
 
@@ -385,10 +374,9 @@ impl StoredSample {
             keys: Vec::with_capacity(n),
             weights: Vec::with_capacity(n),
             adjusted: Vec::with_capacity(n),
-            xs: Vec::new(),
-            ys: Vec::new(),
             tau,
             dims,
+            ..Self::default()
         };
         for _ in 0..n {
             let key = body.get_u64()?;
@@ -424,6 +412,7 @@ impl StoredSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Query, Summary};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -435,6 +424,11 @@ mod tests {
         }
     }
 
+    /// The point estimate of one query.
+    fn value(s: &StoredSample, q: Query) -> f64 {
+        s.answer(&q, 0.9).unwrap().value
+    }
+
     #[test]
     fn one_dim_range_sums() {
         let s = StoredSample::one_dim(Sample::from_entries(
@@ -442,9 +436,9 @@ mod tests {
             4.0,
         ));
         assert_eq!(s.dims(), 1);
-        assert_eq!(s.range_sum(&[(0, 4)]), 4.0);
-        assert_eq!(s.range_sum(&[(1, 9)]), 17.0);
-        assert_eq!(s.range_sum(&[]), 17.0); // missing axis = full domain
+        assert_eq!(value(&s, Query::interval(0, 4)), 4.0);
+        assert_eq!(value(&s, Query::interval(1, 9)), 17.0);
+        assert_eq!(value(&s, Query::Total), 17.0);
     }
 
     #[test]
@@ -454,8 +448,8 @@ mod tests {
         let mut points = HashMap::new();
         points.insert(1, Point::xy(3, 4));
         let s = StoredSample::two_dim(sample, points).unwrap();
-        assert_eq!(s.range_sum(&[(0, 9), (0, 9)]), 2.0);
-        assert_eq!(s.range_sum(&[(0, 2), (0, 9)]), 0.0);
+        assert_eq!(value(&s, Query::BoxRange(vec![(0, 9), (0, 9)])), 2.0);
+        assert_eq!(value(&s, Query::BoxRange(vec![(0, 2), (0, 9)])), 0.0);
     }
 
     #[test]
@@ -482,7 +476,7 @@ mod tests {
         a.merge(b, None, &mut rng).unwrap();
         assert_eq!(a.len(), 2);
         assert_eq!(a.tau(), 4.0);
-        assert_eq!(a.range_sum(&[(0, 10)]), 7.0);
+        assert_eq!(value(&a, Query::interval(0, 10)), 7.0);
     }
 
     #[test]
@@ -494,7 +488,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         a.merge(b, Some(20), &mut rng).unwrap();
         assert_eq!(a.len(), 20);
-        assert!((a.range_sum(&[(0, 59)]) - 120.0).abs() < 1e-9);
+        assert!((value(&a, Query::interval(0, 59)) - 120.0).abs() < 1e-9);
     }
 
     #[test]
@@ -553,6 +547,69 @@ mod tests {
             assert_eq!(fresh.xs(), reused.xs(), "seed {seed}");
             assert_eq!(fresh.ys(), reused.ys(), "seed {seed}");
             assert_eq!(fresh.tau().to_bits(), reused.tau().to_bits(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn merges_never_leave_the_key_order_index_stale() {
+        use crate::fold::tests::{assert_same_bits, reference_answers};
+        use rand::Rng;
+        let queries = [
+            Query::Total,
+            Query::interval(0, 99),
+            Query::interval(40, 170),
+            Query::Point(vec![150]),
+            Query::MultiRange(vec![vec![(0, 30)], vec![(120, 199)]]),
+        ];
+        let check = |s: &StoredSample, ctx: &str| {
+            for confidence in [0.5, 0.9] {
+                let got = s.answer_batch(&queries, confidence).unwrap();
+                let want = reference_answers(s, &queries, confidence);
+                assert_same_bits(&got, &want, &queries, ctx);
+            }
+        };
+        // A sampled batch over keys `keys`, with a few heavy keys so the
+        // sample mixes light and heavy items.
+        let batch = |keys: std::ops::Range<u64>, rng: &mut StdRng| {
+            let rows: Vec<sas_core::WeightedKey> = keys
+                .map(|k| {
+                    let w = if rng.gen_bool(0.1) { 40.0 } else { 1.0 };
+                    sas_core::WeightedKey::new(k, w)
+                })
+                .collect();
+            StoredSample::one_dim(sas_sampling::order::sample(&rows, 30, rng))
+        };
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = batch(0..120, &mut rng);
+            check(&base, "base");
+
+            // Each merge follows a query that built the index.
+            let mut concat = base.clone();
+            check(&concat, "before concat");
+            concat
+                .merge(batch(60..200, &mut rng), None, &mut rng)
+                .unwrap();
+            check(&concat, &format!("seed {seed}: after concat"));
+
+            let mut budgeted = base.clone();
+            check(&budgeted, "before budgeted");
+            budgeted
+                .merge(batch(120..200, &mut rng), Some(25), &mut rng)
+                .unwrap();
+            check(&budgeted, &format!("seed {seed}: after budgeted merge"));
+
+            // The store's mutation path: clone (sharing the built index),
+            // then merge the clone through the erased trait.
+            let before = base.answer_batch(&queries, 0.9).unwrap();
+            let mut copy = base.clone_box();
+            copy.merge_in_place(Box::new(batch(90..200, &mut rng)), None, &mut rng)
+                .unwrap();
+            let copy = copy.as_any().downcast_ref::<StoredSample>().unwrap();
+            check(copy, &format!("seed {seed}: merged clone"));
+            let after = base.answer_batch(&queries, 0.9).unwrap();
+            assert_same_bits(&after, &before, &queries, &format!("seed {seed}: source"));
+            check(&base, &format!("seed {seed}: source"));
         }
     }
 }

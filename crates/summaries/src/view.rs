@@ -17,25 +17,20 @@
 //! alone. Once validation passes, [`SegmentSummary::open`] builds, for every
 //! 1-D key column (the sample keys, and both VarOpt partitions), a `u32`
 //! permutation of item indices stably sorted by key — 4 bytes per item, no
-//! copy of the keys. A 1-D query then binary-searches each of its boxes in
-//! that index instead of testing every key: O(k·log n + hits + n/64) per
-//! query and window for a `k`-box query over `n` items, against O(n·k) for
-//! a scan. 2-D samples keep the column scan.
+//! copy of the keys. 2-D samples keep the column scan.
 //!
-//! ## Bit-identity contract
+//! ## Answers
 //!
-//! Answers are bit-identical to decoding the v1 frame and asking the owned
-//! [`StoredSample`] / [`VarOptSampler`] — pinned by the multi-seed property
-//! tests at the bottom of this file. Columns hold the same little-endian
-//! words the v1 wire carries, and every float fold runs in the **same
-//! order** as the owned scan: the index only *finds* the hits; they are
-//! marked in a bitset and folded in ascending item order (sample hits
-//! through `SampleAccumulator::add`, VarOpt large weights as `w.max(τ)`),
-//! with the same accumulator and the same finish. VarOpt small keys only
-//! count, so their counts are differences of index positions (the boxes of
-//! a validated [`Query`] are disjoint). The 2-D scan mirrors the owned 2-D
-//! loop operation for operation. When the owned fold changes, change this
-//! one.
+//! The answer kernels live in `crate::fold` and are shared with the owned
+//! [`StoredSample`]: a segment hands them its little-endian column runs
+//! where the owned sample hands them its vectors, so the two answer the
+//! same query by running the same code. Columns hold the same words the v1
+//! wire carries, so a segment answers bit for bit like the decoded v1
+//! frame — pinned by the multi-seed property tests at the bottom of this
+//! file, which also check both against an item-by-item reference scan.
+//! VarOpt segments answer through `crate::fold::varopt_1d`; the owned
+//! [`VarOptSampler`] keeps its own scan, and the same tests pin the two
+//! together.
 //!
 //! Merging is the one thing a segment cannot do in place:
 //! [`SegmentSummary::hydrate`] rebuilds the owned summary (the store calls
@@ -43,6 +38,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use rand::RngCore;
@@ -52,8 +48,9 @@ use sas_codec::{CodecError, Writer};
 use sas_core::varopt::VarOptSampler;
 use sas_core::KeyId;
 
-use crate::erased::{answer_one, in_interval, varopt_estimate, SummaryError};
-use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
+use crate::erased::{answer_one, SummaryError};
+use crate::fold::{self, Column, KeyOrder, Le, SampleColumns};
+use crate::query::{Estimate, Query, QueryError};
 use crate::stored::StoredSample;
 use crate::{Summary, SummaryKind};
 
@@ -121,18 +118,21 @@ pub fn encode_segment(s: &dyn Summary) -> Option<Vec<u8>> {
     None
 }
 
-/// A byte range inside the segment, proven in-bounds at open time.
+/// A run of 8-byte `T`s inside the segment, proven in-bounds and a
+/// whole number of words at open time.
 #[derive(Debug, Clone, Copy)]
-struct Col {
+struct Col<T> {
     start: usize,
     end: usize,
+    _value: PhantomData<T>,
 }
 
-impl Col {
+impl<T> Col<T> {
     fn of(entry: &sas_codec::segment::SectionEntry) -> Self {
         Self {
             start: entry.offset as usize,
             end: (entry.offset + entry.len) as usize,
+            _value: PhantomData,
         }
     }
 
@@ -140,102 +140,8 @@ impl Col {
         (self.end - self.start) / 8
     }
 
-    fn slice<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
-        &bytes[self.start..self.end]
-    }
-}
-
-/// Iterates a column run as little-endian `u64`s.
-fn u64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-}
-
-/// Iterates a column run as `f64` bit patterns.
-fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
-    u64s(bytes).map(f64::from_bits)
-}
-
-/// Word `i` of a column run.
-fn u64_at(bytes: &[u8], i: usize) -> u64 {
-    u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("slice of 8"))
-}
-
-/// Word `i` of a column run as an `f64`.
-fn f64_at(bytes: &[u8], i: usize) -> f64 {
-    f64::from_bits(u64_at(bytes, i))
-}
-
-/// The key-order index of one key column: item indices stably sorted by
-/// key (see the module docs). Shared, so cloning a segment stays cheap.
-#[derive(Clone)]
-struct KeyOrder(Arc<[u32]>);
-
-impl fmt::Debug for KeyOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "KeyOrder({} items)", self.0.len())
-    }
-}
-
-/// Items a key-order index can address: its entries are `u32`.
-fn index_len(items: usize) -> Result<u32, CodecError> {
-    u32::try_from(items).map_err(|_| {
-        CodecError::Invalid(format!(
-            "key column of {items} items exceeds the index limit of {}",
-            u32::MAX
-        ))
-    })
-}
-
-impl KeyOrder {
-    /// Sorts the item indices of a validated key column by key, ties in
-    /// item order. The `(key, index)` pairs exist only while sorting.
-    fn build(keys: &[u8]) -> Result<Self, CodecError> {
-        index_len(keys.len() / 8)?;
-        let mut pairs: Vec<(u64, u32)> = u64s(keys).zip(0u32..).collect();
-        pairs.sort_unstable();
-        Ok(KeyOrder(pairs.into_iter().map(|(_, i)| i).collect()))
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The items whose keys lie in `[lo, hi]`, found by binary search.
-    fn span(&self, keys: &[u8], (lo, hi): (u64, u64)) -> &[u32] {
-        let key = |i: &u32| u64_at(keys, *i as usize);
-        let start = self.0.partition_point(|i| key(i) < lo);
-        let rest = &self.0[start..];
-        &rest[..rest.partition_point(|i| key(i) <= hi)]
-    }
-}
-
-/// A bitset over item indices: marks one query's hits, then hands them
-/// back in ascending item order — the fold order of the owned scans.
-struct Hits(Vec<u64>);
-
-impl Hits {
-    fn new(items: usize) -> Self {
-        Hits(vec![0; items.div_ceil(64)])
-    }
-
-    fn mark(&mut self, items: &[u32]) {
-        for &i in items {
-            self.0[i as usize / 64] |= 1 << (i % 64);
-        }
-    }
-
-    /// Calls `f` on every marked item in ascending order and clears the
-    /// set for the next query.
-    fn drain(&mut self, mut f: impl FnMut(usize)) {
-        for (w, word) in self.0.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
+    fn le<'a>(&self, bytes: &'a [u8]) -> Le<'a, T> {
+        Le::new(&bytes[self.start..self.end])
     }
 }
 
@@ -246,11 +152,11 @@ enum Layout {
         dims: usize,
         tau: f64,
         total: f64,
-        keys: Col,
-        weights: Col,
-        adjusted: Col,
-        xs: Col,
-        ys: Col,
+        keys: Col<u64>,
+        weights: Col<f64>,
+        adjusted: Col<f64>,
+        xs: Col<u64>,
+        ys: Col<u64>,
         /// Key-order index over `keys`; `None` for 2-D, which scans.
         order: Option<KeyOrder>,
     },
@@ -260,9 +166,9 @@ enum Layout {
         count: usize,
         total_weight: f64,
         total: f64,
-        large_keys: Col,
-        large_weights: Col,
-        small_keys: Col,
+        large_keys: Col<u64>,
+        large_weights: Col<f64>,
+        small_keys: Col<u64>,
         large_order: KeyOrder,
         small_order: KeyOrder,
     },
@@ -341,11 +247,11 @@ impl SegmentSummary {
         if !(tau.is_finite() && tau >= 0.0) {
             return Err(CodecError::Invalid(format!("invalid threshold {tau}")));
         }
-        let keys = Col::of(&section(view, COL_SAMPLE_KEYS)?);
-        let weights = Col::of(&section(view, COL_SAMPLE_WEIGHTS)?);
-        let adjusted = Col::of(&section(view, COL_SAMPLE_ADJUSTED)?);
-        let xs = Col::of(&section(view, COL_SAMPLE_XS)?);
-        let ys = Col::of(&section(view, COL_SAMPLE_YS)?);
+        let keys: Col<u64> = Col::of(&section(view, COL_SAMPLE_KEYS)?);
+        let weights: Col<f64> = Col::of(&section(view, COL_SAMPLE_WEIGHTS)?);
+        let adjusted: Col<f64> = Col::of(&section(view, COL_SAMPLE_ADJUSTED)?);
+        let xs: Col<u64> = Col::of(&section(view, COL_SAMPLE_XS)?);
+        let ys: Col<u64> = Col::of(&section(view, COL_SAMPLE_YS)?);
         let n = keys.count();
         if weights.count() != n || adjusted.count() != n {
             return Err(CodecError::Invalid(format!(
@@ -361,7 +267,7 @@ impl SegmentSummary {
                 xs.count().max(ys.count())
             )));
         }
-        for (w, a) in f64s(weights.slice(b)).zip(f64s(adjusted.slice(b))) {
+        for (w, a) in weights.le(b).values().zip(adjusted.le(b).values()) {
             if !(w.is_finite() && a.is_finite() && w >= 0.0 && a >= 0.0) {
                 return Err(CodecError::Invalid(format!(
                     "invalid weight pair ({w}, {a})"
@@ -369,9 +275,9 @@ impl SegmentSummary {
             }
         }
         // Mirrors `StoredSample::total_estimate` (same fold order).
-        let total = f64s(adjusted.slice(b)).sum();
+        let total = adjusted.le(b).values().sum();
         let order = match dims {
-            1 => Some(KeyOrder::build(keys.slice(b))?),
+            1 => Some(KeyOrder::build(keys.le(b))?),
             _ => None,
         };
         Ok(Layout::Sample {
@@ -401,9 +307,9 @@ impl SegmentSummary {
         let tau = meta.f64_at(1).expect("count 4");
         let count = meta.u64_at(2).expect("count 4") as usize;
         let total_weight = meta.f64_at(3).expect("count 4");
-        let large_keys = Col::of(&section(view, COL_VAROPT_LARGE_KEYS)?);
-        let large_weights = Col::of(&section(view, COL_VAROPT_LARGE_WEIGHTS)?);
-        let small_keys = Col::of(&section(view, COL_VAROPT_SMALL_KEYS)?);
+        let large_keys: Col<u64> = Col::of(&section(view, COL_VAROPT_LARGE_KEYS)?);
+        let large_weights: Col<f64> = Col::of(&section(view, COL_VAROPT_LARGE_WEIGHTS)?);
+        let small_keys: Col<u64> = Col::of(&section(view, COL_VAROPT_SMALL_KEYS)?);
         if large_weights.count() != large_keys.count() {
             return Err(CodecError::Invalid(format!(
                 "column counts disagree: {} large keys, {} large weights",
@@ -414,14 +320,16 @@ impl SegmentSummary {
         // Reassembling through `from_parts` enforces every reservoir
         // invariant (heap order, weights vs threshold, counts) — and proves
         // `hydrate` cannot fail on these bytes.
-        let large: Vec<(KeyId, f64)> = u64s(large_keys.slice(b))
-            .zip(f64s(large_weights.slice(b)))
+        let large: Vec<(KeyId, f64)> = large_keys
+            .le(b)
+            .values()
+            .zip(large_weights.le(b).values())
             .collect();
-        let small: Vec<KeyId> = u64s(small_keys.slice(b)).collect();
+        let small: Vec<KeyId> = small_keys.le(b).values().collect();
         VarOptSampler::from_parts(capacity, large, small, tau, count, total_weight)
             .map_err(CodecError::Invalid)?;
         // Mirrors the erased `VarOptSampler::total_estimate` (same order).
-        let large_total: f64 = f64s(large_weights.slice(b)).map(|w| w.max(tau)).sum();
+        let large_total: f64 = large_weights.le(b).values().map(|w| w.max(tau)).sum();
         let total = large_total + small_keys.count() as f64 * tau;
         Ok(Layout::VarOpt {
             capacity,
@@ -432,8 +340,8 @@ impl SegmentSummary {
             large_keys,
             large_weights,
             small_keys,
-            large_order: KeyOrder::build(large_keys.slice(b))?,
-            small_order: KeyOrder::build(small_keys.slice(b))?,
+            large_order: KeyOrder::build(large_keys.le(b))?,
+            small_order: KeyOrder::build(small_keys.le(b))?,
         })
     }
 
@@ -463,11 +371,11 @@ impl SegmentSummary {
                 ys,
                 ..
             } => Box::new(StoredSample::from_columns(
-                u64s(keys.slice(b)).collect(),
-                f64s(weights.slice(b)).collect(),
-                f64s(adjusted.slice(b)).collect(),
-                u64s(xs.slice(b)).collect(),
-                u64s(ys.slice(b)).collect(),
+                keys.le(b).values().collect(),
+                weights.le(b).values().collect(),
+                adjusted.le(b).values().collect(),
+                xs.le(b).values().collect(),
+                ys.le(b).values().collect(),
                 *tau,
                 *dims,
             )),
@@ -481,10 +389,12 @@ impl SegmentSummary {
                 small_keys,
                 ..
             } => {
-                let large: Vec<(KeyId, f64)> = u64s(large_keys.slice(b))
-                    .zip(f64s(large_weights.slice(b)))
+                let large: Vec<(KeyId, f64)> = large_keys
+                    .le(b)
+                    .values()
+                    .zip(large_weights.le(b).values())
                     .collect();
-                let small: Vec<KeyId> = u64s(small_keys.slice(b)).collect();
+                let small: Vec<KeyId> = small_keys.le(b).values().collect();
                 Box::new(
                     VarOptSampler::from_parts(*capacity, large, small, *tau, *count, *total_weight)
                         .expect("invariants were validated when the segment was opened"),
@@ -492,127 +402,6 @@ impl SegmentSummary {
             }
         }
     }
-
-    /// 1-D sample answers through the key-order index (module docs).
-    fn answer_sample_1d(
-        &self,
-        tau: f64,
-        [keys, weights, adjusted]: [Col; 3],
-        order: &KeyOrder,
-        queries: &[Query],
-        confidence: f64,
-    ) -> Result<Vec<Estimate>, QueryError> {
-        let b = self.data();
-        let (keys, weights, adjusted) = (keys.slice(b), weights.slice(b), adjusted.slice(b));
-        let compiled = compile(queries, 1)?;
-        let mut hits = Hits::new(order.len());
-        compiled
-            .iter()
-            .map(|boxes| {
-                for axes in boxes {
-                    hits.mark(order.span(keys, axes[0]));
-                }
-                let mut acc = SampleAccumulator::default();
-                hits.drain(|i| acc.add(f64_at(weights, i), f64_at(adjusted, i), tau));
-                acc.finish(tau, confidence)
-            })
-            .collect()
-    }
-
-    /// Mirror of the 2-D branch of `StoredSample::answer_batch` over column
-    /// bytes — see the module docs. Keep the twins in sync.
-    fn answer_sample_2d(
-        &self,
-        tau: f64,
-        [weights, adjusted, xs, ys]: [Col; 4],
-        queries: &[Query],
-        confidence: f64,
-    ) -> Result<Vec<Estimate>, QueryError> {
-        let b = self.data();
-        let compiled = compile(queries, 2)?;
-        let mut accs = vec![SampleAccumulator::default(); queries.len()];
-        let mut qidx: Vec<usize> = Vec::with_capacity(queries.len());
-        let mut b0: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
-        let mut b1: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
-        type MultiBox<'a> = (usize, &'a [Vec<(u64, u64)>]);
-        let mut multi: Vec<MultiBox<'_>> = Vec::new();
-        for (qi, boxes) in compiled.iter().enumerate() {
-            if let [axes] = boxes.as_slice() {
-                qidx.push(qi);
-                b0.push(axes[0]);
-                b1.push(axes[1]);
-            } else {
-                multi.push((qi, boxes.as_slice()));
-            }
-        }
-        let mut flat = vec![SampleAccumulator::default(); qidx.len()];
-        for (((x, y), w), a) in u64s(xs.slice(b))
-            .zip(u64s(ys.slice(b)))
-            .zip(f64s(weights.slice(b)))
-            .zip(f64s(adjusted.slice(b)))
-        {
-            let light = tau > 0.0 && w < tau;
-            let light_var = if light { tau * (tau - w) } else { 0.0 };
-            for ((acc, &(x0, x1)), &(y0, y1)) in flat.iter_mut().zip(&b0).zip(&b1) {
-                if x0 <= x && x <= x1 && y0 <= y && y <= y1 {
-                    acc.add_classified(a, tau, light, light_var);
-                }
-            }
-            for &(qi, boxes) in &multi {
-                if boxes
-                    .iter()
-                    .any(|axes| in_interval(axes[0], x) && in_interval(axes[1], y))
-                {
-                    accs[qi].add_classified(a, tau, light, light_var);
-                }
-            }
-        }
-        for (&qi, acc) in qidx.iter().zip(flat) {
-            accs[qi] = acc;
-        }
-        accs.into_iter()
-            .map(|a| a.finish(tau, confidence))
-            .collect()
-    }
-
-    /// VarOpt answers through the two partitions' key-order indexes: large
-    /// hits fold in item order, small hits are counted by position.
-    fn answer_varopt(
-        &self,
-        tau: f64,
-        [large_keys, large_weights, small_keys]: [Col; 3],
-        [large_order, small_order]: [&KeyOrder; 2],
-        queries: &[Query],
-        confidence: f64,
-    ) -> Result<Vec<Estimate>, QueryError> {
-        let b = self.data();
-        let (large_keys, large_weights) = (large_keys.slice(b), large_weights.slice(b));
-        let small_keys = small_keys.slice(b);
-        let compiled = compile(queries, 1)?;
-        let mut hits = Hits::new(large_order.len());
-        compiled
-            .iter()
-            .map(|boxes| {
-                let mut small = 0;
-                for axes in boxes {
-                    hits.mark(large_order.span(large_keys, axes[0]));
-                    small += small_order.span(small_keys, axes[0]).len();
-                }
-                let mut large = 0.0;
-                hits.drain(|i| large += f64_at(large_weights, i).max(tau));
-                varopt_estimate(large, small, tau, confidence)
-            })
-            .collect()
-    }
-}
-
-/// One query's disjoint boxes, each a list of per-axis closed intervals.
-type Boxes = Vec<Vec<(u64, u64)>>;
-
-/// Every query's boxes, compiled up front so a malformed query fails the
-/// batch before any answer is computed — as the owned paths do.
-fn compile(queries: &[Query], dims: usize) -> Result<Vec<Boxes>, QueryError> {
-    queries.iter().map(|q| q.boxes(dims)).collect()
 }
 
 impl Summary for SegmentSummary {
@@ -664,30 +453,31 @@ impl Summary for SegmentSummary {
         queries: &[Query],
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
+        let b = self.data();
         match &self.layout {
             Layout::Sample {
                 tau,
                 keys,
                 weights,
                 adjusted,
-                order: Some(order),
-                ..
-            } => self.answer_sample_1d(
-                *tau,
-                [*keys, *weights, *adjusted],
-                order,
-                queries,
-                confidence,
-            ),
-            Layout::Sample {
-                tau,
-                weights,
-                adjusted,
                 xs,
                 ys,
-                order: None,
+                order,
                 ..
-            } => self.answer_sample_2d(*tau, [*weights, *adjusted, *xs, *ys], queries, confidence),
+            } => {
+                let cols = SampleColumns {
+                    tau: *tau,
+                    keys: keys.le(b),
+                    weights: weights.le(b),
+                    adjusted: adjusted.le(b),
+                    xs: xs.le(b),
+                    ys: ys.le(b),
+                };
+                match order {
+                    Some(order) => fold::sample_1d(&cols, order, queries, confidence),
+                    None => fold::sample_2d(&cols, queries, confidence),
+                }
+            }
             Layout::VarOpt {
                 tau,
                 large_keys,
@@ -696,10 +486,10 @@ impl Summary for SegmentSummary {
                 large_order,
                 small_order,
                 ..
-            } => self.answer_varopt(
+            } => fold::varopt_1d(
                 *tau,
-                [*large_keys, *large_weights, *small_keys],
-                [large_order, small_order],
+                (large_keys.le(b), large_weights.le(b), large_order),
+                (small_keys.le(b), small_order),
                 queries,
                 confidence,
             ),
@@ -741,6 +531,8 @@ impl Summary for SegmentSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erased::in_interval;
+    use crate::fold::tests::{assert_same_bits, reference_answers};
     use crate::{decode_summary, encode_summary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -822,21 +614,14 @@ mod tests {
         for confidence in [0.5, 0.9, 0.99] {
             let a = owned.answer_batch(queries, confidence).unwrap();
             let b = seg.answer_batch(queries, confidence).unwrap();
-            assert_eq!(a.len(), b.len());
-            for ((q, x), y) in queries.iter().zip(&a).zip(&b) {
-                assert_eq!(x.value.to_bits(), y.value.to_bits(), "{ctx}: {q} value");
-                assert_eq!(
-                    x.variance.to_bits(),
-                    y.variance.to_bits(),
-                    "{ctx}: {q} variance"
-                );
-                assert_eq!(x.lower.to_bits(), y.lower.to_bits(), "{ctx}: {q} lower");
-                assert_eq!(x.upper.to_bits(), y.upper.to_bits(), "{ctx}: {q} upper");
-                assert_eq!(
-                    x.confidence.to_bits(),
-                    y.confidence.to_bits(),
-                    "{ctx}: {q} confidence"
-                );
+            assert_same_bits(&a, &b, queries, ctx);
+            // Owned and mapped samples share their kernels, so agreeing
+            // with each other proves nothing about the fold itself: pin
+            // both to the independent item-by-item reference scan.
+            if let Some(sample) = owned.as_any().downcast_ref::<StoredSample>() {
+                let reference = reference_answers(sample, queries, confidence);
+                assert_same_bits(&a, &reference, queries, &format!("{ctx}: owned vs scan"));
+                assert_same_bits(&b, &reference, queries, &format!("{ctx}: mapped vs scan"));
             }
             // The single-answer path routes through the same batch loop.
             for q in queries {
@@ -1073,31 +858,6 @@ mod tests {
             let seg = SegmentSummary::from_vec(encode_segment(owned).unwrap()).unwrap();
             assert_answers_bit_identical(owned, &seg, &queries, "empty");
         }
-    }
-
-    #[test]
-    fn key_order_index_is_a_stable_sort_by_key() {
-        let keys: Vec<u8> = [5u64, 1, 5, u64::MAX, 0, 1, 5]
-            .iter()
-            .flat_map(|k| k.to_le_bytes())
-            .collect();
-        let order = KeyOrder::build(&keys).unwrap();
-        assert_eq!(&*order.0, &[4, 1, 5, 0, 2, 6, 3]);
-        assert_eq!(order.span(&keys, (5, 5)), &[0, 2, 6]);
-        assert_eq!(order.span(&keys, (2, 4)), &[] as &[u32]);
-        assert_eq!(order.span(&keys, (0, u64::MAX)).len(), 7);
-        assert_eq!(order.span(&keys, (u64::MAX, u64::MAX)), &[3]);
-    }
-
-    #[test]
-    fn key_order_index_caps_columns_at_u32_items() {
-        // `open` refuses a key column the `u32` index cannot address (a
-        // 32 GiB column; the limit is checked on the item count).
-        assert!(index_len(u32::MAX as usize).is_ok());
-        assert!(matches!(
-            index_len(u32::MAX as usize + 1),
-            Err(CodecError::Invalid(_))
-        ));
     }
 
     #[test]
