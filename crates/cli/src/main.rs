@@ -400,7 +400,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             dataset_inflight: shed,
             slow_query: (slow_query_ms != u64::MAX).then(|| Duration::from_millis(slow_query_ms)),
             // The event loop drives retention + compaction on this
-            // cadence; no separate compactor thread.
+            // cadence.
             lifecycle_every: (compact_every_ms > 0)
                 .then(|| Duration::from_millis(compact_every_ms)),
             ..defaults

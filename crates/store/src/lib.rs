@@ -22,15 +22,19 @@
 //!   `(dataset, kind)` series last changed. A write therefore retires only
 //!   the answers of the series it touched, and since versions are never
 //!   reused, a stale answer can never be addressed.
-//! * **Merge-tree compaction** — a background pass rolls sealed minute
-//!   windows into hours and hours into days with
+//! * **Merge-tree compaction** — [`Store::lifecycle_tick`] rolls sealed
+//!   minute windows into hours and hours into days with
 //!   [`sas_summaries::merge_tree`] under a per-window deterministic seed,
 //!   so a compacted window is **bit-identical** to an offline rebuild of
-//!   its children ([`rebuild_parent`]).
+//!   its children ([`rebuild_parent`]). The daemon's event loop drives the
+//!   tick; embedded users call it themselves.
 //! * **Crash-safe persistence** — every window is a `sas-codec` frame
 //!   written via temp-file + `rename` ([`fsio::write_atomic`]), referenced
-//!   by an atomically-rewritten [`Manifest`](manifest::Manifest). Restart
-//!   recovery replays the manifest and sweeps crash debris.
+//!   by an atomically-rewritten [`Manifest`](manifest::Manifest). Every
+//!   catalog change goes through one private `Commit`, whose `finish` is
+//!   the one place that orders the writes: frames before the manifest
+//!   that names them, deletions after the manifest that forgets them.
+//!   Restart recovery replays the manifest and sweeps crash debris.
 //!
 //! The TCP daemon (`sas serve`) and its client live in [`server`] and
 //! [`client`]; the wire messages in [`wire`].
@@ -55,8 +59,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,14 +72,14 @@ use sas_obs::{
 use sas_codec::segment::is_segment;
 use sas_codec::CodecError;
 use sas_summaries::{
-    decode_summaries, encode_segment, encode_summary, merge_tree_with, Estimate, MergeArena, Query,
+    decode_summary, encode_segment, encode_summary, merge_tree_with, Estimate, MergeArena, Query,
     QueryError, SegmentSummary, Summary, SummaryError, SummaryKind,
 };
 
 use cache::{CacheKey, QueryCache};
 use manifest::{Manifest, ManifestEntry};
 use policy::{Coverage, Policy};
-use window::{valid_dataset, window_seed, Level, WindowKey};
+use window::{check_dataset, valid_dataset, window_seed, Level, WindowKey};
 
 /// File name of the store manifest inside the store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.sas";
@@ -407,46 +411,21 @@ impl Store {
             bump_max(&mut writer.watermarks, (dataset.clone(), *kind_tag), *floor);
             bump_max(&mut writer.floors, (dataset.clone(), *kind_tag), *floor);
         }
-        // Read every frame first, then batch-decode: recovery touches the
-        // disk in one sequential sweep and the decode loop stays tight.
         // Segment files stay *mapped*: their validation pass walks the map
         // once (warming the page cache) and the window serves queries in
-        // place with no heap copy until a merge hydrates it.
-        enum Slot {
-            Segment(Box<dyn Summary>, u64),
-            Frame(usize),
-        }
-        let mut slots = Vec::with_capacity(manifest.entries.len());
-        let mut frames = Vec::new();
+        // place with no heap copy until a merge hydrates it. v1 frames
+        // decode straight from their map.
         let mut mapped_windows = 0u64;
         for entry in &manifest.entries {
             let path = frame_path(&dir, &entry.key);
             let buf = mapped::Mapped::open(&path).map_err(|e| StoreError::Io(path, e))?;
-            if is_segment(buf.as_ref()) {
-                let len = buf.len() as u64;
-                let seg = SegmentSummary::open(Arc::new(buf))?;
-                slots.push(Slot::Segment(Box::new(seg), len));
+            let bytes = buf.len() as u64;
+            let summary: Box<dyn Summary> = if is_segment(buf.as_ref()) {
                 mapped_windows += 1;
+                Box::new(SegmentSummary::open(Arc::new(buf))?)
             } else {
-                frames.push(buf.as_ref().to_vec());
-                slots.push(Slot::Frame(frames.len() - 1));
-            }
-        }
-        let mut summaries = decode_summaries(&frames)?;
-        // Drain v1 summaries back into entry order (reverse so the vec
-        // pops match the ascending frame indices).
-        let mut resolved: Vec<(Box<dyn Summary>, u64)> = Vec::with_capacity(slots.len());
-        for slot in slots.into_iter().rev() {
-            resolved.push(match slot {
-                Slot::Segment(summary, len) => (summary, len),
-                Slot::Frame(i) => {
-                    let bytes = frames[i].len() as u64;
-                    (summaries.pop().expect("one summary per frame"), bytes)
-                }
-            });
-        }
-        resolved.reverse();
-        for (entry, (summary, bytes)) in manifest.entries.iter().zip(resolved) {
+                decode_summary(buf.as_ref())?
+            };
             if summary.kind() != entry.key.kind {
                 return Err(StoreError::BadRequest(format!(
                     "manifest says {} holds a {} summary, file holds {}",
@@ -591,31 +570,27 @@ impl Store {
         ts: u64,
         batch: Box<dyn Summary>,
     ) -> Result<Arc<WindowState>, StoreError> {
-        if !valid_dataset(dataset) {
-            return Err(StoreError::BadRequest(format!(
-                "invalid dataset name '{dataset}' (want [A-Za-z0-9_-]+, at most 128 chars)"
-            )));
-        }
+        check_dataset(dataset).map_err(StoreError::BadRequest)?;
         let key = WindowKey::minute(dataset, batch.kind(), ts);
-        let mut writer = self.writer.lock().expect("writer lock");
+        let mut commit = self.begin();
         let series = series_of(&key);
-        let floor = writer.floors.get(&series).copied().unwrap_or(0);
+        let floor = commit.writer.floors.get(&series).copied().unwrap_or(0);
         if key.start < floor {
             return Err(StoreError::Stale { key, floor });
         }
 
-        let snap = self.snapshot();
         // Policy budget clamps apply to ingest-time merges: a per-kind
         // entry overrides the store-wide budget for this dataset. Roll-ups
         // keep the store budget so compaction stays bit-identical to the
         // offline rebuild.
-        let budget = writer
+        let budget = commit
+            .writer
             .policies
             .get(dataset)
             .and_then(|p| p.per_kind_budget.get(&key.kind.tag()))
             .map(|&b| b as usize)
             .or(self.config.budget);
-        let (summary, batches) = match snap.windows.get(&key) {
+        let (summary, batches) = match commit.prev.windows.get(&key) {
             None => (batch, 1),
             Some(existing) => {
                 let mut merged = self.hydrate_counted(existing.summary.as_ref());
@@ -630,21 +605,12 @@ impl Store {
         };
 
         let bytes = encode_summary(summary.as_ref());
-        let path = frame_path(&self.dir, &key);
-        fsio::write_atomic(&path, &bytes).map_err(|e| StoreError::Io(path, e))?;
-
-        let state = Arc::new(WindowState {
-            key: key.clone(),
-            summary,
-            batches,
-            frame_bytes: bytes.len() as u64,
-        });
-        let mut windows = snap.windows.clone();
-        windows.insert(key.clone(), state.clone());
+        commit.write(&key, &bytes)?;
+        let state = commit.insert(&key, summary, batches, &bytes);
         // The watermark advances before the manifest write so the
         // persisted lifecycle state can never lag the windows it governs.
-        bump_max(&mut writer.watermarks, series, key.end());
-        self.persist_and_publish(&mut writer, windows, &snap)?;
+        bump_max(&mut commit.writer.watermarks, series, key.end());
+        commit.finish()?;
         self.obs.ingested_batches.inc();
         Ok(state)
     }
@@ -802,11 +768,8 @@ impl Store {
     /// deterministic merge tree. Returns the number of roll-ups performed.
     pub fn compact_once(&self) -> Result<usize, StoreError> {
         let pass_started = Instant::now();
-        let mut writer = self.writer.lock().expect("writer lock");
+        let mut commit = self.begin();
         self.obs.compactions.inc();
-        let snap = self.snapshot();
-        let mut windows = snap.windows.clone();
-        let mut doomed_paths: Vec<PathBuf> = Vec::new();
         let mut rollups = 0usize;
         // One arena serves every roll-up of the pass: the merge scratch is
         // allocated once, not once per merge (bit-identical either way).
@@ -816,7 +779,8 @@ impl Store {
         // within the same pass.
         for level in [Level::Minute, Level::Hour] {
             let mut groups: BTreeMap<WindowKey, Vec<Arc<WindowState>>> = BTreeMap::new();
-            for (key, state) in windows.iter().filter(|(k, _)| k.level == level) {
+            let writer = &commit.writer;
+            for (key, state) in commit.windows.iter().filter(|(k, _)| k.level == level) {
                 let parent = key.parent().expect("minute/hour have parents");
                 let watermark = writer.watermarks.get(&series_of(key)).copied().unwrap_or(0);
                 // Policy cadence: the dataset may delay sealing until the
@@ -845,34 +809,22 @@ impl Store {
                     &mut arena,
                 )?;
                 let bytes = encode_summary(merged.as_ref());
-                let path = frame_path(&self.dir, &parent_key);
-                fsio::write_atomic(&path, &bytes).map_err(|e| StoreError::Io(path, e))?;
+                commit.write(&parent_key, &bytes)?;
                 for child in &children {
-                    windows.remove(&child.key);
-                    doomed_paths.push(frame_path(&self.dir, &child.key));
+                    commit.remove(&child.key);
                 }
-                bump_max(&mut writer.floors, series_of(&parent_key), parent_key.end());
-                windows.insert(
-                    parent_key.clone(),
-                    Arc::new(WindowState {
-                        key: parent_key.clone(),
-                        summary: merged,
-                        batches,
-                        frame_bytes: bytes.len() as u64,
-                    }),
+                bump_max(
+                    &mut commit.writer.floors,
+                    series_of(&parent_key),
+                    parent_key.end(),
                 );
+                commit.insert(&parent_key, merged, batches, &bytes);
                 rollups += 1;
             }
         }
 
         if rollups > 0 {
-            self.persist_and_publish(&mut writer, windows, &snap)?;
-            // Child frames go last: if we crash before this point the
-            // manifest no longer names them and open() sweeps them as
-            // orphans.
-            for path in doomed_paths {
-                fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
-            }
+            commit.finish()?;
             self.obs.rollups.add(rollups as u64);
         }
         let elapsed = pass_started.elapsed();
@@ -895,21 +847,19 @@ impl Store {
     /// pass is a pure function of the ingest history: replaying the same
     /// ingests and ticks reproduces the same store bit-for-bit.
     ///
-    /// Ordering is the compaction crash contract in reverse: the manifest
-    /// (no longer naming the expired windows, now carrying their retention
-    /// floor) is written *first*, frame deletion second — a crash between
-    /// the two leaves orphans that `open()` sweeps. Dropped spans also
-    /// raise the series ingest floor, so an expired tick can never be
-    /// re-ingested (which would make retention order observable).
-    /// Returns the number of windows dropped.
+    /// The manifest (no longer naming the expired windows, now carrying
+    /// their retention floor) is written *first*, frame deletion second —
+    /// a crash between the two leaves orphans that `open()` sweeps.
+    /// Dropped spans also raise the series ingest floor, so an expired
+    /// tick can never be re-ingested (which would make retention order
+    /// observable). Returns the number of windows dropped.
     pub fn retain_once(&self) -> Result<usize, StoreError> {
-        let mut writer = self.writer.lock().expect("writer lock");
+        let mut commit = self.begin();
         self.obs.retention_passes.inc();
-        let snap = self.snapshot();
-        let mut windows = snap.windows.clone();
-        let mut doomed_paths: Vec<PathBuf> = Vec::new();
+        let prev = commit.prev.clone();
         let mut expired = 0usize;
-        for key in snap.windows.keys() {
+        for key in prev.windows.keys() {
+            let writer = &mut *commit.writer;
             let Some(ttl) = writer
                 .policies
                 .get(&key.dataset)
@@ -920,19 +870,15 @@ impl Store {
             let series = series_of(key);
             let watermark = writer.watermarks.get(&series).copied().unwrap_or(0);
             if key.end().saturating_add(ttl) <= watermark {
-                windows.remove(key);
-                doomed_paths.push(frame_path(&self.dir, key));
                 let floor = writer.retention_floors.entry(series.clone()).or_insert(0);
                 *floor = (*floor).max(key.end());
                 bump_max(&mut writer.floors, series, key.end());
+                commit.remove(key);
                 expired += 1;
             }
         }
         if expired > 0 {
-            self.persist_and_publish(&mut writer, windows, &snap)?;
-            for path in doomed_paths {
-                fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
-            }
+            commit.finish()?;
             self.obs.expired_windows.add(expired as u64);
             slog!(LogLevel::Debug, "retention_pass", expired = expired);
         }
@@ -954,11 +900,7 @@ impl Store {
     /// policy and persists it in the manifest. Takes effect from the next
     /// ingest / lifecycle tick; nothing is retro-actively re-merged.
     pub fn set_policy(&self, dataset: &str, policy: Policy) -> Result<(), StoreError> {
-        if !valid_dataset(dataset) {
-            return Err(StoreError::BadRequest(format!(
-                "invalid dataset name '{dataset}' (want [A-Za-z0-9_-]+, at most 128 chars)"
-            )));
-        }
+        check_dataset(dataset).map_err(StoreError::BadRequest)?;
         // The manifest decoder rejects unknown kinds and zero budgets;
         // refuse to persist what recovery could not read back.
         for (&tag, &budget) in &policy.per_kind_budget {
@@ -973,16 +915,15 @@ impl Store {
                 ));
             }
         }
-        let mut writer = self.writer.lock().expect("writer lock");
-        let snap = self.snapshot();
+        let mut commit = self.begin();
         if policy.is_empty() {
-            writer.policies.remove(dataset);
+            commit.writer.policies.remove(dataset);
         } else {
-            writer.policies.insert(dataset.to_string(), policy);
+            commit.writer.policies.insert(dataset.to_string(), policy);
         }
         // No window changes, so every series keeps its stamp and no cached
         // answer is retired.
-        self.persist_and_publish(&mut writer, snap.windows.clone(), &snap)
+        commit.finish()
     }
 
     /// The installed policy for one dataset, if any.
@@ -1014,11 +955,10 @@ impl Store {
     /// whose kind has no segment layout (the deterministic summaries) are
     /// left untouched either way. Returns the number of windows rewritten.
     pub fn convert(&self, format: StorageFormat) -> Result<usize, StoreError> {
-        let mut writer = self.writer.lock().expect("writer lock");
-        let snap = self.snapshot();
-        let mut windows = snap.windows.clone();
+        let mut commit = self.begin();
+        let prev = commit.prev.clone();
         let mut converted = 0usize;
-        for (key, state) in &snap.windows {
+        for (key, state) in &prev.windows {
             let is_seg = state
                 .summary
                 .as_any()
@@ -1032,9 +972,7 @@ impl Store {
                     let Some(bytes) = encode_segment(state.summary.as_ref()) else {
                         continue;
                     };
-                    let path = frame_path(&self.dir, key);
-                    fsio::write_atomic(&path, &bytes)
-                        .map_err(|e| StoreError::Io(path.clone(), e))?;
+                    let path = commit.write(key, &bytes)?;
                     let buf = mapped::Mapped::open(&path).map_err(|e| StoreError::Io(path, e))?;
                     let seg = SegmentSummary::open(Arc::new(buf))?;
                     (bytes, Box::new(seg))
@@ -1045,38 +983,100 @@ impl Store {
                     }
                     let summary = self.hydrate_counted(state.summary.as_ref());
                     let bytes = encode_summary(summary.as_ref());
-                    let path = frame_path(&self.dir, key);
-                    fsio::write_atomic(&path, &bytes).map_err(|e| StoreError::Io(path, e))?;
+                    commit.write(key, &bytes)?;
                     (bytes, summary)
                 }
             };
-            windows.insert(
-                key.clone(),
-                Arc::new(WindowState {
-                    key: key.clone(),
-                    summary,
-                    batches: state.batches,
-                    frame_bytes: bytes.len() as u64,
-                }),
-            );
+            commit.insert(key, summary, state.batches, &bytes);
             converted += 1;
         }
         if converted > 0 {
-            self.persist_and_publish(&mut writer, windows, &snap)?;
+            commit.finish()?;
         }
         Ok(converted)
     }
 
-    /// Writes the manifest for `windows` and swaps in the new snapshot,
-    /// the successor of `prev`, re-stamping exactly the series whose
-    /// windows differ from `prev`'s. Callers must hold the writer lock
-    /// (enforced by the `&mut WriterState` borrow).
-    fn persist_and_publish(
-        &self,
-        writer: &mut WriterState,
-        windows: BTreeMap<WindowKey, Arc<WindowState>>,
-        prev: &Snapshot,
-    ) -> Result<(), StoreError> {
+    /// Starts a catalog change: takes the writer lock and pins the current
+    /// snapshot, whose window map the change edits a copy of.
+    fn begin(&self) -> Commit<'_> {
+        let writer = self.writer.lock().expect("writer lock");
+        let prev = self.snapshot();
+        Commit {
+            store: self,
+            writer,
+            windows: prev.windows.clone(),
+            prev,
+            doomed: Vec::new(),
+        }
+    }
+}
+
+/// One catalog change in flight, holding the writer lock. Every change
+/// (ingest, roll-up, retention, policy, convert) goes through it, so the
+/// crash ordering lives in one place: frames are written as they are
+/// staged, [`Commit::finish`] writes the manifest that names them, and
+/// only then deletes the frames the manifest forgot. A crash at any step
+/// leaves a directory that `open()` recovers to the old or the new
+/// catalog, with one known exception: a `write` over a frame the old
+/// manifest names (an ingest into an existing window) replaces it before
+/// the manifest does (DESIGN.md, "Crash safety"). Dropping an unfinished
+/// commit publishes nothing.
+struct Commit<'a> {
+    store: &'a Store,
+    writer: MutexGuard<'a, WriterState>,
+    /// The snapshot this change succeeds.
+    prev: Arc<Snapshot>,
+    /// The next snapshot's windows.
+    windows: BTreeMap<WindowKey, Arc<WindowState>>,
+    /// Frames of removed windows, deleted after the manifest.
+    doomed: Vec<PathBuf>,
+}
+
+impl Commit<'_> {
+    /// Writes a window's frame atomically and returns its path.
+    fn write(&self, key: &WindowKey, bytes: &[u8]) -> Result<PathBuf, StoreError> {
+        let path = frame_path(&self.store.dir, key);
+        fsio::write_atomic(&path, bytes).map_err(|e| StoreError::Io(path.clone(), e))?;
+        Ok(path)
+    }
+
+    /// Stages a window whose frame, `bytes`, has been written.
+    fn insert(
+        &mut self,
+        key: &WindowKey,
+        summary: Box<dyn Summary>,
+        batches: u64,
+        bytes: &[u8],
+    ) -> Arc<WindowState> {
+        let state = Arc::new(WindowState {
+            key: key.clone(),
+            summary,
+            batches,
+            frame_bytes: bytes.len() as u64,
+        });
+        self.windows.insert(key.clone(), state.clone());
+        state
+    }
+
+    /// Stages a window's removal; its frame is deleted by `finish`.
+    fn remove(&mut self, key: &WindowKey) {
+        self.windows.remove(key);
+        self.doomed.push(frame_path(&self.store.dir, key));
+    }
+
+    /// Writes the manifest, swaps in the successor of `prev` (re-stamping
+    /// exactly the series whose windows differ from `prev`'s), then
+    /// deletes the removed windows' frames. A crash before the manifest
+    /// leaves the new frames as orphans; a crash after it leaves the old
+    /// ones. `open()` sweeps either.
+    fn finish(self) -> Result<(), StoreError> {
+        let Commit {
+            store,
+            mut writer,
+            prev,
+            windows,
+            doomed,
+        } = self;
         writer.manifest_sequence += 1;
         let manifest = Manifest {
             sequence: writer.manifest_sequence,
@@ -1091,17 +1091,19 @@ impl Store {
             policies: writer.policies.clone(),
             retention_floors: writer.retention_floors.clone(),
         };
-        let path = self.dir.join(MANIFEST_FILE);
+        let path = store.dir.join(MANIFEST_FILE);
         fsio::write_atomic(&path, &manifest.encode()).map_err(|e| StoreError::Io(path, e))?;
         let version = prev.version + 1;
-        let series_versions = restamp(prev, &windows, version);
-        let next = Arc::new(Snapshot {
+        let series_versions = restamp(&prev, &windows, version);
+        *store.snapshot.write().expect("snapshot lock") = Arc::new(Snapshot {
             version,
             windows,
             series_versions,
             retention_floors: writer.retention_floors.clone(),
         });
-        *self.snapshot.write().expect("snapshot lock") = next;
+        for path in doomed {
+            fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
+        }
         Ok(())
     }
 }
@@ -1220,71 +1222,6 @@ fn restamp(
 fn bump_max(map: &mut HashMap<(String, u16), u64>, series: (String, u16), value: u64) {
     let slot = map.entry(series).or_insert(0);
     *slot = (*slot).max(value);
-}
-
-/// Handle to the background lifecycle thread; stops and joins on drop.
-/// The daemon drives [`Store::lifecycle_tick`] from its event loop instead;
-/// this thread serves embedded users of the store.
-#[derive(Debug)]
-pub struct Compactor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Compactor {
-    /// Spawns a thread running [`Store::lifecycle_tick`] every `interval`.
-    pub fn start(store: Arc<Store>, interval: Duration) -> Compactor {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_stop = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("sas-store-compactor".into())
-            .spawn(move || {
-                let (lock, cvar) = &*thread_stop;
-                let mut stopped = lock.lock().expect("compactor lock");
-                loop {
-                    let (guard, _) = cvar
-                        .wait_timeout(stopped, interval)
-                        .expect("compactor wait");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    // Lifecycle failures must not kill the thread; the
-                    // next pass retries (the store itself stays valid —
-                    // snapshots only swap after a full successful pass).
-                    if let Err(e) = store.lifecycle_tick() {
-                        slog!(LogLevel::Warn, "lifecycle_tick_failed", err = e);
-                    }
-                    stopped = lock.lock().expect("compactor lock");
-                }
-            })
-            .expect("spawn compactor");
-        Compactor {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the thread and waits for it to finish.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let (lock, cvar) = &*self.stop;
-        *lock.lock().expect("compactor lock") = true;
-        cvar.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 #[cfg(test)]

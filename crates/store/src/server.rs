@@ -56,8 +56,7 @@
 //! re-evaluation. A subscriber whose outbox exceeds the write budget is
 //! shed with `RESP_BUSY` and closed, exactly like an over-limit arrival.
 //! With `lifecycle_every` set, the loop also schedules a single-inflight
-//! lifecycle job (retention, then compaction) on that cadence — no
-//! separate compactor thread.
+//! lifecycle job (retention, then compaction) on that cadence.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -566,25 +565,21 @@ impl Server {
                                 // empty dataset is fine — data may arrive —
                                 // but an *invalid* name never can, since
                                 // ingest would have refused it.
-                                let valid = crate::window::valid_dataset(&spec.dataset);
-                                let response = if !valid {
-                                    Response::Err(format!(
-                                        "invalid dataset name '{}' (want [A-Za-z0-9_-]+, at most 128 chars)",
-                                        spec.dataset
-                                    ))
-                                } else {
-                                    match store.estimate_with_coverage(
-                                        &spec.dataset,
-                                        spec.kind,
-                                        &spec.query,
-                                        spec.confidence,
-                                        spec.time,
-                                    ) {
-                                        Err(e) => Response::Err(e.to_string()),
-                                        Ok(_) => {
-                                            register_watch = Some((watch_id, spec));
-                                            Response::Watch { watch_id }
-                                        }
+                                let response = match crate::window::check_dataset(&spec.dataset)
+                                    .map_err(crate::StoreError::BadRequest)
+                                    .and_then(|()| {
+                                        store.estimate_with_coverage(
+                                            &spec.dataset,
+                                            spec.kind,
+                                            &spec.query,
+                                            spec.confidence,
+                                            spec.time,
+                                        )
+                                    }) {
+                                    Err(e) => Response::Err(e.to_string()),
+                                    Ok(_) => {
+                                        register_watch = Some((watch_id, spec));
+                                        Response::Watch { watch_id }
                                     }
                                 };
                                 (

@@ -171,6 +171,18 @@ pub fn valid_dataset(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
+/// [`valid_dataset`] as a check: the one error message every request
+/// path returns for a name it refuses.
+pub(crate) fn check_dataset(name: &str) -> Result<(), String> {
+    if valid_dataset(name) {
+        Ok(())
+    } else {
+        Err(format!(
+            "invalid dataset name '{name}' (want [A-Za-z0-9_-]+, at most 128 chars)"
+        ))
+    }
+}
+
 /// Deterministic RNG seed for a window's merges (FNV-1a over the key
 /// fields, finished with a splitmix64 scramble). Compaction and its offline
 /// rebuild both seed from here, which is what makes them bit-identical.

@@ -293,9 +293,11 @@ pub fn decode_summary(bytes: &[u8]) -> Result<Box<dyn Summary>, CodecError> {
 }
 
 /// Batch-decodes a set of frames in order, stopping at the first corrupt
-/// one. This is the shape store recovery and the merge-from-disk benches
-/// want: decode everything up front, then merge the decoded summaries as
+/// one. This is the shape the codec bench's merge-from-disk measurement
+/// wants: decode everything up front, then merge the decoded summaries as
 /// one [`merge_tree_with`] pass instead of interleaving decode and merge.
+/// Store recovery does not use it: it decodes each frame from its map as
+/// it opens it.
 pub fn decode_summaries<B: AsRef<[u8]>>(frames: &[B]) -> Result<Vec<Box<dyn Summary>>, CodecError> {
     frames.iter().map(|b| decode_summary(b.as_ref())).collect()
 }
