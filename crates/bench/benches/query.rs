@@ -8,7 +8,7 @@ use sas_bench::{network_workload, Scale};
 use sas_data::uniform_area_queries;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
-use sas_summaries::RangeSumSummary;
+use sas_summaries::Summary;
 
 fn bench_query(c: &mut Criterion) {
     let w = network_workload(Scale::Small);
@@ -24,16 +24,16 @@ fn bench_query(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("query_500_rects");
     for (name, summary) in [
-        ("aware", &aware as &dyn RangeSumSummary),
-        ("obliv", &obliv as &dyn RangeSumSummary),
-        ("wavelet", &wavelet as &dyn RangeSumSummary),
-        ("qdigest", &qdigest as &dyn RangeSumSummary),
+        ("aware", &aware as &dyn Summary),
+        ("obliv", &obliv as &dyn Summary),
+        ("wavelet", &wavelet as &dyn Summary),
+        ("qdigest", &qdigest as &dyn Summary),
     ] {
         group.bench_function(BenchmarkId::new(name, s), |b| {
             b.iter(|| {
                 let mut acc = 0.0;
                 for q in &queries {
-                    acc += summary.estimate_multi(q);
+                    acc += sas_bench::answer_value(summary, q);
                 }
                 acc
             })

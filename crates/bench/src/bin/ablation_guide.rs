@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sas_bench::*;
 use sas_data::uniform_area_queries;
-use sas_summaries::exact::SampleSummary;
+use sas_summaries::StoredSample;
 
 fn main() {
     let scale = Scale::from_env();
@@ -30,7 +30,7 @@ fn main() {
             let (summary, t) = timed(|| {
                 let mut rng = StdRng::seed_from_u64(1000 * factor as u64 + seed);
                 let sample = sas_sampling::two_pass::sample_product(&w.data, s, factor, &mut rng);
-                SampleSummary::new("aware", &sample, &w.data)
+                StoredSample::spatial(sample, &w.data).expect("every sampled key has a location")
             });
             secs += t;
             err += avg_abs_error(&summary, &w.exact, &queries, w.total);

@@ -18,7 +18,7 @@ use sas_core::aggregate::{aggregate_all, AggregationState};
 use sas_core::Sample;
 use sas_data::uniform_area_queries;
 use sas_sampling::IppsSetup;
-use sas_summaries::exact::SampleSummary;
+use sas_summaries::StoredSample;
 
 fn main() {
     let scale = Scale::from_env();
@@ -37,7 +37,8 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(3000 + seed);
         // Structured: main-memory kd-hierarchy aggregation.
         let aware = sas_sampling::product::sample(&w.data, s, &mut rng);
-        let aware = SampleSummary::new("structured", &aware, &w.data);
+        let aware =
+            StoredSample::spatial(aware, &w.data).expect("every sampled key has a location");
         err_structured += avg_abs_error(&aware, &w.exact, &queries, w.total);
 
         // Arbitrary: same IPPS setup, pairs aggregated in arbitrary order.
@@ -58,7 +59,7 @@ fn main() {
             setup.certain.iter().map(|wk| wk.key),
             setup.tau,
         ));
-        let arb = SampleSummary::new("arbitrary", &smp, &w.data);
+        let arb = StoredSample::spatial(smp, &w.data).expect("every sampled key has a location");
         err_arbitrary += avg_abs_error(&arb, &w.exact, &queries, w.total);
     }
 

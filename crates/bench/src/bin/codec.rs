@@ -22,9 +22,7 @@ use sas_sampling::sharded::{per_shard_samples, ShardedConfig};
 use sas_summaries::countsketch::SketchSummary;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
-use sas_summaries::{
-    decode_summaries, decode_summary, encode_summary, merge_tree, StoredSample, Summary,
-};
+use sas_summaries::{decode_summary, encode_summary, merge_tree, StoredSample, Summary};
 
 fn main() -> std::process::ExitCode {
     match run() {
@@ -171,8 +169,11 @@ fn run() -> Result<(), String> {
                 .iter()
                 .map(|p| std::fs::read(p).map_err(|e| format!("read shard frame: {e}")))
                 .collect::<Result<_, _>>()?;
-            let decoded: Vec<Box<dyn Summary>> =
-                decode_summaries(&frames).map_err(|e| format!("decode shard frame: {e}"))?;
+            let decoded: Vec<Box<dyn Summary>> = frames
+                .iter()
+                .map(|f| decode_summary(f))
+                .collect::<Result<_, _>>()
+                .map_err(|e| format!("decode shard frame: {e}"))?;
             let merged =
                 merge_tree(decoded, Some(s), &mut rng).map_err(|e| format!("merge: {e}"))?;
             last = merged.item_count();

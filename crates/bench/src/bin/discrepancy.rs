@@ -12,9 +12,7 @@ use sas_bench::*;
 use sas_core::WeightedKey;
 use sas_structures::hierarchy::HierarchyBuilder;
 use sas_structures::order::Interval;
-use sas_structures::product::BoxRange;
-use sas_summaries::exact::SampleSummary;
-use sas_summaries::RangeSumSummary;
+use sas_summaries::StoredSample;
 
 fn main() {
     let mut rows = Vec::new();
@@ -93,11 +91,10 @@ fn main() {
         let obliv = build_obliv(&w.data, s, 98);
         let mut qrng = StdRng::seed_from_u64(3);
         let queries = sas_data::uniform_area_queries(&mut qrng, side, side, 50, 1, 0.4);
-        let score = |sm: &SampleSummary| -> f64 {
+        let score = |sm: &StoredSample| -> f64 {
             let mut acc: f64 = 0.0;
             for q in &queries {
-                let b: &BoxRange = &q.boxes[0];
-                let err = (sm.estimate_box(b) - w.exact.box_sum(b)).abs();
+                let err = (answer_value(sm, q) - w.exact.multi_sum(q)).abs();
                 acc = acc.max(err / w.total);
             }
             acc

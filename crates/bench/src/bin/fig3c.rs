@@ -1,5 +1,6 @@
 //! Figure 3(c): time to answer 2500 rectangle queries vs summary size on
-//! Network data.
+//! Network data. Every series answers through `Summary::answer`, so each
+//! time covers the value and its confidence interval.
 //!
 //! Paper's reading: samples answer by scanning (aware = obliv, thousands of
 //! rectangles per second, cost growing linearly in the sample size); the
@@ -12,7 +13,7 @@ use sas_bench::*;
 use sas_data::uniform_area_queries;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
-use sas_summaries::RangeSumSummary;
+use sas_summaries::Summary;
 
 fn main() {
     let scale = Scale::from_env();
@@ -34,11 +35,11 @@ fn main() {
         let wavelet = wavelet_full.truncated(s);
         let qdigest = QDigestSummary::build(&w.data, w.bits, s);
 
-        let run = |summary: &dyn RangeSumSummary| -> f64 {
+        let run = |summary: &dyn Summary| -> f64 {
             let (acc, secs) = timed(|| {
                 let mut acc = 0.0;
                 for q in &queries {
-                    acc += summary.estimate_multi(q);
+                    acc += answer_value(summary, q);
                 }
                 acc
             });

@@ -26,7 +26,6 @@
 //! `scripts/bench_core.sh`; any phase failure (including a batch answer
 //! drifting from the loop answer bitwise) exits non-zero.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -34,10 +33,9 @@ use rand::SeedableRng;
 
 use sas_bench::{env_usize, mix, parse_json_flag, print_table, timed, JsonObj};
 use sas_core::varopt::VarOptSampler;
-use sas_core::{KeyId, WeightedKey};
+use sas_core::WeightedKey;
 use sas_sampling::product::SpatialData;
 use sas_store::{Store, StoreConfig};
-use sas_structures::product::Point;
 use sas_summaries::countsketch::SketchSummary;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
@@ -128,19 +126,9 @@ fn run() -> Result<(), String> {
     // location — the layout whose per-item range tests dominate the
     // answer_batch profile.
     let sample2d = {
-        let keys2d: Vec<WeightedKey> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, _, w))| WeightedKey::new(i as u64, w))
-            .collect();
         let mut r = StdRng::seed_from_u64(2);
-        let smp = sas_sampling::order::sample(&keys2d, 2000, &mut r);
-        let points: HashMap<KeyId, Point> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y, _))| (i as u64, Point::xy(x, y)))
-            .collect();
-        StoredSample::two_dim(smp, points).map_err(|e| format!("build 2-D sample: {e}"))?
+        let smp = sas_sampling::order::sample(&spatial.keys, 2000, &mut r);
+        StoredSample::spatial(smp, &spatial).map_err(|e| format!("build 2-D sample: {e}"))?
     };
 
     let summaries: Vec<(&str, Box<dyn Summary>)> = vec![

@@ -18,6 +18,10 @@
 //! | `ablation_guide` | design ablation | two-pass accuracy vs s′/s factor |
 //! | `ablation_pair_rule` | design ablation | structure-aware vs arbitrary pair order |
 //!
+//! Every series is scored through [`Summary::answer`] (see
+//! [`answer_value`]), the path `sas serve` answers with, against
+//! [`ExactEngine`] ground truth.
+//!
 //! Scale is controlled by the `SAS_SCALE` env var: `small` (default —
 //! seconds per figure) or `full` (matches the paper's data scale; the
 //! wavelet/sketch baselines then take correspondingly long, which is itself
@@ -34,8 +38,8 @@ use rand::SeedableRng;
 use sas_data::{NetworkConfig, TicketConfig};
 use sas_sampling::product::SpatialData;
 use sas_structures::product::MultiRangeQuery;
-use sas_summaries::exact::{ExactEngine, SampleSummary};
-use sas_summaries::RangeSumSummary;
+use sas_summaries::exact::ExactEngine;
+use sas_summaries::{Query, StoredSample, Summary};
 
 /// Experiment scale, selected by the `SAS_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,10 +153,27 @@ pub fn ticket_workload(scale: Scale) -> Workload {
     }
 }
 
+/// Confidence the harness asks its answers at. Only the value is scored;
+/// the interval rides along as `sas serve` computes it.
+const CONFIDENCE: f64 = 0.9;
+
+/// The value a summary answers for one battery query, through the same
+/// [`Summary::answer`] path `sas serve` uses.
+///
+/// # Panics
+/// Panics if the summary refuses the query (the batteries are disjoint
+/// boxes inside the summaries' domains, so this is a harness bug).
+pub fn answer_value(summary: &dyn Summary, query: &MultiRangeQuery) -> f64 {
+    summary
+        .answer(&Query::from(query), CONFIDENCE)
+        .unwrap_or_else(|e| panic!("{:?} summary refused a battery query: {e}", summary.kind()))
+        .value
+}
+
 /// Mean absolute error of a summary over a query battery, normalized by the
 /// total data weight — the y-axis of the paper's accuracy plots.
 pub fn avg_abs_error(
-    summary: &dyn RangeSumSummary,
+    summary: &dyn Summary,
     exact: &ExactEngine,
     queries: &[MultiRangeQuery],
     total: f64,
@@ -174,7 +195,7 @@ pub struct ErrorMetrics {
 
 /// Computes [`ErrorMetrics`] for a summary over a query battery.
 pub fn error_metrics(
-    summary: &dyn RangeSumSummary,
+    summary: &dyn Summary,
     exact: &ExactEngine,
     queries: &[MultiRangeQuery],
     total: f64,
@@ -185,7 +206,7 @@ pub fn error_metrics(
     let mut rel_count = 0usize;
     for q in queries {
         let truth = exact.multi_sum(q);
-        let err = summary.estimate_multi(q) - truth;
+        let err = answer_value(summary, q) - truth;
         abs_sum += err.abs();
         sq_sum += err * err;
         if truth > 0.0 {
@@ -207,17 +228,17 @@ pub fn error_metrics(
 
 /// Builds the structure-aware sample ("aware"): the two-pass product
 /// sampler with the paper's guide factor of 5.
-pub fn build_aware(data: &SpatialData, s: usize, seed: u64) -> SampleSummary {
+pub fn build_aware(data: &SpatialData, s: usize, seed: u64) -> StoredSample {
     let mut rng = StdRng::seed_from_u64(seed);
     let sample = sas_sampling::two_pass::sample_product(data, s, 5, &mut rng);
-    SampleSummary::new("aware", &sample, data)
+    StoredSample::spatial(sample, data).expect("every sampled key has a location")
 }
 
 /// Builds the structure-oblivious VarOpt sample ("obliv").
-pub fn build_obliv(data: &SpatialData, s: usize, seed: u64) -> SampleSummary {
+pub fn build_obliv(data: &SpatialData, s: usize, seed: u64) -> StoredSample {
     let mut rng = StdRng::seed_from_u64(seed);
     let sample = sas_core::varopt::VarOptSampler::sample_slice(s, &data.keys, &mut rng);
-    SampleSummary::new("obliv", &sample, data)
+    StoredSample::spatial(sample, data).expect("every sampled key has a location")
 }
 
 /// Times a closure, returning `(result, seconds)`.
@@ -469,8 +490,8 @@ mod tests {
         let w = network_workload(Scale::Small);
         let aware = build_aware(&w.data, 500, 1);
         let obliv = build_obliv(&w.data, 500, 1);
-        assert_eq!(aware.size_elements(), 500);
-        assert_eq!(obliv.size_elements(), 500);
+        assert_eq!(aware.len(), 500);
+        assert_eq!(obliv.len(), 500);
     }
 
     #[test]
@@ -500,11 +521,25 @@ mod tests {
 
     #[test]
     fn avg_error_zero_for_exact() {
+        // Every key at its own weight, in data order: the answers add the
+        // same terms in the same order as the exact engine.
         let w = network_workload(Scale::Small);
+        let entries = w
+            .data
+            .keys
+            .iter()
+            .map(|wk| sas_core::SampleEntry {
+                key: wk.key,
+                weight: wk.weight,
+                adjusted_weight: wk.weight,
+            })
+            .collect();
+        let everything =
+            StoredSample::spatial(sas_core::Sample::from_entries(entries, 0.0), &w.data).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let side = 1u64 << w.bits;
         let queries = sas_data::uniform_area_queries(&mut rng, side, side, 5, 5, 0.2);
-        let e = avg_abs_error(&w.exact, &w.exact, &queries, w.total);
+        let e = avg_abs_error(&everything, &w.exact, &queries, w.total);
         assert_eq!(e, 0.0);
     }
 }

@@ -211,25 +211,7 @@ pub fn summarize_per_shard(
 fn stored_from(sample: Sample, data: &Dataset) -> Result<StoredSample, CliError> {
     match data {
         Dataset::OneDim(_) => Ok(StoredSample::one_dim(sample)),
-        Dataset::TwoDim(spatial) => {
-            let by_key: HashMap<u64, Point> = spatial
-                .keys
-                .iter()
-                .zip(&spatial.points)
-                .map(|(wk, p)| (wk.key, p.clone()))
-                .collect();
-            let points = sample
-                .iter()
-                .map(|e| {
-                    by_key
-                        .get(&e.key)
-                        .cloned()
-                        .map(|p| (e.key, p))
-                        .ok_or_else(|| CliError(format!("sampled key {} has no location", e.key)))
-                })
-                .collect::<Result<HashMap<_, _>, _>>()?;
-            StoredSample::two_dim(sample, points).map_err(CliError)
-        }
+        Dataset::TwoDim(spatial) => StoredSample::spatial(sample, spatial).map_err(CliError),
     }
 }
 

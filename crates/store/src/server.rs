@@ -8,12 +8,14 @@
 //! Linux, portable `poll` elsewhere — see [`crate::poller`]), and all
 //! per-connection state machines ([`crate::conn::Conn`]). It accepts,
 //! reads, frames, and writes; decoded requests are dispatched to a small
-//! **worker pool** that runs [`handle_request`] against the store (query,
-//! ingest — the blocking file I/O lives here) and sends the encoded
-//! response back through a completion channel, waking the loop through a
-//! [`poller::WakeHandle`]. `List`/`Stats`/`Ping`/`Shutdown` and protocol
-//! errors are answered inline on the loop — a ping measures loop latency
-//! even while every worker is busy.
+//! **worker pool** that runs [`handle_request`] against the store (every
+//! request that reads or changes it, `List`/`Stats`/`Metrics` included;
+//! the blocking file I/O lives here) and sends the encoded response back
+//! through a completion channel, waking the loop through a
+//! [`poller::WakeHandle`]. Only `Ping`, `Shutdown`, undecodable frames and
+//! `BUSY` refusals (plus a watch over its per-connection cap) are answered
+//! inline on the loop — a ping measures loop latency even while every
+//! worker is busy.
 //!
 //! ## Pipelining & ordering
 //!

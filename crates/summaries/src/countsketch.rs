@@ -16,8 +16,6 @@ use sas_sampling::product::SpatialData;
 use sas_structures::dyadic;
 use sas_structures::product::BoxRange;
 
-use crate::RangeSumSummary;
-
 /// Number of independent rows per sketch (median-of-rows estimator).
 const ROWS: usize = 3;
 
@@ -304,21 +302,21 @@ fn cell_id(cx: u64, cy: u64) -> u64 {
     cx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ cy
 }
 
-impl RangeSumSummary for SketchSummary {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
+impl SketchSummary {
+    /// Estimated weight inside the box (the value of
+    /// [`estimate_box_stats`](Self::estimate_box_stats)).
+    pub fn estimate_box(&self, query: &BoxRange) -> f64 {
         self.estimate_box_stats(query).0
     }
 
-    fn size_elements(&self) -> usize {
+    /// Number of counters over all levels — the size measure of the
+    /// paper's plots.
+    pub fn size_elements(&self) -> usize {
         self.sketches
             .iter()
             .flatten()
             .map(|s| s.counters.len())
             .sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "sketch"
     }
 }
 

@@ -33,7 +33,6 @@ use crate::qdigest::QDigestSummary;
 use crate::query::{Estimate, Query, QueryError};
 use crate::stored::StoredSample;
 use crate::wavelet::WaveletSummary;
-use crate::RangeSumSummary;
 
 /// The registered summary kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -292,16 +291,6 @@ pub fn decode_summary(bytes: &[u8]) -> Result<Box<dyn Summary>, CodecError> {
     Ok(summary)
 }
 
-/// Batch-decodes a set of frames in order, stopping at the first corrupt
-/// one. This is the shape the codec bench's merge-from-disk measurement
-/// wants: decode everything up front, then merge the decoded summaries as
-/// one [`merge_tree_with`] pass instead of interleaving decode and merge.
-/// Store recovery does not use it: it decodes each frame from its map as
-/// it opens it.
-pub fn decode_summaries<B: AsRef<[u8]>>(frames: &[B]) -> Result<Vec<Box<dyn Summary>>, CodecError> {
-    frames.iter().map(|b| decode_summary(b.as_ref())).collect()
-}
-
 /// Merges summaries of *disjoint* data bottom-up in a binary tree:
 /// adjacent pairs merge level by level, so `N` inputs pay `O(log₂ N)`
 /// merge levels (for budgeted samples each level adds less than 2 to any
@@ -446,7 +435,6 @@ impl Summary for StoredSample {
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
         let cols = SampleColumns {
-            tau: StoredSample::tau(self),
             keys: self.keys(),
             weights: self.weights(),
             adjusted: self.adjusted_weights(),

@@ -1,12 +1,8 @@
-//! Exact range sums (ground truth) and the sample-summary adapter.
+//! Exact range sums: the ground truth the experiment harness scores
+//! summaries against.
 
-use std::collections::HashMap;
-
-use sas_core::{KeyId, Sample};
 use sas_sampling::product::SpatialData;
 use sas_structures::product::{BoxRange, MultiRangeQuery, Point};
-
-use crate::RangeSumSummary;
 
 /// Exact scan-based range-sum engine over spatial data. Used as ground
 /// truth by the experiment harness ("asking this many queries over the full
@@ -53,96 +49,9 @@ impl ExactEngine {
     }
 }
 
-impl RangeSumSummary for ExactEngine {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
-        self.box_sum(query)
-    }
-
-    fn size_elements(&self) -> usize {
-        self.points.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn estimate_multi(&self, query: &MultiRangeQuery) -> f64 {
-        self.multi_sum(query)
-    }
-}
-
-/// Adapter exposing a [`Sample`] over spatial data through the
-/// [`RangeSumSummary`] interface, so samples and dedicated summaries can be
-/// driven by the same harness.
-#[derive(Debug, Clone)]
-pub struct SampleSummary {
-    name: &'static str,
-    entries: Vec<(Point, f64)>,
-    size: usize,
-}
-
-impl SampleSummary {
-    /// Wraps a sample; locations are looked up in `data`.
-    pub fn new(name: &'static str, sample: &Sample, data: &SpatialData) -> Self {
-        let point_by_key: HashMap<KeyId, &Point> = data
-            .keys
-            .iter()
-            .zip(&data.points)
-            .map(|(wk, p)| (wk.key, p))
-            .collect();
-        let entries = sample
-            .iter()
-            .map(|e| {
-                (
-                    (*point_by_key
-                        .get(&e.key)
-                        .unwrap_or_else(|| panic!("sampled key {} has no location", e.key)))
-                    .clone(),
-                    e.adjusted_weight,
-                )
-            })
-            .collect();
-        Self {
-            name,
-            size: sample.len(),
-            entries,
-        }
-    }
-}
-
-impl RangeSumSummary for SampleSummary {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
-        self.entries
-            .iter()
-            .filter(|(p, _)| query.contains(p))
-            .map(|(_, a)| a)
-            .sum()
-    }
-
-    fn size_elements(&self) -> usize {
-        self.size
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One scan answers all rectangles (matches how the paper measures
-    /// sample query time).
-    fn estimate_multi(&self, query: &MultiRangeQuery) -> f64 {
-        self.entries
-            .iter()
-            .filter(|(p, _)| query.contains(p))
-            .map(|(_, a)| a)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn tiny_data() -> SpatialData {
         SpatialData::from_xyw(&[(0, 0, 1.0), (5, 5, 2.0), (9, 9, 4.0), (5, 9, 8.0)])
@@ -155,7 +64,6 @@ mod tests {
         assert_eq!(e.box_sum(&BoxRange::xy(0, 4, 0, 4)), 1.0);
         assert_eq!(e.box_sum(&BoxRange::xy(5, 5, 5, 9)), 10.0);
         assert_eq!(e.total(), 15.0);
-        assert_eq!(e.size_elements(), 4);
     }
 
     #[test]
@@ -164,17 +72,5 @@ mod tests {
         // Disjoint boxes.
         let q = MultiRangeQuery::new(vec![BoxRange::xy(0, 1, 0, 1), BoxRange::xy(9, 9, 9, 9)]);
         assert_eq!(e.multi_sum(&q), 5.0);
-    }
-
-    #[test]
-    fn sample_adapter_estimates() {
-        let data = tiny_data();
-        let mut rng = StdRng::seed_from_u64(1);
-        let smp = sas_sampling::product::sample(&data, 4, &mut rng);
-        let adapter = SampleSummary::new("aware", &smp, &data);
-        // Full sample (s = n): estimates are exact.
-        assert!((adapter.estimate_box(&BoxRange::xy(0, 9, 0, 9)) - 15.0).abs() < 1e-9);
-        assert_eq!(adapter.name(), "aware");
-        assert_eq!(adapter.size_elements(), 4);
     }
 }

@@ -198,7 +198,6 @@ fn compile(queries: &[Query], dims: usize) -> Result<Vec<Boxes>, QueryError> {
 /// The columns of one sample, owned (`&[u64]` / `&[f64]`) or mapped
 /// ([`Le`]). `xs` and `ys` are empty for 1-D samples.
 pub(crate) struct SampleColumns<U, F> {
-    pub tau: f64,
     pub keys: U,
     pub weights: F,
     pub adjusted: F,
@@ -222,8 +221,8 @@ pub(crate) fn sample_1d<U: Column<u64>, F: Column<f64>>(
                 hits.mark(order.span(c.keys, axes[0]));
             }
             let mut acc = SampleAccumulator::default();
-            hits.drain(|i| acc.add(c.weights.at(i), c.adjusted.at(i), c.tau));
-            acc.finish(c.tau, confidence)
+            hits.drain(|i| acc.add(c.weights.at(i), c.adjusted.at(i)));
+            acc.finish(confidence)
         })
         .collect()
 }
@@ -239,7 +238,7 @@ pub(crate) fn sample_2d<U: Column<u64>, F: Column<f64>>(
     queries: &[Query],
     confidence: f64,
 ) -> Result<Vec<Estimate>, QueryError> {
-    let (tau, compiled) = (c.tau, compile(queries, 2)?);
+    let compiled = compile(queries, 2)?;
     let mut accs = vec![SampleAccumulator::default(); queries.len()];
     let mut qidx: Vec<usize> = Vec::with_capacity(queries.len());
     let mut b0: Vec<(u64, u64)> = Vec::with_capacity(queries.len());
@@ -258,10 +257,10 @@ pub(crate) fn sample_2d<U: Column<u64>, F: Column<f64>>(
     let mut flat = vec![SampleAccumulator::default(); qidx.len()];
     let items = c.xs.values().zip(c.ys.values());
     for ((x, y), (w, a)) in items.zip(c.weights.values().zip(c.adjusted.values())) {
-        let (light, light_var) = SampleAccumulator::classify(w, tau);
+        let (light, light_var) = SampleAccumulator::classify(w, a);
         for ((acc, &(x0, x1)), &(y0, y1)) in flat.iter_mut().zip(&b0).zip(&b1) {
             if x0 <= x && x <= x1 && y0 <= y && y <= y1 {
-                acc.add_classified(a, tau, light, light_var);
+                acc.add_classified(a, light, light_var);
             }
         }
         for &(qi, boxes) in &multi {
@@ -269,16 +268,14 @@ pub(crate) fn sample_2d<U: Column<u64>, F: Column<f64>>(
                 .iter()
                 .any(|axes| in_interval(axes[0], x) && in_interval(axes[1], y))
             {
-                accs[qi].add_classified(a, tau, light, light_var);
+                accs[qi].add_classified(a, light, light_var);
             }
         }
     }
     for (&qi, acc) in qidx.iter().zip(flat) {
         accs[qi] = acc;
     }
-    accs.into_iter()
-        .map(|a| a.finish(tau, confidence))
-        .collect()
+    accs.into_iter().map(|a| a.finish(confidence)).collect()
 }
 
 /// VarOpt answers through the key-order indexes of the reservoir's two
@@ -321,7 +318,6 @@ pub(crate) mod tests {
         queries: &[Query],
         confidence: f64,
     ) -> Vec<Estimate> {
-        let tau = s.tau();
         queries
             .iter()
             .map(|q| {
@@ -333,10 +329,10 @@ pub(crate) mod tests {
                         _ => in_interval(axes[0], s.xs()[i]) && in_interval(axes[1], s.ys()[i]),
                     };
                     if boxes.iter().any(inside) {
-                        acc.add(s.weights()[i], s.adjusted_weights()[i], tau);
+                        acc.add(s.weights()[i], s.adjusted_weights()[i]);
                     }
                 }
-                acc.finish(tau, confidence).unwrap()
+                acc.finish(confidence).unwrap()
             })
             .collect()
     }

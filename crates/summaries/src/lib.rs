@@ -14,14 +14,15 @@
 //!   dyadic rectangles: one sketch per dyadic level pair, queried through
 //!   the canonical rectangle decomposition.
 //! * [`exact`] — scan-based exact range sums, the ground truth used by the
-//!   experiment harness.
+//!   experiment harness. It is not a summary.
 //!
-//! All summaries implement [`RangeSumSummary`], reporting their size in
-//! *elements* (comparable to sample keys, as in the paper's plots) and
-//! answering axis-parallel box queries. The q-digest and count-sketch also
-//! implement `sas_core::Mergeable` — per-shard summaries built over disjoint
-//! data combine by node/counter addition, mirroring the mergeable VarOpt
-//! samples of `sas-sampling::sharded`.
+//! Every summary answers through the [`Summary`] trait below, samples
+//! included ([`StoredSample`]), and reports its size in *elements*
+//! ([`Summary::item_count`], comparable to sample keys, as in the paper's
+//! plots). The q-digest and count-sketch also implement
+//! `sas_core::Mergeable` — per-shard summaries built over disjoint data
+//! combine by node/counter addition, mirroring the mergeable VarOpt samples
+//! of `sas-sampling::sharded`.
 
 //!
 //! The [`erased`] module adds the durability layer: the object-safe
@@ -55,31 +56,9 @@ pub mod wavelet;
 pub mod wavelet1d;
 
 pub use erased::{
-    decode_summaries, decode_summary, encode_summary, merge_tree, merge_tree_with, Summary,
-    SummaryError, SummaryKind,
+    decode_summary, encode_summary, merge_tree, merge_tree_with, Summary, SummaryError, SummaryKind,
 };
 pub use query::{Estimate, Query, QueryBatch, QueryError};
 pub use sas_sampling::sharded::MergeArena;
 pub use stored::StoredSample;
 pub use view::{encode_segment, SegmentSummary};
-
-use sas_structures::product::{BoxRange, MultiRangeQuery};
-
-/// Common interface of every range-sum summary in this crate (and of
-/// sample-based summaries via [`exact::SampleSummary`]).
-pub trait RangeSumSummary {
-    /// Estimated total weight inside the box.
-    fn estimate_box(&self, query: &BoxRange) -> f64;
-
-    /// Number of stored elements (keys / coefficients / nodes / counters) —
-    /// the size measure used on the x-axis of the paper's plots.
-    fn size_elements(&self) -> usize;
-
-    /// Short name for reports ("aware", "obliv", "wavelet", …).
-    fn name(&self) -> &'static str;
-
-    /// Estimated weight of a multi-range query (sum over disjoint boxes).
-    fn estimate_multi(&self, query: &MultiRangeQuery) -> f64 {
-        query.boxes.iter().map(|b| self.estimate_box(b)).sum()
-    }
-}

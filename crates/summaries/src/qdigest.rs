@@ -20,8 +20,6 @@ use sas_core::Mergeable;
 use sas_sampling::product::SpatialData;
 use sas_structures::product::BoxRange;
 
-use crate::RangeSumSummary;
-
 /// A dyadic grid cell: level (side `2^level`) and cell coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Cell {
@@ -236,7 +234,7 @@ impl QDigestSummary {
     /// the exact answer is at least the weight of the cells fully covered
     /// by the query and at most the weight of the cells it intersects at
     /// all. The proportional estimate of
-    /// [`estimate_box`](RangeSumSummary::estimate_box) always lies inside
+    /// [`estimate_box`](Self::estimate_box) always lies inside
     /// the same interval.
     pub fn bound_box(&self, query: &BoxRange) -> (f64, f64) {
         if query.is_empty() {
@@ -274,8 +272,10 @@ impl Mergeable for QDigestSummary {
     }
 }
 
-impl RangeSumSummary for QDigestSummary {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
+impl QDigestSummary {
+    /// Estimated weight inside the box: fully covered cells count whole,
+    /// partially covered ones in proportion to the covered volume.
+    pub fn estimate_box(&self, query: &BoxRange) -> f64 {
         if query.is_empty() {
             return 0.0;
         }
@@ -297,12 +297,9 @@ impl RangeSumSummary for QDigestSummary {
             .sum()
     }
 
-    fn size_elements(&self) -> usize {
+    /// Number of stored cells — the size measure of the paper's plots.
+    pub fn size_elements(&self) -> usize {
         self.nodes.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "qdigest"
     }
 }
 

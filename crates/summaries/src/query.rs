@@ -32,6 +32,7 @@
 use std::fmt;
 
 use sas_codec::{encode_frame, open_frame, proto, CodecError, Reader, Writer};
+use sas_structures::product::MultiRangeQuery;
 
 /// Hard cap on boxes in one multi-range query (protocol sanity bound).
 pub const MAX_QUERY_BOXES: usize = 4096;
@@ -180,6 +181,21 @@ fn boxes_overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
         let (blo, bhi) = b.get(i).copied().unwrap_or(FULL);
         alo.max(blo) <= ahi.min(bhi)
     })
+}
+
+/// A multi-range query of the experiment harness, box for box in
+/// battery order (a one-box query folds onto that box on
+/// [`Query::canonical`]).
+impl From<&MultiRangeQuery> for Query {
+    fn from(query: &MultiRangeQuery) -> Self {
+        Query::MultiRange(
+            query
+                .boxes
+                .iter()
+                .map(|b| b.sides.iter().map(|iv| (iv.lo, iv.hi)).collect())
+                .collect(),
+        )
+    }
 }
 
 impl Query {
@@ -584,52 +600,65 @@ impl QueryBatch {
 
 // --- Shared bound machinery -------------------------------------------------
 
-/// Per-query accumulator for sample-based kinds (stored samples, VarOpt
-/// reservoirs): filled in one pass over the items, finished into an
+/// Per-query accumulator for sample-based kinds (stored samples, mapped
+/// sample segments): filled in one pass over the items, finished into an
 /// [`Estimate`] by [`SampleAccumulator::finish`].
+///
+/// Every item carries its own threshold: a sampled light key's adjusted
+/// weight *is* the threshold `τᵢ > wᵢ` it was sampled at, while a heavy key
+/// keeps `adjusted = wᵢ`. A window concatenated from batches sampled at
+/// different thresholds is therefore bounded per key, with no window-wide
+/// τ (see DESIGN "Query API" for why one inversion at the largest `τᵢ` is
+/// sound).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SampleAccumulator {
     /// Running estimate — adjusted weights in item order.
     pub value: f64,
-    /// Exact part: adjusted weights of heavy keys (`wᵢ ≥ τ`, included with
+    /// Exact part: adjusted weights of heavy keys (included with
     /// probability 1).
     pub heavy: f64,
-    /// HT estimate of the light part (`τ` per sampled light key).
+    /// HT estimate of the light part: `Σ τᵢ` over sampled light keys.
     pub light_adjusted: f64,
-    /// Sampled light keys.
-    pub light_count: usize,
+    /// Largest threshold among the sampled light keys (0 when none).
+    pub light_tau: f64,
     /// HT estimate of `Σ Var[a(i)]`: each sampled light key contributes
-    /// `Var[a(i)]/pᵢ = τ·(τ − wᵢ)`.
+    /// `Var[a(i)]/pᵢ = τᵢ·(τᵢ − wᵢ)`.
     pub variance: f64,
 }
 
 impl SampleAccumulator {
-    /// The light/heavy rule for an item of original weight `weight`:
-    /// whether it is light (`wᵢ < τ` under a positive τ, so it carries the
-    /// HT weight τ) and, if so, its variance term `τ·(τ − wᵢ)` (else 0).
+    /// The light/heavy rule for an item of original weight `weight` and
+    /// adjusted weight `adjusted`: whether it is light (`adjusted > weight`,
+    /// so it carries the HT weight of its own threshold `τᵢ = adjusted`)
+    /// and, if so, its variance term `τᵢ·(τᵢ − wᵢ)` (else 0).
     #[inline(always)]
-    pub fn classify(weight: f64, tau: f64) -> (bool, f64) {
-        let light = tau > 0.0 && weight < tau;
-        (light, if light { tau * (tau - weight) } else { 0.0 })
+    pub fn classify(weight: f64, adjusted: f64) -> (bool, f64) {
+        let light = adjusted > weight;
+        let variance = if light {
+            adjusted * (adjusted - weight)
+        } else {
+            0.0
+        };
+        (light, variance)
     }
 
     /// Folds one in-range item in. The indexed kernels fold their hits
     /// through this directly; the 2-D scan hoists [`Self::classify`] out
     /// of its per-query loop and calls [`Self::add_classified`].
     #[inline(always)]
-    pub fn add(&mut self, weight: f64, adjusted: f64, tau: f64) {
-        let (light, light_var) = Self::classify(weight, tau);
-        self.add_classified(adjusted, tau, light, light_var);
+    pub fn add(&mut self, weight: f64, adjusted: f64) {
+        let (light, light_var) = Self::classify(weight, adjusted);
+        self.add_classified(adjusted, light, light_var);
     }
 
     /// Folds one in-range item already classified by [`Self::classify`]
     /// (which depends only on the item, not the query).
     #[inline(always)]
-    pub fn add_classified(&mut self, adjusted: f64, tau: f64, light: bool, light_var: f64) {
+    pub fn add_classified(&mut self, adjusted: f64, light: bool, light_var: f64) {
         self.value += adjusted;
         if light {
-            self.light_adjusted += tau;
-            self.light_count += 1;
+            self.light_adjusted += adjusted;
+            self.light_tau = self.light_tau.max(adjusted);
             self.variance += light_var;
         } else {
             self.heavy += adjusted;
@@ -638,9 +667,10 @@ impl SampleAccumulator {
 
     /// Finishes the accumulator into an estimate: heavy part exact, light
     /// part bounded by inverting the paper's Eqn. (4) tail at confidence
-    /// `1 − δ` ([`sas_core::bounds::weight_confidence_interval`]).
-    pub fn finish(self, tau: f64, confidence: f64) -> Result<Estimate, QueryError> {
-        if tau <= 0.0 || self.light_count == 0 {
+    /// `1 − δ` and the largest light threshold
+    /// ([`sas_core::bounds::weight_confidence_interval`]).
+    pub fn finish(self, confidence: f64) -> Result<Estimate, QueryError> {
+        if self.light_tau == 0.0 {
             // Every in-range key was kept exactly.
             return Ok(Estimate::exact(self.value));
         }
@@ -648,8 +678,11 @@ impl SampleAccumulator {
             return Err(QueryError::BadConfidence(confidence));
         }
         let delta = 1.0 - confidence;
-        let (lo, hi) =
-            sas_core::bounds::weight_confidence_interval(self.light_adjusted, tau, delta);
+        let (lo, hi) = sas_core::bounds::weight_confidence_interval(
+            self.light_adjusted,
+            self.light_tau,
+            delta,
+        );
         Ok(Estimate {
             value: self.value,
             variance: self.variance,
@@ -902,23 +935,24 @@ mod tests {
     #[test]
     fn sample_accumulator_exact_when_no_light_keys() {
         let mut acc = SampleAccumulator::default();
-        acc.add(10.0, 10.0, 4.0);
-        acc.add(6.0, 6.0, 4.0);
-        let e = acc.finish(4.0, 0.9).unwrap();
+        acc.add(10.0, 10.0);
+        acc.add(6.0, 6.0);
+        let e = acc.finish(0.9).unwrap();
         assert_eq!(e, Estimate::exact(16.0));
-        // τ = 0 (exact summary) is exact regardless of confidence.
+        // An exact summary (adjusted = weight everywhere) is exact
+        // regardless of confidence.
         let mut acc = SampleAccumulator::default();
-        acc.add(3.0, 3.0, 0.0);
-        assert_eq!(acc.finish(0.0, 0.5).unwrap(), Estimate::exact(3.0));
+        acc.add(3.0, 3.0);
+        assert_eq!(acc.finish(0.5).unwrap(), Estimate::exact(3.0));
     }
 
     #[test]
     fn sample_accumulator_bounds_contain_value() {
         let mut acc = SampleAccumulator::default();
-        acc.add(10.0, 10.0, 4.0); // heavy
-        acc.add(1.0, 4.0, 4.0); // light, inflated to τ
-        acc.add(2.0, 4.0, 4.0); // light
-        let e = acc.finish(4.0, 0.9).unwrap();
+        acc.add(10.0, 10.0); // heavy
+        acc.add(1.0, 4.0); // light, inflated to τ
+        acc.add(2.0, 4.0); // light
+        let e = acc.finish(0.9).unwrap();
         assert_eq!(e.value, 18.0);
         assert!(e.lower <= e.value && e.value <= e.upper);
         assert!(e.lower >= 10.0, "heavy part is certain: {}", e.lower);
@@ -926,10 +960,24 @@ mod tests {
         assert_eq!(e.confidence, 0.9);
         // Bad confidence is rejected when bounds are actually needed.
         let mut acc = SampleAccumulator::default();
-        acc.add(1.0, 4.0, 4.0);
-        assert!(matches!(
-            acc.finish(4.0, 1.0),
-            Err(QueryError::BadConfidence(_))
-        ));
+        acc.add(1.0, 4.0);
+        assert!(matches!(acc.finish(1.0), Err(QueryError::BadConfidence(_))));
+    }
+
+    #[test]
+    fn sample_accumulator_charges_each_light_key_its_own_threshold() {
+        // Two light keys sampled at τ = 2 and τ = 50, and a heavy key of
+        // weight 30 (below the larger threshold, but kept exactly).
+        let mut acc = SampleAccumulator::default();
+        acc.add(1.0, 2.0);
+        acc.add(30.0, 30.0);
+        acc.add(5.0, 50.0);
+        let e = acc.finish(0.9).unwrap();
+        assert_eq!(e.value, 82.0);
+        assert_eq!(e.variance, 2.0 * 1.0 + 50.0 * 45.0);
+        // The light part is inverted at the largest light threshold.
+        let (lo, hi) = sas_core::bounds::weight_confidence_interval(52.0, 50.0, 1.0 - 0.9);
+        assert_eq!(e.lower, (30.0 + lo).min(82.0));
+        assert_eq!(e.upper, (30.0 + hi).max(82.0));
     }
 }

@@ -25,6 +25,7 @@ use std::sync::OnceLock;
 
 use sas_core::estimate::{Sample, SampleEntry};
 use sas_core::KeyId;
+use sas_sampling::product::SpatialData;
 use sas_sampling::sharded::MergeArena;
 use sas_structures::product::Point;
 
@@ -71,6 +72,26 @@ impl StoredSample {
 
     /// Wraps a 2-D sample; every sampled key must have a location.
     pub fn two_dim(sample: Sample, points: HashMap<KeyId, Point>) -> Result<Self, String> {
+        Self::located(sample, |k| points.get(&k))
+    }
+
+    /// Wraps a 2-D sample drawn from `data`, taking each sampled key's
+    /// location from it.
+    pub fn spatial(sample: Sample, data: &SpatialData) -> Result<Self, String> {
+        let points: HashMap<KeyId, &Point> = data
+            .keys
+            .iter()
+            .map(|wk| wk.key)
+            .zip(&data.points)
+            .collect();
+        Self::located(sample, |k| points.get(&k).copied())
+    }
+
+    /// Wraps a 2-D sample, looking up each sampled key's location.
+    fn located<'a>(
+        sample: Sample,
+        point: impl Fn(KeyId) -> Option<&'a Point>,
+    ) -> Result<Self, String> {
         let tau = sample.tau();
         let entries = sample.into_entries();
         let mut s = Self {
@@ -84,7 +105,7 @@ impl StoredSample {
             ..Self::default()
         };
         for e in entries {
-            match points.get(&e.key) {
+            match point(e.key) {
                 None => return Err(format!("sampled key {} has no location", e.key)),
                 Some(p) if p.dim() != 2 => {
                     return Err(format!("key {} has a {}-D location", e.key, p.dim()))

@@ -456,7 +456,6 @@ impl Summary for SegmentSummary {
         let b = self.data();
         match &self.layout {
             Layout::Sample {
-                tau,
                 keys,
                 weights,
                 adjusted,
@@ -466,7 +465,6 @@ impl Summary for SegmentSummary {
                 ..
             } => {
                 let cols = SampleColumns {
-                    tau: *tau,
                     keys: keys.le(b),
                     weights: weights.le(b),
                     adjusted: adjusted.le(b),

@@ -18,8 +18,6 @@ use std::collections::HashMap;
 use sas_sampling::product::SpatialData;
 use sas_structures::product::BoxRange;
 
-use crate::RangeSumSummary;
-
 /// A 1-D Haar basis function over a `2^bits` domain: either the scaling
 /// (constant) function or the wavelet at `level ∈ [1, bits]`, block `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -384,7 +382,7 @@ impl WaveletSummary {
 
 impl WaveletSummary {
     /// Deterministic bound on the truncation error of
-    /// [`estimate_box`](RangeSumSummary::estimate_box): the exact answer
+    /// [`estimate_box`](Self::estimate_box): the exact answer
     /// lies within `estimate ± bound_box(query)`.
     ///
     /// Derivation: the exact answer is the inner product over *all*
@@ -471,8 +469,10 @@ fn basis_functions_at(x: u64, bits: u32) -> Vec<(Basis1D, f64)> {
     out
 }
 
-impl RangeSumSummary for WaveletSummary {
-    fn estimate_box(&self, query: &BoxRange) -> f64 {
+impl WaveletSummary {
+    /// Estimated weight inside the box: the inner product of the retained
+    /// coefficients with the box's indicator.
+    pub fn estimate_box(&self, query: &BoxRange) -> f64 {
         if query.is_empty() {
             return 0.0;
         }
@@ -498,12 +498,10 @@ impl RangeSumSummary for WaveletSummary {
             .sum()
     }
 
-    fn size_elements(&self) -> usize {
+    /// Number of retained coefficients — the size measure of the paper's
+    /// plots.
+    pub fn size_elements(&self) -> usize {
         self.coeffs.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "wavelet"
     }
 }
 

@@ -7,7 +7,6 @@ use sas_structures::product::BoxRange;
 use sas_summaries::exact::ExactEngine;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
-use sas_summaries::RangeSumSummary;
 
 const BITS: u32 = 5; // 32x32 domain keeps exhaustive checks cheap
 

@@ -14,9 +14,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use structure_aware_sampling::data::NetworkConfig;
 use structure_aware_sampling::sampling::two_pass;
-use structure_aware_sampling::structures::product::BoxRange;
-use structure_aware_sampling::summaries::exact::{ExactEngine, SampleSummary};
-use structure_aware_sampling::summaries::RangeSumSummary;
+use structure_aware_sampling::structures::product::{BoxRange, MultiRangeQuery};
+use structure_aware_sampling::summaries::exact::ExactEngine;
+use structure_aware_sampling::summaries::{Query, StoredSample, Summary};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2026);
@@ -37,7 +37,7 @@ fn main() {
     // build without holding the flow table.
     let s = 2_000;
     let sample = two_pass::sample_product(&data, s, 5, &mut rng);
-    let summary = SampleSummary::new("aware", &sample, &data);
+    let summary = StoredSample::spatial(sample.clone(), &data).expect("every flow has a location");
     println!("built {s}-key structure-aware summary (two-pass, guide factor 5)\n");
 
     // Ad-hoc analysis: traffic between address ranges ("subnets").
@@ -62,9 +62,13 @@ fn main() {
         "{:<22}{:>14}{:>14}{:>10}",
         "query", "truth", "estimate", "rel.err"
     );
-    for (name, q) in &queries {
-        let truth = exact.box_sum(q);
-        let est = summary.estimate_box(q);
+    for (name, q) in queries {
+        let q = MultiRangeQuery::new(vec![q]);
+        let truth = exact.multi_sum(&q);
+        let est = summary
+            .answer(&Query::from(&q), 0.9)
+            .expect("a valid box")
+            .value;
         let rel = if truth > 0.0 {
             (est - truth).abs() / truth
         } else {

@@ -15,9 +15,9 @@ use rand::SeedableRng;
 use structure_aware_sampling::core::varopt::VarOptSampler;
 use structure_aware_sampling::data::TicketConfig;
 use structure_aware_sampling::sampling::two_pass;
-use structure_aware_sampling::structures::product::BoxRange;
-use structure_aware_sampling::summaries::exact::{ExactEngine, SampleSummary};
-use structure_aware_sampling::summaries::RangeSumSummary;
+use structure_aware_sampling::structures::product::{BoxRange, MultiRangeQuery};
+use structure_aware_sampling::summaries::exact::ExactEngine;
+use structure_aware_sampling::summaries::{Query, StoredSample, Summary};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -34,16 +34,17 @@ fn main() {
     );
 
     let s = 3_000;
-    let aware = SampleSummary::new(
-        "aware",
-        &two_pass::sample_product(&data, s, 5, &mut rng),
-        &data,
-    );
-    let obliv = SampleSummary::new(
-        "obliv",
-        &VarOptSampler::sample_slice(s, &data.keys, &mut rng),
-        &data,
-    );
+    let located = "every ticket has a location";
+    let aware = StoredSample::spatial(two_pass::sample_product(&data, s, 5, &mut rng), &data)
+        .expect(located);
+    let obliv = StoredSample::spatial(VarOptSampler::sample_slice(s, &data.keys, &mut rng), &data)
+        .expect(located);
+    let value = |summary: &StoredSample, q: &MultiRangeQuery| {
+        summary
+            .answer(&Query::from(q), 0.9)
+            .expect("a valid box")
+            .value
+    };
 
     // Hierarchy-aligned queries: top-level trouble subtree c crossed with
     // top-level location subtree l.
@@ -58,15 +59,15 @@ fn main() {
     let mut shown = 0;
     for c in 0..16u64 {
         for l in 0..16u64 {
-            let q = BoxRange::xy(
+            let q = MultiRangeQuery::new(vec![BoxRange::xy(
                 c * t_sub,
                 (c + 1) * t_sub - 1,
                 l * l_sub,
                 (l + 1) * l_sub - 1,
-            );
-            let truth = exact.box_sum(&q);
-            let ea = aware.estimate_box(&q);
-            let eo = obliv.estimate_box(&q);
+            )]);
+            let truth = exact.multi_sum(&q);
+            let ea = value(&aware, &q);
+            let eo = value(&obliv, &q);
             aware_err += (ea - truth).abs();
             obliv_err += (eo - truth).abs();
             if truth > 0.0 && shown < 8 {

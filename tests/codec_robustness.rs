@@ -38,13 +38,7 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
     let stored2 = {
         let mut rng2 = StdRng::seed_from_u64(2);
         let smp = structure_aware_sampling::sampling::product::sample(&spatial, 8, &mut rng2);
-        let points = spatial
-            .keys
-            .iter()
-            .zip(&spatial.points)
-            .map(|(wk, p)| (wk.key, p.clone()))
-            .collect();
-        StoredSample::two_dim(smp, points).expect("points cover all keys")
+        StoredSample::spatial(smp, &spatial).expect("points cover all keys")
     };
 
     vec![

@@ -1,9 +1,10 @@
 //! Certification of the query API's error bars: the interval an
 //! [`Estimate`] reports must actually contain the exact answer —
 //! *probabilistically* at the configured confidence for the sample-based
-//! kinds (coverage measured over 150 seeds, and over 100 seeds through the
-//! store's whole window lifecycle), *always* for the q-digest and wavelet
-//! deterministic bounds.
+//! kinds (coverage measured over 150 seeds, including windows concatenated
+//! from batches sampled at different thresholds, and over 100 seeds through
+//! the store's whole window lifecycle), *always* for the q-digest and
+//! wavelet deterministic bounds.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -98,6 +99,67 @@ fn varopt_reservoir_interval_covers_at_configured_confidence() {
     );
 }
 
+/// Coverage of one interval query over a window concatenated, without a
+/// budget, from two 800-key batches: batch B's weights are `ratio` times
+/// batch A's, so B is sampled at a threshold about `ratio` times A's. The
+/// batches hold disjoint key ranges, or interleaved keys.
+fn two_batch_coverage(ratio: f64, interleaved: bool) -> f64 {
+    const N: u64 = 800;
+    let place = |batch: u64, k: u64| {
+        if interleaved {
+            2 * k + batch
+        } else {
+            batch * N + k
+        }
+    };
+    let mut covered = 0u64;
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x2B47);
+        let [a, b] = [(0, 1.0), (1, ratio)].map(|(batch, scale)| {
+            mixed_data(N, seed + batch * 10_000)
+                .into_iter()
+                .map(|wk| WeightedKey::new(place(batch, wk.key), wk.weight * scale))
+                .collect::<Vec<_>>()
+        });
+        let sample = |data: &[WeightedKey], rng: &mut StdRng| {
+            StoredSample::one_dim(structure_aware_sampling::sampling::order::sample(
+                data, 60, rng,
+            ))
+        };
+        let mut window = sample(&a, &mut rng);
+        window.merge(sample(&b, &mut rng), None, &mut rng).unwrap();
+        let lo = rng.gen_range(0..N);
+        let hi = rng.gen_range(lo..2 * N);
+        let e = window.answer(&Query::interval(lo, hi), CONFIDENCE).unwrap();
+        assert!(
+            e.lower <= e.value && e.value <= e.upper,
+            "seed {seed}: {e:?}"
+        );
+        let exact = exact_range(&a, lo, hi) + exact_range(&b, lo, hi);
+        if e.lower <= exact && exact <= e.upper {
+            covered += 1;
+        }
+    }
+    covered as f64 / SEEDS as f64
+}
+
+#[test]
+fn windows_mixing_sampling_thresholds_cover_at_configured_confidence() {
+    // Each sampled light key is charged its own threshold (its adjusted
+    // weight), not the window's largest: charging the largest inflates the
+    // light mass and clamps the lower end to the value.
+    for ratio in [1.0, 3.0, 10.0, 100.0] {
+        for interleaved in [false, true] {
+            let rate = two_batch_coverage(ratio, interleaved);
+            assert!(
+                rate >= CONFIDENCE - 0.03,
+                "batch B {ratio}x batch A (interleaved: {interleaved}): \
+                 coverage {rate} below {CONFIDENCE}"
+            );
+        }
+    }
+}
+
 #[test]
 fn multirange_and_total_cover_too() {
     // The union-of-boxes and full-domain paths carry the same guarantee;
@@ -137,12 +199,14 @@ type Row = (u64, u64, f64);
 const LIFECYCLE_SEEDS: u64 = 100;
 const LIFECYCLE_KEYS: u64 = 2_000;
 
-/// One batch of `n` rows with distinct random keys, summarized as `kind`
-/// below its row count, so every window is genuinely probabilistic.
+/// One batch of `n` rows with distinct random keys and weights times
+/// `scale`, summarized as `kind` below its row count, so every window is
+/// genuinely probabilistic.
 fn lifecycle_batch(
     rng: &mut StdRng,
     kind: SummaryKind,
     ts: u64,
+    scale: f64,
     rows: &mut Vec<Row>,
 ) -> Box<dyn Summary> {
     let n = rng.gen_range(150..300u64);
@@ -157,7 +221,7 @@ fn lifecycle_batch(
             } else {
                 rng.gen_range(0.1..3.0)
             };
-            WeightedKey::new(k, w)
+            WeightedKey::new(k, w * scale)
         })
         .collect();
     rows.extend(batch.iter().map(|wk| (ts, wk.key, wk.weight)));
@@ -175,93 +239,119 @@ fn lifecycle_batch(
     }
 }
 
-#[test]
-fn sample_kinds_cover_through_the_store_lifecycle() {
-    // Per seed and kind: two batches into each of three hours' minute
-    // windows under a merge budget, one batch past them that seals the
-    // hours, a lifecycle tick rolling the minutes into hours, conversion to
-    // mapped v2 segments, and a restart. The reopened store then answers at
-    // 0.9 over time filters spanning 3–4 windows, so each window answers at
-    // 1 − δ/k and only the union bound certifies the sum.
+/// Lifecycle coverage of `kind` under a merge `budget`, the `i`-th
+/// ingested batch's weights scaled by `scale(i)`.
+///
+/// Per seed: two batches into each of three hours' minute windows, one
+/// batch past them that seals the hours, a lifecycle tick rolling the
+/// minutes into hours, conversion to mapped v2 segments, and a restart.
+/// The reopened store then answers at 0.9 over time filters spanning 3–4
+/// windows, so each window answers at 1 − δ/k and only the union bound
+/// certifies the sum.
+fn lifecycle_coverage(kind: SummaryKind, budget: Option<usize>, scale: fn(usize) -> f64) {
     const HOUR: u64 = 3_600;
     let filters = [None, Some((0, 3 * HOUR - 1)), Some((HOUR, 4 * HOUR + 59))];
-    for kind in [SummaryKind::Sample, SummaryKind::VarOptReservoir] {
-        let (mut covered, mut probes) = (0u64, 0u64);
-        for seed in 0..LIFECYCLE_SEEDS {
-            let dir = std::env::temp_dir().join(format!(
-                "sas-bounds-lifecycle-{}-{kind}-{seed}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let config = StoreConfig {
-                budget: Some(80),
-                cache_capacity: 0,
-            };
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x11fe);
-            let mut rows: Vec<Row> = Vec::new();
+    let (mut covered, mut probes) = (0u64, 0u64);
+    for seed in 0..LIFECYCLE_SEEDS {
+        let dir = std::env::temp_dir().join(format!(
+            "sas-bounds-lifecycle-{}-{kind}-{budget:?}-{seed}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig {
+            budget,
+            cache_capacity: 0,
+        };
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x11fe);
+        let mut rows: Vec<Row> = Vec::new();
+        {
+            let store = Store::open(&dir, config.clone()).unwrap();
+            for (i, ts) in [
+                0,
+                1_800,
+                HOUR,
+                HOUR + 1_800,
+                2 * HOUR,
+                2 * HOUR + 1_800,
+                4 * HOUR,
+            ]
+            .into_iter()
+            .enumerate()
             {
-                let store = Store::open(&dir, config.clone()).unwrap();
-                for ts in [
-                    0,
-                    1_800,
-                    HOUR,
-                    HOUR + 1_800,
-                    2 * HOUR,
-                    2 * HOUR + 1_800,
-                    4 * HOUR,
-                ] {
-                    let batch = lifecycle_batch(&mut rng, kind, ts, &mut rows);
-                    store.ingest("flows", ts, batch).unwrap();
-                }
-                let stats = store.lifecycle_tick().unwrap();
-                assert_eq!(stats.rollups, 3, "seed {seed}: {stats:?}");
-                assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 4);
+                let batch = lifecycle_batch(&mut rng, kind, ts, scale(i), &mut rows);
+                store.ingest("flows", ts, batch).unwrap();
             }
-            let store = Store::open(&dir, config).unwrap();
-            let lo = rng.gen_range(0..LIFECYCLE_KEYS / 2);
-            let hi = rng.gen_range(lo..LIFECYCLE_KEYS);
-            let queries = [
-                (Query::interval(lo, hi), lo, hi),
-                (Query::Total, 0, u64::MAX),
-            ];
-            for time in filters {
-                for (query, lo, hi) in &queries {
-                    let a = store
-                        .estimate("flows", kind, query, CONFIDENCE, time)
-                        .unwrap();
-                    assert!(
-                        a.windows >= 3,
-                        "seed {seed}: {time:?} read {} windows",
-                        a.windows
-                    );
-                    let e = a.estimate;
-                    assert!(
-                        e.lower <= e.value && e.value <= e.upper,
-                        "seed {seed}: {e:?}"
-                    );
-                    let exact: f64 = rows
-                        .iter()
-                        .filter(|&&(ts, key, _)| {
-                            (*lo..=*hi).contains(&key)
-                                && time.is_none_or(|(t0, t1)| (t0..=t1).contains(&ts))
-                        })
-                        .map(|&(_, _, w)| w)
-                        .sum();
-                    probes += 1;
-                    if e.lower <= exact && exact <= e.upper {
-                        covered += 1;
-                    }
-                }
-            }
-            drop(store);
-            let _ = std::fs::remove_dir_all(&dir);
+            let stats = store.lifecycle_tick().unwrap();
+            assert_eq!(stats.rollups, 3, "seed {seed}: {stats:?}");
+            assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 4);
         }
-        let rate = covered as f64 / probes as f64;
-        assert!(
-            rate >= CONFIDENCE - 0.03,
-            "{kind}: lifecycle coverage {rate} below {CONFIDENCE} ({covered}/{probes})"
-        );
+        let store = Store::open(&dir, config).unwrap();
+        let lo = rng.gen_range(0..LIFECYCLE_KEYS / 2);
+        let hi = rng.gen_range(lo..LIFECYCLE_KEYS);
+        let queries = [
+            (Query::interval(lo, hi), lo, hi),
+            (Query::Total, 0, u64::MAX),
+        ];
+        for time in filters {
+            for (query, lo, hi) in &queries {
+                let a = store
+                    .estimate("flows", kind, query, CONFIDENCE, time)
+                    .unwrap();
+                assert!(
+                    a.windows >= 3,
+                    "seed {seed}: {time:?} read {} windows",
+                    a.windows
+                );
+                let e = a.estimate;
+                assert!(
+                    e.lower <= e.value && e.value <= e.upper,
+                    "seed {seed}: {e:?}"
+                );
+                let exact: f64 = rows
+                    .iter()
+                    .filter(|&&(ts, key, _)| {
+                        (*lo..=*hi).contains(&key)
+                            && time.is_none_or(|(t0, t1)| (t0..=t1).contains(&ts))
+                    })
+                    .map(|&(_, _, w)| w)
+                    .sum();
+                probes += 1;
+                if e.lower <= exact && exact <= e.upper {
+                    covered += 1;
+                }
+            }
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
+    let rate = covered as f64 / probes as f64;
+    assert!(
+        rate >= CONFIDENCE - 0.03,
+        "{kind} (budget {budget:?}): lifecycle coverage {rate} below {CONFIDENCE} \
+         ({covered}/{probes})"
+    );
+}
+
+#[test]
+fn sample_kinds_cover_through_the_store_lifecycle() {
+    // A merge budget re-subsamples every window to a single threshold.
+    for kind in [SummaryKind::Sample, SummaryKind::VarOptReservoir] {
+        lifecycle_coverage(kind, Some(80), |_| 1.0);
+    }
+}
+
+#[test]
+fn unbudgeted_samples_mixing_thresholds_cover_through_the_store_lifecycle() {
+    // Without a budget, windows concatenate their batches; the weight
+    // scale alternating 10x between batches makes every window, and every
+    // hour rolled up from two of them, mix sampling thresholds.
+    lifecycle_coverage(SummaryKind::Sample, None, |i| {
+        if i % 2 == 0 {
+            1.0
+        } else {
+            10.0
+        }
+    });
 }
 
 #[test]

@@ -4,17 +4,20 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sas_bench::{answer_value, avg_abs_error, build_aware, build_obliv};
 use structure_aware_sampling::core::varopt::VarOptSampler;
 use structure_aware_sampling::data::{
     uniform_area_queries, uniform_weight_queries, NetworkConfig, TicketConfig,
 };
+use structure_aware_sampling::sampling::product::{self, SpatialData};
 use structure_aware_sampling::sampling::two_pass;
-use structure_aware_sampling::summaries::exact::{ExactEngine, SampleSummary};
+use structure_aware_sampling::structures::product::MultiRangeQuery;
+use structure_aware_sampling::summaries::exact::ExactEngine;
 use structure_aware_sampling::summaries::qdigest::QDigestSummary;
 use structure_aware_sampling::summaries::wavelet::WaveletSummary;
-use structure_aware_sampling::summaries::RangeSumSummary;
+use structure_aware_sampling::summaries::{Query, StoredSample, Summary};
 
-fn network() -> structure_aware_sampling::sampling::product::SpatialData {
+fn network() -> SpatialData {
     let cfg = NetworkConfig {
         bits: 10,
         flows: 15_000,
@@ -22,6 +25,10 @@ fn network() -> structure_aware_sampling::sampling::product::SpatialData {
     };
     let mut rng = StdRng::seed_from_u64(1);
     cfg.generate(&mut rng)
+}
+
+fn stored(sample: structure_aware_sampling::core::Sample, data: &SpatialData) -> StoredSample {
+    StoredSample::spatial(sample, data).expect("every key has a location")
 }
 
 #[test]
@@ -32,28 +39,14 @@ fn full_pipeline_network_accuracy_ordering() {
     let s = 800;
 
     let mut rng = StdRng::seed_from_u64(2);
-    let aware = SampleSummary::new(
-        "aware",
-        &two_pass::sample_product(&data, s, 5, &mut rng),
-        &data,
-    );
-    let obliv = SampleSummary::new(
-        "obliv",
-        &VarOptSampler::sample_slice(s, &data.keys, &mut rng),
-        &data,
-    );
+    let aware = stored(two_pass::sample_product(&data, s, 5, &mut rng), &data);
+    let obliv = stored(VarOptSampler::sample_slice(s, &data.keys, &mut rng), &data);
 
     let mut qrng = StdRng::seed_from_u64(3);
     let queries = uniform_area_queries(&mut qrng, 1 << 10, 1 << 10, 40, 10, 0.3);
 
-    let err = |sm: &dyn RangeSumSummary| -> f64 {
-        queries
-            .iter()
-            .map(|q| (sm.estimate_multi(q) - exact.multi_sum(q)).abs())
-            .sum::<f64>()
-            / (queries.len() as f64 * total)
-    };
-    let (ea, eo) = (err(&aware), err(&obliv));
+    let ea = avg_abs_error(&aware, &exact, &queries, total);
+    let eo = avg_abs_error(&obliv, &exact, &queries, total);
     // The headline: structure-aware no worse than oblivious on range
     // batteries (usually 2x better; allow slack for one seed).
     assert!(
@@ -71,34 +64,118 @@ fn all_summaries_answer_the_same_queries() {
     let s = 500;
     let mut rng = StdRng::seed_from_u64(4);
 
-    let summaries: Vec<Box<dyn RangeSumSummary>> = vec![
-        Box::new(SampleSummary::new(
+    let summaries: Vec<(&str, Box<dyn Summary>)> = vec![
+        (
             "aware",
-            &two_pass::sample_product(&data, s, 5, &mut rng),
-            &data,
-        )),
-        Box::new(SampleSummary::new(
+            Box::new(stored(
+                two_pass::sample_product(&data, s, 5, &mut rng),
+                &data,
+            )),
+        ),
+        (
             "obliv",
-            &VarOptSampler::sample_slice(s, &data.keys, &mut rng),
-            &data,
-        )),
-        Box::new(WaveletSummary::build(&data, 10, 10, s)),
-        Box::new(QDigestSummary::build(&data, 10, s)),
+            Box::new(stored(
+                VarOptSampler::sample_slice(s, &data.keys, &mut rng),
+                &data,
+            )),
+        ),
+        ("wavelet", Box::new(WaveletSummary::build(&data, 10, 10, s))),
+        ("qdigest", Box::new(QDigestSummary::build(&data, 10, s))),
     ];
 
     let mut qrng = StdRng::seed_from_u64(5);
     let queries = uniform_weight_queries(&mut qrng, &data, 10, 5, 0.1);
-    for sm in &summaries {
-        assert!(sm.size_elements() <= s + 1, "{} too large", sm.name());
+    for (name, sm) in &summaries {
+        assert!(sm.item_count() <= s + 1, "{name} too large");
         for q in &queries {
-            let est = sm.estimate_multi(q);
+            let est = answer_value(sm.as_ref(), q);
             let truth = exact.multi_sum(q);
             // Sanity window: no summary may be wildly out (10x total).
             assert!(
                 (est - truth).abs() < 0.5 * exact.total(),
-                "{}: {est} vs {truth}",
-                sm.name()
+                "{name}: {est} vs {truth}"
             );
+        }
+    }
+}
+
+/// Pins the figure harness. Its sample series answer, through
+/// `Summary::answer`, exactly what the reference estimator
+/// (`product::estimate_box` over a sample drawn with the same recipe and
+/// seed) computes; its deterministic series stay within float dust of a
+/// per-box sum taken in battery order. A change to a sampler, the
+/// harness's builders, or an answer kernel that moves a figure fails here.
+#[test]
+fn figure_harness_series_match_the_reference_estimators() {
+    let data = network();
+    let exact = ExactEngine::new(&data);
+    let total = exact.total();
+    let s = 800;
+    let mut qrng = StdRng::seed_from_u64(8);
+    let batteries = [
+        uniform_area_queries(&mut qrng, 1 << 10, 1 << 10, 12, 25, 0.3),
+        uniform_weight_queries(&mut qrng, &data, 10, 10, 0.1),
+    ];
+
+    let aware = build_aware(&data, s, 11);
+    let obliv = build_obliv(&data, s, 12);
+    let reference = [
+        two_pass::sample_product(&data, s, 5, &mut StdRng::seed_from_u64(11)),
+        VarOptSampler::sample_slice(s, &data.keys, &mut StdRng::seed_from_u64(12)),
+    ];
+    let point_of: std::collections::HashMap<u64, _> = data
+        .keys
+        .iter()
+        .map(|wk| wk.key)
+        .zip(&data.points)
+        .collect();
+    // The summaries fold from +0.0; `Iterator::sum` yields -0.0 on an
+    // empty range, so the reference is normalized the same way.
+    let same = |got: f64, want: f64| got.to_bits() == (0.0 + want).to_bits();
+    for queries in &batteries {
+        for (summary, sample) in [(&aware, &reference[0]), (&obliv, &reference[1])] {
+            let mut abs_sum = 0.0;
+            for q in queries {
+                for b in &q.boxes {
+                    let one = MultiRangeQuery::new(vec![b.clone()]);
+                    let (got, want) = (
+                        answer_value(summary, &one),
+                        product::estimate_box(sample, &data, b),
+                    );
+                    assert!(same(got, want), "box {b:?}: {got} vs {want}");
+                }
+                let got = answer_value(summary, q);
+                let want = sample.subset_estimate(|k| q.contains(point_of[&k]));
+                assert!(same(got, want), "multi-range {q:?}: {got} vs {want}");
+                abs_sum += (want - exact.multi_sum(q)).abs();
+            }
+            let want = abs_sum / (queries.len() as f64 * total);
+            assert_eq!(avg_abs_error(summary, &exact, queries, total), want);
+        }
+
+        let wavelet = WaveletSummary::build(&data, 10, 10, s);
+        let qdigest = QDigestSummary::build(&data, 10, s);
+        for q in queries {
+            let per_box = |f: &dyn Fn(&_) -> f64| {
+                let values: Vec<f64> = q.boxes.iter().map(f).collect();
+                let scale: f64 = values.iter().map(|v| v.abs()).sum();
+                (values.into_iter().sum::<f64>(), scale)
+            };
+            for (got, (want, scale)) in [
+                (
+                    answer_value(&wavelet, q),
+                    per_box(&|b| wavelet.estimate_box(b)),
+                ),
+                (
+                    answer_value(&qdigest, q),
+                    per_box(&|b| qdigest.estimate_box(b)),
+                ),
+            ] {
+                assert!(
+                    (got - want).abs() <= 1e-15 * scale,
+                    "{q:?}: {got} vs per-box {want}"
+                );
+            }
         }
     }
 }
@@ -113,12 +190,8 @@ fn ticket_pipeline_runs_end_to_end() {
     let data = cfg.generate(&mut rng);
     let exact = ExactEngine::new(&data);
     let s = 600;
-    let aware = SampleSummary::new(
-        "aware",
-        &two_pass::sample_product(&data, s, 5, &mut rng),
-        &data,
-    );
-    assert_eq!(aware.size_elements(), s);
+    let aware = stored(two_pass::sample_product(&data, s, 5, &mut rng), &data);
+    assert_eq!(aware.len(), s);
 
     // Hierarchy-aligned box: first-level trouble subtree × whole location
     // domain. Mixed-radix layout makes this a coordinate interval.
@@ -126,7 +199,10 @@ fn ticket_pipeline_runs_end_to_end() {
     let sub = td / 16;
     let q = structure_aware_sampling::structures::product::BoxRange::xy(0, sub - 1, 0, ld - 1);
     let truth = exact.box_sum(&q);
-    let est = aware.estimate_box(&q);
+    let est = aware
+        .answer(&Query::BoxRange(vec![(0, sub - 1), (0, ld - 1)]), 0.9)
+        .unwrap()
+        .value;
     assert!(
         (est - truth).abs() < 0.1 * exact.total(),
         "subtree estimate {est} vs {truth}"
