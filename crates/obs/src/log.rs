@@ -76,17 +76,15 @@ fn start_instant() -> Instant {
 /// after the level check passed; `args` carries the already-formatted
 /// `key=value` tail.
 pub fn emit(l: Level, event: &str, args: std::fmt::Arguments<'_>) {
-    let t = start_instant().elapsed();
-    let line = format!(
-        "t={:.3} level={} event={}{}\n",
-        t.as_secs_f64(),
-        l.as_str(),
-        event,
-        args
-    );
+    let line = render(start_instant().elapsed().as_secs_f64(), l, event, args);
     // One write_all keeps concurrent records line-atomic; a failed write
     // (closed stderr) is ignored — logging must never kill the daemon.
     let _ = std::io::stderr().write_all(line.as_bytes());
+}
+
+/// The record line for an event at `t` seconds since the first record.
+fn render(t: f64, l: Level, event: &str, args: std::fmt::Arguments<'_>) -> String {
+    format!("t={t:.3} level={} event={event}{args}\n", l.as_str())
 }
 
 /// Emits a single-line structured log record:
@@ -120,9 +118,19 @@ macro_rules! slog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serialises the tests that set the process-wide level, so one test's
+    /// `set_level` never flips the gate under another.
+    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_level() -> std::sync::MutexGuard<'static, ()> {
+        LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn levels_order_and_gate() {
+        let _g = lock_level();
         set_level(Level::Warn);
         assert!(enabled(Level::Warn));
         assert!(!enabled(Level::Info));
@@ -135,6 +143,7 @@ mod tests {
 
     #[test]
     fn disabled_records_do_not_evaluate_arguments() {
+        let _g = lock_level();
         set_level(Level::Warn);
         let mut evaluated = false;
         slog!(
@@ -150,8 +159,14 @@ mod tests {
 
     #[test]
     fn emit_formats_key_value_tails() {
-        // Smoke: the macro body composes; output goes to stderr.
-        set_level(Level::Warn);
-        slog!(Level::Warn, "test_event", a = 1, b = "two");
+        // Rendered rather than emitted: a raw stderr write is not captured
+        // by the test harness and would split its progress lines.
+        let line = render(
+            1.5,
+            Level::Warn,
+            "test_event",
+            format_args!(" a={} b={}", 1, "two"),
+        );
+        assert_eq!(line, "t=1.500 level=warn event=test_event a=1 b=two\n");
     }
 }
