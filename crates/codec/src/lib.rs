@@ -435,7 +435,8 @@ pub fn is_frame(bytes: &[u8]) -> bool {
 /// and 64 so the two spaces can never collide.
 ///
 /// On a byte stream the frames are length-prefixed: `len: u32 LE` followed
-/// by exactly `len` frame bytes ([`write_message`] / [`read_message`]). The
+/// by exactly `len` frame bytes ([`write_message`](proto::write_message) /
+/// [`read_message`](proto::read_message)). The
 /// length prefix bounds the read before any allocation; the frame's own
 /// CRC-32 then vouches for the payload.
 pub mod proto {

@@ -240,6 +240,30 @@ mod tests {
     }
 
     #[test]
+    fn merge_keeps_the_larger_threshold_and_the_total() {
+        let mut a = Sample::from_entries(
+            vec![SampleEntry {
+                key: 1,
+                weight: 2.0,
+                adjusted_weight: 4.0,
+            }],
+            4.0,
+        );
+        let b = Sample::from_entries(
+            vec![SampleEntry {
+                key: 2,
+                weight: 3.0,
+                adjusted_weight: 3.0,
+            }],
+            1.0,
+        );
+        a.merge(b);
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.tau(), 4.0);
+        assert!((a.total_estimate() - 7.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn empty_sample() {
         let s = Sample::default();
         assert!(s.is_empty());

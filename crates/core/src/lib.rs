@@ -27,10 +27,11 @@
 //! * [`estimate`] — [`estimate::Sample`]: the summary object holding
 //!   sampled keys with Horvitz–Thompson adjusted weights, subset-sum and
 //!   range-sum estimation.
-//! * [`merge`] — the [`Mergeable`] trait: summaries over disjoint data that
-//!   combine into a summary of the union, the substrate of sharded and
-//!   distributed summarization ([`VarOptSampler::merge`] is the VarOpt
-//!   threshold merge).
+//! * Merging — summaries over disjoint data combine into a summary of the
+//!   union, the substrate of sharded and distributed summarization:
+//!   [`Sample::merge`] concatenates finished samples, and
+//!   [`VarOptSampler::merge`] is the VarOpt threshold merge of reservoir
+//!   states.
 //! * [`bounds`] — Chernoff tail bounds for Poisson/VarOpt samples (the
 //!   paper's Eqns. 2–4) and the ε-approximation size bound (Theorem 2).
 //! * [`discrepancy`] — sample-vs-expectation discrepancy Δ(S, R), the
@@ -63,7 +64,6 @@ pub mod bounds;
 pub mod discrepancy;
 pub mod estimate;
 pub mod ipps;
-pub mod merge;
 pub mod poisson;
 pub mod reservoir;
 pub mod systematic;
@@ -72,7 +72,6 @@ pub mod varopt;
 pub use aggregate::{pair_aggregate, AggregationState};
 pub use estimate::{Sample, SampleEntry};
 pub use ipps::{inclusion_probabilities, threshold_exact, StreamingThreshold};
-pub use merge::Mergeable;
 pub use varopt::VarOptSampler;
 
 /// Identifier of a key in a data set.

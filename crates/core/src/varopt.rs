@@ -18,7 +18,6 @@ use rand::Rng;
 
 use crate::aggregate::{aggregate_all, AggregationState};
 use crate::estimate::{Sample, SampleEntry};
-use crate::merge::Mergeable;
 use crate::{ipps, KeyId, WeightedKey};
 
 /// One key held in the VarOpt reservoir.
@@ -456,12 +455,6 @@ impl VarOptSampler {
     }
 }
 
-impl Mergeable for VarOptSampler {
-    fn merge_with<R: Rng + ?Sized>(&mut self, other: Self, rng: &mut R) {
-        self.merge(other, rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_via_mergeable_trait() {
+    fn merge_of_two_full_reservoirs_holds_capacity() {
         let data = data_mixed(100, 51);
         let mut rng = StdRng::seed_from_u64(8);
         let mut a = VarOptSampler::new(10);
@@ -789,7 +782,7 @@ mod tests {
         for wk in &data[50..] {
             b.push(wk.key, wk.weight, &mut rng);
         }
-        Mergeable::merge_with(&mut a, b, &mut rng);
+        a.merge(b, &mut rng);
         assert_eq!(a.held(), 10);
     }
 

@@ -1,12 +1,11 @@
 //! Named metrics registry and its exposition formats.
 //!
-//! A [`Registry`] hands out shared [`Counter`]s and
-//! [`Histogram`](crate::Histogram)s keyed by name. Labels are encoded
-//! Prometheus-style inside the name itself (`sas_requests_total{tag="query"}`),
-//! which keeps the registry a flat sorted map and makes the Prometheus
-//! exposition a plain text rendering of the snapshot. Hot paths resolve
-//! their `Arc` handles once at startup and record without touching the
-//! registry lock again.
+//! A [`Registry`] hands out shared [`Counter`]s and [`Histogram`]s keyed
+//! by name. Labels are encoded Prometheus-style inside the name itself
+//! (`sas_requests_total{tag="query"}`), which keeps the registry a flat
+//! sorted map and makes the Prometheus exposition a plain text rendering
+//! of the snapshot. Hot paths resolve their `Arc` handles once at startup
+//! and record without touching the registry lock again.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -14,7 +14,8 @@
 //! The [`sharded`] module scales these samplers across threads: the input is
 //! split by key range or round-robin, each shard is summarized
 //! independently, and the per-shard samples are merged bottom-up with a
-//! structure-aware threshold merge (see `sas_core::Mergeable`).
+//! structure-aware threshold merge ([`sharded::merge_samples`]), in the one
+//! bottom-up merge order of [`sharded::merge_pairwise`].
 //!
 //! Each main-memory sampler has a two-pass I/O-efficient counterpart in
 //! [`two_pass`] (the paper's Section 5) that uses `O(s′)` memory independent

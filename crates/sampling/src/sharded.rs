@@ -26,6 +26,8 @@
 //!   natural topology when the input arrives as an arbitrary stream and
 //!   shard assignment must be oblivious to key values.
 
+use std::convert::Infallible;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -144,64 +146,6 @@ fn partition<'a>(data: &'a [WeightedKey], cfg: &ShardedConfig) -> Partition<'a> 
     }
 }
 
-/// Reusable scratch buffers for [`merge_samples_with`].
-///
-/// A threshold merge needs half a dozen temporary vectors (effective
-/// weights, the active partition, the aggregation state's key/probability
-/// columns, the pair order). Allocating them per merge dominates the cost
-/// of small merges; an arena threaded through a merge tree reuses them
-/// across every level instead. The arena never influences the merge
-/// result: `merge_samples(a, b, s, rng)` and `merge_samples_with(a, b, s,
-/// rng, &mut arena)` are bit-identical for any arena state, because the
-/// buffers are cleared before use and the RNG draw sequence is unchanged.
-#[derive(Debug, Default)]
-pub struct MergeArena {
-    eff: Vec<f64>,
-    active: Vec<SampleEntry>,
-    keys: Vec<KeyId>,
-    probs: Vec<f64>,
-    order_idx: Vec<usize>,
-    /// Retired entry vectors, recycled as the union/kept buffers of later
-    /// merges (a tree merge frees one input per merge — steady state needs
-    /// no fresh allocations at all).
-    entry_pool: Vec<Vec<SampleEntry>>,
-    /// 2-D location scratch for callers that carry per-key coordinates
-    /// through a merge (see `StoredSample::merge` in `sas-summaries`).
-    coord_scratch: std::collections::HashMap<KeyId, (u64, u64)>,
-}
-
-impl MergeArena {
-    /// A fresh arena (equivalent to `Default::default()`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a cleared entry buffer from the pool (or a new one).
-    pub fn take_entries(&mut self) -> Vec<SampleEntry> {
-        let mut v = self.entry_pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Returns an entry buffer to the pool for reuse.
-    pub fn recycle_entries(&mut self, v: Vec<SampleEntry>) {
-        self.entry_pool.push(v);
-    }
-
-    /// Takes the cleared per-key coordinate scratch map (for 2-D merges);
-    /// return it with [`MergeArena::put_coords`] when done.
-    pub fn take_coords(&mut self) -> std::collections::HashMap<KeyId, (u64, u64)> {
-        let mut m = std::mem::take(&mut self.coord_scratch);
-        m.clear();
-        m
-    }
-
-    /// Returns the coordinate scratch map for reuse.
-    pub fn put_coords(&mut self, m: std::collections::HashMap<KeyId, (u64, u64)>) {
-        self.coord_scratch = m;
-    }
-}
-
 /// Merges two finished samples over disjoint key sets down to budget `s`,
 /// preserving structure awareness over the key order.
 ///
@@ -212,71 +156,44 @@ impl MergeArena {
 /// of the key domain keep low discrepancy through the merge. If the union
 /// already fits in `s`, it is returned unchanged (concatenation).
 pub fn merge_samples<R: Rng + ?Sized>(a: Sample, b: Sample, s: usize, rng: &mut R) -> Sample {
-    merge_samples_with(a, b, s, rng, &mut MergeArena::default())
-}
-
-/// [`merge_samples`] with caller-provided scratch buffers, bit-identical to
-/// it for any arena state. Thread one [`MergeArena`] through a sequence of
-/// merges (a merge tree, a compaction pass) to amortize the per-merge
-/// allocations away.
-pub fn merge_samples_with<R: Rng + ?Sized>(
-    a: Sample,
-    b: Sample,
-    s: usize,
-    rng: &mut R,
-    arena: &mut MergeArena,
-) -> Sample {
     assert!(s > 0, "merge budget must be positive");
     let tau_reported = a.tau().max(b.tau());
     let mut entries = a.into_entries();
-    let mut b_entries = b.into_entries();
-    entries.append(&mut b_entries);
-    arena.recycle_entries(b_entries);
+    entries.extend(b.into_entries());
 
-    arena.eff.clear();
-    arena.eff.extend(entries.iter().map(|e| e.adjusted_weight));
-    let tau_new = ipps::threshold_exact(&arena.eff, s as f64);
+    let eff: Vec<f64> = entries.iter().map(|e| e.adjusted_weight).collect();
+    let tau_new = ipps::threshold_exact(&eff, s as f64);
     if tau_new <= 0.0 {
         // Union fits in the budget: concatenation is the exact merge.
         return Sample::from_entries(entries, tau_reported);
     }
 
-    let mut kept: Vec<SampleEntry> = arena.take_entries();
-    kept.reserve(s);
-    arena.active.clear();
-    for e in entries.drain(..) {
+    let mut kept: Vec<SampleEntry> = Vec::with_capacity(s);
+    let mut active: Vec<SampleEntry> = Vec::new();
+    for e in entries {
         if e.adjusted_weight >= tau_new {
             kept.push(e);
         } else {
-            arena.active.push(e);
+            active.push(e);
         }
     }
-    arena.recycle_entries(entries);
     // Structure-aware re-subsampling: aggregate actives in key order.
-    arena.active.sort_by_key(|e| e.key);
-    let mut keys = std::mem::take(&mut arena.keys);
-    keys.clear();
-    keys.extend(arena.active.iter().map(|e| e.key));
-    let mut probs = std::mem::take(&mut arena.probs);
-    probs.clear();
-    probs.extend(arena.active.iter().map(|e| e.adjusted_weight / tau_new));
-    arena.order_idx.clear();
-    arena.order_idx.extend(0..arena.active.len());
+    active.sort_by_key(|e| e.key);
+    let keys: Vec<KeyId> = active.iter().map(|e| e.key).collect();
+    let probs: Vec<f64> = active.iter().map(|e| e.adjusted_weight / tau_new).collect();
+    let order_idx: Vec<usize> = (0..active.len()).collect();
     let mut state = AggregationState::new(keys, probs);
-    order::os_summarize(&mut state, &arena.order_idx, rng);
+    order::os_summarize(&mut state, &order_idx, rng);
     // Inclusion is read per *index*, not per key: duplicate keys (legal in
     // the input format, and splittable across shards) must be resolved
     // entry-by-entry or the merged size drifts from s.
-    kept.extend(arena.active.drain(..).enumerate().filter_map(|(i, e)| {
+    kept.extend(active.into_iter().enumerate().filter_map(|(i, e)| {
         (state.state(i) == EntryState::Included).then_some(SampleEntry {
             key: e.key,
             weight: e.weight,
             adjusted_weight: tau_new,
         })
     }));
-    let (keys, probs) = state.into_parts();
-    arena.keys = keys;
-    arena.probs = probs;
     Sample::from_entries(kept, tau_new)
 }
 
@@ -336,30 +253,41 @@ pub fn per_shard_samples(data: &[WeightedKey], s: usize, cfg: &ShardedConfig) ->
     per_shard
 }
 
-/// Merges per-shard samples bottom-up in a binary tree (adjacent pairs —
-/// preserves key locality for the key-range topology), landing at budget
-/// `s`. With `L` merge levels the interval discrepancy bound is
-/// `2·(L + 1)`; a left-to-right fold would pay one level per shard instead
-/// of `log₂(shards)`.
-pub fn merge_sample_tree<R: Rng + ?Sized>(samples: Vec<Sample>, s: usize, rng: &mut R) -> Sample {
-    assert!(s > 0, "merge budget must be positive");
-    // One arena for the whole tree: every merge after the first reuses the
-    // previous merges' scratch (and retired entry buffers) instead of
-    // allocating afresh.
-    let mut arena = MergeArena::default();
-    let mut level = samples;
+/// The one bottom-up merge order, shared by [`merge_sample_tree`] and the
+/// erased `merge_tree` of `sas-summaries` (and through it by `sas merge`
+/// and the store's compaction): adjacent pairs merge level by level, and
+/// an odd item out is carried up unchanged to the next level. `N` inputs
+/// pay `⌈log₂ N⌉` merge levels instead of the `N − 1` of a left-to-right
+/// fold. Returns `None` for no input; stops at the first failed merge.
+pub fn merge_pairwise<T, E>(
+    items: Vec<T>,
+    mut merge: impl FnMut(T, T) -> Result<T, E>,
+) -> Result<Option<T>, E> {
+    let mut level = items;
     while level.len() > 1 {
         let mut next = Vec::with_capacity(level.len().div_ceil(2));
         let mut it = level.into_iter();
         while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_samples_with(a, b, s, rng, &mut arena)),
-                None => next.push(a),
-            }
+            next.push(match it.next() {
+                Some(b) => merge(a, b)?,
+                None => a,
+            });
         }
         level = next;
     }
-    level.pop().unwrap_or_default()
+    Ok(level.pop())
+}
+
+/// Merges per-shard samples bottom-up in a binary tree
+/// ([`merge_pairwise`]: adjacent pairs — preserves key locality for the
+/// key-range topology), landing at budget `s`. With `L` merge levels the
+/// interval discrepancy bound is `2·(L + 1)`.
+pub fn merge_sample_tree<R: Rng + ?Sized>(samples: Vec<Sample>, s: usize, rng: &mut R) -> Sample {
+    assert!(s > 0, "merge budget must be positive");
+    let Ok(root) = merge_pairwise(samples, |a, b| {
+        Ok::<_, Infallible>(merge_samples(a, b, s, rng))
+    });
+    root.unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -534,33 +462,28 @@ mod tests {
     }
 
     #[test]
-    fn arena_merge_is_bit_identical_to_fresh_allocation() {
-        // A dirty, reused arena must never change a merge result: same
-        // entries (key, weight, adjusted weight bits) and same threshold
-        // as the allocate-per-merge path, across many seeds.
-        let data = stream(1500, 33);
-        let mut arena = MergeArena::new();
-        for seed in 0..60u64 {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            let a1 = order::sample(&data[..700], 60, &mut r1);
-            let b1 = order::sample(&data[700..], 60, &mut r1);
-            let a2 = order::sample(&data[..700], 60, &mut r2);
-            let b2 = order::sample(&data[700..], 60, &mut r2);
-            let fresh = merge_samples(a1, b1, 50, &mut r1);
-            let reused = merge_samples_with(a2, b2, 50, &mut r2, &mut arena);
-            assert_eq!(fresh.tau().to_bits(), reused.tau().to_bits(), "seed {seed}");
-            assert_eq!(fresh.len(), reused.len(), "seed {seed}");
-            for (x, y) in fresh.iter().zip(reused.iter()) {
-                assert_eq!(x.key, y.key, "seed {seed}");
-                assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "seed {seed}");
-                assert_eq!(
-                    x.adjusted_weight.to_bits(),
-                    y.adjusted_weight.to_bits(),
-                    "seed {seed}"
-                );
+    fn merge_pairwise_pairs_adjacent_items_and_carries_the_odd_one_up() {
+        let tree = |n: usize| {
+            let leaves: Vec<String> = (0..n).map(|i| ((b'a' + i as u8) as char).into()).collect();
+            merge_pairwise(leaves, |a, b| Ok::<_, Infallible>(format!("({a}{b})"))).unwrap()
+        };
+        assert_eq!(tree(0), None);
+        assert_eq!(tree(1).as_deref(), Some("a"));
+        assert_eq!(tree(5).as_deref(), Some("(((ab)(cd))e)"));
+        assert_eq!(tree(6).as_deref(), Some("(((ab)(cd))(ef))"));
+        assert_eq!(tree(7).as_deref(), Some("(((ab)(cd))((ef)g))"));
+        // The first failed merge stops the tree and surfaces its error.
+        let mut calls = 0;
+        let failed = merge_pairwise(vec![1, 2, 3, 4], |a, b| {
+            calls += 1;
+            if a == 3 {
+                Err(a + b)
+            } else {
+                Ok(a + b)
             }
-        }
+        });
+        assert_eq!(failed, Err(7));
+        assert_eq!(calls, 2);
     }
 
     #[test]

@@ -8,16 +8,15 @@
 //!
 //! ## Architecture
 //!
-//! * **Windowed ingest** — every batch is an erased
-//!   [`Summary`](sas_summaries::Summary) that lands in the minute window
-//!   containing its timestamp, merged through the same type-erased
-//!   `merge_in_place` that `sas merge` uses.
+//! * **Windowed ingest** — every batch is an erased [`Summary`] that lands
+//!   in the minute window containing its timestamp, merged through the
+//!   same type-erased `merge_in_place` that `sas merge` uses.
 //! * **Snapshot-swapped reads** — the whole catalog lives in one immutable
 //!   [`Snapshot`] behind an `Arc`. Readers clone the `Arc` (a refcount
 //!   bump under a briefly-held read lock) and then query entirely
 //!   lock-free; writers build the next snapshot on the side and swap it in.
-//!   An LRU [`QueryCache`](cache::QueryCache) memoizes hot estimates,
-//!   keyed by the **series stamp** of the series they read
+//!   An LRU [`QueryCache`] memoizes hot estimates, keyed by the
+//!   **series stamp** of the series they read
 //!   ([`Snapshot::series_version`]): the snapshot version at which that
 //!   `(dataset, kind)` series last changed. A write therefore retires only
 //!   the answers of the series it touched, and since versions are never
@@ -30,10 +29,10 @@
 //!   tick; embedded users call it themselves.
 //! * **Crash-safe persistence** — every window is a `sas-codec` frame
 //!   written via temp-file + `rename` ([`fsio::write_atomic`]), referenced
-//!   by an atomically-rewritten [`Manifest`](manifest::Manifest). Every
-//!   catalog change goes through one private `Commit`, whose `finish` is
-//!   the one place that orders the writes: frames before the manifest
-//!   that names them, deletions after the manifest that forgets them.
+//!   by an atomically-rewritten [`Manifest`]. Every catalog change goes
+//!   through one private `Commit`, whose `finish` is the one place that
+//!   orders the writes: frames before the manifest that names them,
+//!   deletions after the manifest that forgets them.
 //!   Restart recovery replays the manifest and sweeps crash debris.
 //!
 //! The TCP daemon (`sas serve`) and its client live in [`server`] and
@@ -72,8 +71,8 @@ use sas_obs::{
 use sas_codec::segment::is_segment;
 use sas_codec::CodecError;
 use sas_summaries::{
-    decode_summary, encode_segment, encode_summary, merge_tree_with, Estimate, MergeArena, Query,
-    QueryError, SegmentSummary, Summary, SummaryError, SummaryKind,
+    decode_summary, encode_segment, encode_summary, merge_tree, Estimate, Query, QueryError,
+    SegmentSummary, Summary, SummaryError, SummaryKind,
 };
 
 use cache::{CacheKey, QueryCache};
@@ -771,9 +770,6 @@ impl Store {
         let mut commit = self.begin();
         self.obs.compactions.inc();
         let mut rollups = 0usize;
-        // One arena serves every roll-up of the pass: the merge scratch is
-        // allocated once, not once per merge (bit-identical either way).
-        let mut arena = MergeArena::new();
 
         // Minute→hour first so freshly built hours can cascade into days
         // within the same pass.
@@ -799,14 +795,13 @@ impl Store {
             }
             for (parent_key, children) in groups {
                 let batches: u64 = children.iter().map(|c| c.batches).sum();
-                let merged = rebuild_parent_with(
+                let merged = rebuild_parent(
                     &parent_key,
                     children
                         .iter()
                         .map(|c| self.hydrate_counted(c.summary.as_ref()))
                         .collect(),
                     self.config.budget,
-                    &mut arena,
                 )?;
                 let bytes = encode_summary(merged.as_ref());
                 commit.write(&parent_key, &bytes)?;
@@ -1151,20 +1146,8 @@ pub fn rebuild_parent(
     children: Vec<Box<dyn Summary>>,
     budget: Option<usize>,
 ) -> Result<Box<dyn Summary>, StoreError> {
-    rebuild_parent_with(parent, children, budget, &mut MergeArena::new())
-}
-
-/// [`rebuild_parent`] with caller-provided merge scratch — bit-identical
-/// to it for any arena state. The compaction loop threads one arena
-/// through every roll-up of a pass.
-pub fn rebuild_parent_with(
-    parent: &WindowKey,
-    children: Vec<Box<dyn Summary>>,
-    budget: Option<usize>,
-    arena: &mut MergeArena,
-) -> Result<Box<dyn Summary>, StoreError> {
     let mut rng = StdRng::seed_from_u64(window_seed(parent));
-    Ok(merge_tree_with(children, budget, &mut rng, arena)?)
+    Ok(merge_tree(children, budget, &mut rng)?)
 }
 
 /// On-disk location of a window's frame.

@@ -12,10 +12,10 @@
 //! request that reads or changes it, `List`/`Stats`/`Metrics` included;
 //! the blocking file I/O lives here) and sends the encoded response back
 //! through a completion channel, waking the loop through a
-//! [`poller::WakeHandle`]. Only `Ping`, `Shutdown`, undecodable frames and
-//! `BUSY` refusals (plus a watch over its per-connection cap) are answered
-//! inline on the loop — a ping measures loop latency even while every
-//! worker is busy.
+//! [`crate::poller::WakeHandle`]. Only `Ping`, `Shutdown`, undecodable
+//! frames and `BUSY` refusals (plus a watch over its per-connection cap)
+//! are answered inline on the loop — a ping measures loop latency even
+//! while every worker is busy.
 //!
 //! ## Pipelining & ordering
 //!

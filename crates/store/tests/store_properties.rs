@@ -159,14 +159,13 @@ fn ingest_persists_and_recovers_bit_identically() {
 }
 
 #[test]
-fn budgeted_compaction_with_shared_arena_matches_fresh_rebuild() {
-    // Budgeted roll-ups re-subsample through the arena-backed merge path,
-    // and one compaction pass threads a single arena through every
-    // roll-up — dirty from the second hour on. Each hour frame must still
-    // equal the offline `rebuild_parent` (which allocates a fresh arena)
-    // byte for byte, across many store layouts.
+fn budgeted_compaction_matches_offline_rebuild() {
+    // Budgeted roll-ups re-subsample through the structure-aware threshold
+    // merge, and one compaction pass rolls up several hours. Each hour
+    // frame must equal the offline `rebuild_parent` byte for byte, across
+    // many store layouts.
     for seed in 0..30u64 {
-        let dir = TempDir::new("compact-arena");
+        let dir = TempDir::new("compact-budget");
         let store = Store::open(
             dir.path(),
             StoreConfig {
@@ -211,8 +210,8 @@ fn budgeted_compaction_with_shared_arena_matches_fresh_rebuild() {
             assert_eq!(
                 on_disk,
                 encode_summary(rebuilt.as_ref()),
-                "seed {seed}, hour {hour_start}: shared-arena compaction must \
-                 equal the fresh-arena rebuild byte-for-byte"
+                "seed {seed}, hour {hour_start}: budgeted compaction must \
+                 equal the offline rebuild byte-for-byte"
             );
         }
     }

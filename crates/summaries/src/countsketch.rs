@@ -11,7 +11,6 @@
 //! As the paper observes, the space at which the sketch becomes accurate on
 //! two-dimensional data is much larger than for the other summaries.
 
-use sas_core::Mergeable;
 use sas_sampling::product::SpatialData;
 use sas_structures::dyadic;
 use sas_structures::product::BoxRange;
@@ -283,20 +282,6 @@ impl SketchSummary {
     }
 }
 
-/// Count-sketches are linear: two sketches built with the same geometry
-/// (domain bits, width, and hash seeds) merge by element-wise counter
-/// addition, and the merged sketch is *identical* to one built over the
-/// concatenated data.
-///
-/// # Panics
-/// Panics if the two summaries' geometries differ (different domain bits,
-/// counter width, or build seed) — merging those is not meaningful.
-impl Mergeable for SketchSummary {
-    fn merge_with<R: rand::Rng + ?Sized>(&mut self, other: Self, _rng: &mut R) {
-        self.try_merge(other).unwrap();
-    }
-}
-
 /// Packs 2-D cell coordinates into one hashable id.
 fn cell_id(cx: u64, cy: u64) -> u64 {
     cx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ cy
@@ -414,7 +399,6 @@ mod tests {
     fn merged_sketch_identical_to_sketch_of_union() {
         // Linearity: build(A) ⊕ build(B) == build(A ∪ B), counter for
         // counter, when the geometry and seed agree.
-        let mut rng = StdRng::seed_from_u64(13);
         let all = random_data(400, 6, 9);
         let rows: Vec<(u64, u64, f64)> = all
             .keys
@@ -426,7 +410,7 @@ mod tests {
         let mut a = SketchSummary::build(&SpatialData::from_xyw(first), 6, 6, 4000, 21);
         let b = SketchSummary::build(&SpatialData::from_xyw(second), 6, 6, 4000, 21);
         let whole = SketchSummary::build(&all, 6, 6, 4000, 21);
-        a.merge_with(b, &mut rng);
+        a.try_merge(b).unwrap();
         for (rows_m, rows_w) in a.sketches.iter().zip(&whole.sketches) {
             for (m, w) in rows_m.iter().zip(rows_w) {
                 for (cm, cw) in m.counters.iter().zip(&w.counters) {
@@ -437,13 +421,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "seed mismatch")]
-    fn merging_mismatched_seeds_panics() {
-        let mut rng = StdRng::seed_from_u64(14);
+    fn mismatched_geometry_merge_errs_and_leaves_every_counter_unchanged() {
         let data = random_data(20, 4, 10);
-        let mut a = SketchSummary::build(&data, 4, 4, 500, 1);
-        let b = SketchSummary::build(&data, 4, 4, 500, 2);
-        a.merge_with(b, &mut rng);
+        let a = SketchSummary::build(&data, 4, 4, 500, 1);
+        let bits = |s: &SketchSummary| -> Vec<u64> {
+            s.sketches
+                .iter()
+                .flatten()
+                .flat_map(|sk| &sk.counters)
+                .map(|c| c.to_bits())
+                .collect()
+        };
+        let before = bits(&a);
+        for (other, want) in [
+            (SketchSummary::build(&data, 4, 4, 500, 2), "seed mismatch"),
+            (SketchSummary::build(&data, 4, 4, 1000, 1), "width mismatch"),
+            (SketchSummary::build(&data, 4, 5, 500, 1), "domain mismatch"),
+        ] {
+            let mut merged = a.clone();
+            let err = merged.try_merge(other).unwrap_err();
+            assert!(err.contains(want), "{err}");
+            assert_eq!(bits(&merged), before, "{want}: counters moved");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use rand::RngCore;
 use sas_codec::{encode_frame, open_frame, CodecError, Reader, Writer};
 use sas_core::varopt::VarOptSampler;
 use sas_core::KeyId;
-use sas_sampling::sharded::MergeArena;
+use sas_sampling::sharded::merge_pairwise;
 use sas_structures::product::BoxRange;
 
 use crate::countsketch::SketchSummary;
@@ -121,8 +121,10 @@ impl From<CodecError> for SummaryError {
 /// Implementations answer range-sum queries, expose their build metadata
 /// (kind, dimensionality, size, threshold), merge type-erased peers, and
 /// encode themselves onto the `sas-codec` wire format. Everything a caller
-/// needs lives behind `Box<dyn Summary>` — no downcasting outside this
-/// module.
+/// needs to query, merge, and persist lives behind `Box<dyn Summary>`.
+/// Downcasts through [`Summary::as_any`] remain only where a caller needs
+/// the concrete layout: the segment encoder, and the store telling mapped
+/// [`SegmentSummary`](crate::SegmentSummary) windows from owned ones.
 ///
 /// `Send + Sync` is part of the contract: summaries are plain data, and
 /// the store serves them from shared snapshots across threads.
@@ -163,8 +165,10 @@ pub trait Summary: fmt::Debug + Send + Sync {
     /// Answers a batch of queries, one estimate per query in order.
     ///
     /// Sample-based kinds override this to walk their items **once**,
-    /// testing each item against every query, instead of once per query —
-    /// the batched form the store daemon and `sas query --queries` use.
+    /// testing each item against every query, instead of once per query.
+    /// [`QueryBatch`](crate::QueryBatch) (`sas query --queries`) and the
+    /// benches call it; the store answers one query at a time through
+    /// [`Summary::answer`].
     fn answer_batch(
         &self,
         queries: &[Query],
@@ -187,21 +191,6 @@ pub trait Summary: fmt::Debug + Send + Sync {
         budget: Option<usize>,
         rng: &mut dyn RngCore,
     ) -> Result<(), SummaryError>;
-
-    /// [`Summary::merge_in_place`] with caller-provided scratch buffers —
-    /// bit-identical to it for any arena state. Kinds whose merge allocates
-    /// per call (budgeted samples) override this to recycle the arena's
-    /// buffers; the default ignores the arena. [`merge_tree_with`] threads
-    /// one arena through every merge of a tree.
-    fn merge_in_place_with(
-        &mut self,
-        other: Box<dyn Summary>,
-        budget: Option<usize>,
-        rng: &mut dyn RngCore,
-        _arena: &mut MergeArena,
-    ) -> Result<(), SummaryError> {
-        self.merge_in_place(other, budget, rng)
-    }
 
     /// Writes the kind-specific frame body (sections only; the envelope is
     /// added by [`encode_summary`]).
@@ -291,49 +280,24 @@ pub fn decode_summary(bytes: &[u8]) -> Result<Box<dyn Summary>, CodecError> {
     Ok(summary)
 }
 
-/// Merges summaries of *disjoint* data bottom-up in a binary tree:
-/// adjacent pairs merge level by level, so `N` inputs pay `O(log₂ N)`
-/// merge levels (for budgeted samples each level adds less than 2 to any
-/// interval's discrepancy — a left-to-right fold would pay one level per
-/// input). This is the single merge order shared by `sas merge`, sharded
-/// summarization, and the store's window compaction: given the same
-/// inputs, budget, and RNG stream, the result is bit-identical wherever
-/// it runs.
+/// Merges summaries of *disjoint* data bottom-up in a binary tree, in the
+/// one merge order of [`merge_pairwise`]: adjacent pairs merge level by
+/// level, so `N` inputs pay `O(log₂ N)` merge levels (for budgeted samples
+/// each level adds less than 2 to any interval's discrepancy — a
+/// left-to-right fold would pay one level per input). `sas merge`, sharded
+/// summarization, and the store's window compaction all merge in this
+/// order: given the same inputs, budget, and RNG stream, the result is
+/// bit-identical wherever it runs.
 pub fn merge_tree(
     summaries: Vec<Box<dyn Summary>>,
     budget: Option<usize>,
     rng: &mut dyn RngCore,
 ) -> Result<Box<dyn Summary>, SummaryError> {
-    merge_tree_with(summaries, budget, rng, &mut MergeArena::new())
-}
-
-/// [`merge_tree`] with caller-provided scratch buffers — bit-identical to
-/// it for any arena state. One [`MergeArena`] is threaded through all
-/// `N - 1` merges, so the tree pays the merge scratch allocations once
-/// instead of once per merge; a compaction loop can likewise carry a
-/// single arena across many trees.
-pub fn merge_tree_with(
-    summaries: Vec<Box<dyn Summary>>,
-    budget: Option<usize>,
-    rng: &mut dyn RngCore,
-    arena: &mut MergeArena,
-) -> Result<Box<dyn Summary>, SummaryError> {
-    if summaries.is_empty() {
-        return Err(SummaryError::Merge("nothing to merge".into()));
-    }
-    let mut level = summaries;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                a.merge_in_place_with(b, budget, rng, arena)?;
-            }
-            next.push(a);
-        }
-        level = next;
-    }
-    Ok(level.pop().expect("non-empty input"))
+    merge_pairwise(summaries, |mut a, b| {
+        a.merge_in_place(b, budget, rng)?;
+        Ok::<_, SummaryError>(a)
+    })?
+    .ok_or_else(|| SummaryError::Merge("nothing to merge".into()))
 }
 
 /// Consuming downcast with a kind-aware error.
@@ -455,18 +419,6 @@ impl Summary for StoredSample {
     ) -> Result<(), SummaryError> {
         let other = downcast::<StoredSample>(other, SummaryKind::Sample)?;
         self.merge(*other, budget, rng).map_err(SummaryError::Merge)
-    }
-
-    fn merge_in_place_with(
-        &mut self,
-        other: Box<dyn Summary>,
-        budget: Option<usize>,
-        rng: &mut dyn RngCore,
-        arena: &mut MergeArena,
-    ) -> Result<(), SummaryError> {
-        let other = downcast::<StoredSample>(other, SummaryKind::Sample)?;
-        self.merge_with(*other, budget, rng, arena)
-            .map_err(SummaryError::Merge)
     }
 
     fn encode_body(&self, w: &mut Writer) {
@@ -668,12 +620,12 @@ impl Summary for QDigestSummary {
         &mut self,
         other: Box<dyn Summary>,
         _budget: Option<usize>,
-        rng: &mut dyn RngCore,
+        _rng: &mut dyn RngCore,
     ) -> Result<(), SummaryError> {
         // Deterministic node addition; the budget does not apply (rebuild
         // from data to recompress).
         let other = downcast::<QDigestSummary>(other, SummaryKind::QDigest)?;
-        sas_core::Mergeable::merge_with(self, *other, rng);
+        self.merge(*other);
         Ok(())
     }
 
@@ -715,9 +667,9 @@ impl Summary for WaveletSummary {
 
     fn answer(&self, query: &Query, _confidence: f64) -> Result<Estimate, QueryError> {
         // Deterministic truncation bound (see `WaveletSummary::bound_box`):
-        // dropped coefficients contribute at most the smallest retained
-        // importance each, over the O(log²) basis pairs relevant to the
-        // box. Reported at confidence 1.
+        // dropped coefficients contribute at most the tracked ceiling each,
+        // over the O(log²) basis pairs relevant to the box, plus the merge
+        // slack of retained ones. Reported at confidence 1.
         let mut value = 0.0;
         let mut err = 0.0;
         for axes in query.boxes(2)? {

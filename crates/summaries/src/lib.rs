@@ -19,10 +19,10 @@
 //! Every summary answers through the [`Summary`] trait below, samples
 //! included ([`StoredSample`]), and reports its size in *elements*
 //! ([`Summary::item_count`], comparable to sample keys, as in the paper's
-//! plots). The q-digest and count-sketch also implement
-//! `sas_core::Mergeable` — per-shard summaries built over disjoint data
-//! combine by node/counter addition, mirroring the mergeable VarOpt samples
-//! of `sas-sampling::sharded`.
+//! plots). Each kind has one merge of its own — per-shard summaries built
+//! over disjoint data combine by node/coefficient/counter addition,
+//! mirroring the threshold merge of `sas-sampling::sharded` — and
+//! [`Summary::merge_in_place`] reaches all of them through one erased call.
 
 //!
 //! The [`erased`] module adds the durability layer: the object-safe
@@ -55,10 +55,7 @@ pub mod view;
 pub mod wavelet;
 pub mod wavelet1d;
 
-pub use erased::{
-    decode_summary, encode_summary, merge_tree, merge_tree_with, Summary, SummaryError, SummaryKind,
-};
+pub use erased::{decode_summary, encode_summary, merge_tree, Summary, SummaryError, SummaryKind};
 pub use query::{Estimate, Query, QueryBatch, QueryError};
-pub use sas_sampling::sharded::MergeArena;
 pub use stored::StoredSample;
 pub use view::{encode_segment, SegmentSummary};

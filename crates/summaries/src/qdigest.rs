@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 
-use sas_core::Mergeable;
 use sas_sampling::product::SpatialData;
 use sas_structures::product::BoxRange;
 
@@ -255,13 +254,14 @@ impl QDigestSummary {
     }
 }
 
-/// Q-digests over disjoint data merge by cell-wise weight addition: the
-/// union of the two node sets, with coinciding cells combined. Queries over
-/// the merged digest are exactly the sum of the two inputs' answers, so the
-/// deterministic error guarantees add. The node count can grow up to the sum
-/// of the inputs'; rebuild from data (or raise the threshold) to recompress.
-impl Mergeable for QDigestSummary {
-    fn merge_with<R: rand::Rng + ?Sized>(&mut self, other: Self, _rng: &mut R) {
+impl QDigestSummary {
+    /// Merges a digest of disjoint data by cell-wise weight addition: the
+    /// union of the two node sets, with coinciding cells combined. Queries
+    /// over the merged digest are exactly the sum of the two inputs'
+    /// answers, so the deterministic error guarantees add. The node count
+    /// can grow up to the sum of the inputs'; rebuild from data (or raise
+    /// the threshold) to recompress.
+    pub fn merge(&mut self, other: Self) {
         let mut by_cell: HashMap<Cell, f64> = self.nodes.drain(..).collect();
         for (cell, w) in other.nodes {
             *by_cell.entry(cell).or_insert(0.0) += w;
@@ -270,9 +270,7 @@ impl Mergeable for QDigestSummary {
         Self::canonicalize(&mut self.nodes);
         self.threshold = self.threshold.max(other.threshold);
     }
-}
 
-impl QDigestSummary {
     /// Estimated weight inside the box: fully covered cells count whole,
     /// partially covered ones in proportion to the covered volume.
     pub fn estimate_box(&self, query: &BoxRange) -> f64 {
@@ -439,7 +437,6 @@ mod tests {
 
     #[test]
     fn merged_digest_preserves_total_and_adds_estimates() {
-        let mut rng = StdRng::seed_from_u64(15);
         let all = random_data(600, 8, 11);
         let rows: Vec<(u64, u64, f64)> = all
             .keys
@@ -459,7 +456,7 @@ mod tests {
                 b.stored_total(),
             )
         };
-        a.merge_with(b, &mut rng);
+        a.merge(b);
         assert!((a.stored_total() - (tot_a + tot_b)).abs() < 1e-9);
         let q = BoxRange::xy(0, 127, 0, 127);
         assert!((a.estimate_box(&q) - (est_a + est_b)).abs() < 1e-9);

@@ -26,7 +26,6 @@ use std::sync::OnceLock;
 use sas_core::estimate::{Sample, SampleEntry};
 use sas_core::KeyId;
 use sas_sampling::product::SpatialData;
-use sas_sampling::sharded::MergeArena;
 use sas_structures::product::Point;
 
 use crate::fold::KeyOrder;
@@ -45,7 +44,7 @@ pub struct StoredSample {
     tau: f64,
     dims: usize,
     /// Key-order index over `keys` (1-D only), built on first use and
-    /// reset by [`StoredSample::merge_with`], the only mutator.
+    /// reset by [`StoredSample::merge`], the only mutator.
     order: OnceLock<KeyOrder>,
 }
 
@@ -215,20 +214,6 @@ impl StoredSample {
         budget: Option<usize>,
         rng: &mut R,
     ) -> Result<(), String> {
-        self.merge_with(other, budget, rng, &mut MergeArena::new())
-    }
-
-    /// [`StoredSample::merge`] with caller-provided scratch buffers —
-    /// bit-identical to it for any arena state. A merge tree or compaction
-    /// pass threads one [`MergeArena`] through every merge to amortize the
-    /// per-merge allocations away.
-    pub fn merge_with<R: rand::Rng + ?Sized>(
-        &mut self,
-        other: StoredSample,
-        budget: Option<usize>,
-        rng: &mut R,
-        arena: &mut MergeArena,
-    ) -> Result<(), String> {
         if self.dims != other.dims {
             return Err(format!(
                 "cannot merge a {}-D sample into a {}-D sample",
@@ -238,27 +223,23 @@ impl StoredSample {
         self.order.take();
         match budget {
             Some(s) if s > 0 => {
-                // Per-key locations survive the re-subsampling through the
-                // arena's coordinate scratch (later inserts win, matching
-                // the historical map-extend semantics).
-                let coords = (self.dims == 2).then(|| {
-                    let mut m = arena.take_coords();
-                    for i in 0..self.keys.len() {
-                        m.insert(self.keys[i], (self.xs[i], self.ys[i]));
-                    }
-                    for i in 0..other.keys.len() {
-                        m.insert(other.keys[i], (other.xs[i], other.ys[i]));
-                    }
-                    m
+                // Per-key locations survive the re-subsampling through a
+                // coordinate map (later inserts win, matching the
+                // historical map-extend semantics).
+                let coords: Option<HashMap<KeyId, (u64, u64)>> = (self.dims == 2).then(|| {
+                    [&*self, &other]
+                        .into_iter()
+                        .flat_map(|p| p.keys.iter().zip(p.xs.iter().zip(&p.ys)))
+                        .map(|(&k, (&x, &y))| (k, (x, y)))
+                        .collect()
                 });
-                let mine = self.take_sample(arena);
-                let theirs = other.into_sample(arena);
-                let merged = sas_sampling::sharded::merge_samples_with(mine, theirs, s, rng, arena);
-                let result = self.load_sample(merged, coords.as_ref(), arena);
-                if let Some(m) = coords {
-                    arena.put_coords(m);
-                }
-                result
+                let merged = sas_sampling::sharded::merge_samples(
+                    self.to_sample(),
+                    other.to_sample(),
+                    s,
+                    rng,
+                );
+                self.load_sample(merged, coords.as_ref())
             }
             Some(_) => Err("merge budget must be positive".into()),
             None => {
@@ -275,38 +256,19 @@ impl StoredSample {
         }
     }
 
-    /// Drains the columns into a `Sample` backed by an arena buffer.
-    fn take_sample(&mut self, arena: &mut MergeArena) -> Sample {
-        let mut entries = arena.take_entries();
-        entries.extend((0..self.keys.len()).map(|i| SampleEntry {
-            key: self.keys[i],
-            weight: self.weights[i],
-            adjusted_weight: self.adjusted[i],
-        }));
-        self.keys.clear();
-        self.weights.clear();
-        self.adjusted.clear();
-        self.xs.clear();
-        self.ys.clear();
-        Sample::from_entries(entries, self.tau)
-    }
-
-    /// Consumes `self` into a `Sample` backed by an arena buffer.
-    fn into_sample(mut self, arena: &mut MergeArena) -> Sample {
-        self.take_sample(arena)
-    }
-
-    /// Refills the columns from a merged sample, resolving 2-D locations
-    /// through `coords`; returns the entry buffer to the arena.
+    /// Replaces the columns with a merged sample's entries, resolving 2-D
+    /// locations through `coords`.
     fn load_sample(
         &mut self,
         merged: Sample,
         coords: Option<&HashMap<KeyId, (u64, u64)>>,
-        arena: &mut MergeArena,
     ) -> Result<(), String> {
-        self.tau = merged.tau();
-        let entries = merged.into_entries();
-        for e in &entries {
+        *self = Self {
+            tau: merged.tau(),
+            dims: self.dims,
+            ..Self::default()
+        };
+        for e in merged.iter() {
             self.keys.push(e.key);
             self.weights.push(e.weight);
             self.adjusted.push(e.adjusted_weight);
@@ -318,7 +280,6 @@ impl StoredSample {
                 self.ys.push(y);
             }
         }
-        arena.recycle_entries(entries);
         Ok(())
     }
 
@@ -541,33 +502,6 @@ mod tests {
         assert_eq!(a.point_map().len(), 10);
         for (i, &k) in a.keys().iter().enumerate() {
             assert_eq!((a.xs()[i], a.ys()[i]), (k, k));
-        }
-    }
-
-    #[test]
-    fn merge_with_reused_arena_matches_fresh_merge() {
-        // The same pair of 2-D summaries merged through a dirty arena and
-        // through the allocating path must encode to identical bytes.
-        let mk = |lo: u64, hi: u64, tau: f64| {
-            let entries: Vec<SampleEntry> = (lo..hi).map(|k| entry(k, 1.0, tau.max(1.0))).collect();
-            let points: HashMap<KeyId, Point> =
-                (lo..hi).map(|k| (k, Point::xy(k % 7, k % 11))).collect();
-            StoredSample::two_dim(Sample::from_entries(entries, tau), points).unwrap()
-        };
-        let mut arena = MergeArena::new();
-        for seed in 0..20u64 {
-            let mut fresh = mk(0, 40, 2.0);
-            let mut reused = mk(0, 40, 2.0);
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            fresh.merge(mk(40, 80, 1.5), Some(25), &mut r1).unwrap();
-            reused
-                .merge_with(mk(40, 80, 1.5), Some(25), &mut r2, &mut arena)
-                .unwrap();
-            assert_eq!(fresh.keys(), reused.keys(), "seed {seed}");
-            assert_eq!(fresh.xs(), reused.xs(), "seed {seed}");
-            assert_eq!(fresh.ys(), reused.ys(), "seed {seed}");
-            assert_eq!(fresh.tau().to_bits(), reused.tau().to_bits(), "seed {seed}");
         }
     }
 

@@ -148,8 +148,9 @@ pub struct WaveletSummary {
     /// Upper bound on the importance of any coefficient this summary ever
     /// dropped (0 when the budget kept everything). Tracked through
     /// truncation and merges so [`bound_box`](WaveletSummary::bound_box)
-    /// stays sound; not persisted (the wire format predates it), so
-    /// decoding falls back to the smallest retained importance.
+    /// stays sound. Persisted in the optional wire section 3 whenever
+    /// decoding could not rebuild it from the smallest retained importance
+    /// (see [`WaveletSummary::write_wire`]).
     dropped_ceiling: f64,
     /// Upper bound on the error of any *retained* coefficient: 0 for
     /// direct builds (retained coefficients are exact), positive after a
@@ -285,7 +286,21 @@ impl WaveletSummary {
         Ok(())
     }
 
+    /// The `dropped_ceiling` a decoder assumes when the frame carries no
+    /// section 3: the smallest retained importance. Sound for direct builds
+    /// and their truncations — the largest dropped coefficient cannot
+    /// outrank the smallest kept one.
+    fn fallback_ceiling(coeffs: &[Coefficient], bits_x: u32, bits_y: u32) -> f64 {
+        coeffs.last().map_or(0.0, |c| importance(c, bits_x, bits_y))
+    }
+
     /// Writes the wire representation (see `sas-codec` for the framing).
+    ///
+    /// Sections 1 (domain bits) and 2 (coefficients) are always present.
+    /// Section 3 holds `[dropped_ceiling, retained_slack]` and is written
+    /// only when the decode fallback would lose them — after a merge.
+    /// Direct builds never write it, so their frames keep the original v1
+    /// layout byte for byte.
     pub(crate) fn write_wire(&self, w: &mut sas_codec::Writer) {
         fn put_basis(w: &mut sas_codec::Writer, b: Basis1D) {
             match b {
@@ -313,6 +328,13 @@ impl WaveletSummary {
                 w.put_f64(c.value);
             }
         });
+        let fallback = Self::fallback_ceiling(&self.coeffs, self.bits_x, self.bits_y);
+        if self.retained_slack > 0.0 || self.dropped_ceiling > fallback {
+            w.section(3, |w| {
+                w.put_f64(self.dropped_ceiling);
+                w.put_f64(self.retained_slack);
+            });
+        }
     }
 
     /// Reads the wire representation, validating basis indices against the
@@ -360,22 +382,29 @@ impl WaveletSummary {
             coeffs.push(Coefficient { bx, by, value });
         }
         body.finish()?;
-        // The frame format predates the error bookkeeping, so decoding
-        // reconstructs the ceiling conservatively from the smallest
-        // retained importance (sound for persisted direct builds — the
-        // largest dropped coefficient cannot outrank the smallest kept
-        // one). A persisted *merged* summary loses its merge slack; see
-        // `bound_box` for the caveat.
-        let dropped_ceiling = coeffs
-            .last()
-            .map(|c| importance(c, bits_x, bits_y))
-            .unwrap_or(0.0);
+        // Without section 3 the summary is a direct build (or a truncation
+        // of one): its ceiling is the smallest retained importance and it
+        // carries no merge slack.
+        let (dropped_ceiling, retained_slack) = if r.is_empty() {
+            (Self::fallback_ceiling(&coeffs, bits_x, bits_y), 0.0)
+        } else {
+            let mut bounds = r.expect_section(3)?;
+            let ceiling = bounds.get_finite_f64()?;
+            let slack = bounds.get_finite_f64()?;
+            bounds.finish()?;
+            if ceiling < 0.0 || slack < 0.0 {
+                return Err(CodecError::Invalid(format!(
+                    "negative wavelet error bound (ceiling {ceiling}, slack {slack})"
+                )));
+            }
+            (ceiling, slack)
+        };
         Ok(Self {
             coeffs,
             bits_x,
             bits_y,
             dropped_ceiling,
-            retained_slack: 0.0,
+            retained_slack,
         })
     }
 }
@@ -401,11 +430,10 @@ impl WaveletSummary {
     /// so an untruncated summary answers with a zero-width bound. Merges
     /// keep the bound sound by adding the inputs' ceilings and charging
     /// every *retained* coefficient the possible missing share of the
-    /// input that dropped it (`retained_slack`). The one residual caveat:
-    /// the wire format predates this bookkeeping, so a *merged* summary
-    /// that is persisted and decoded falls back to the smallest retained
-    /// importance — sound for direct builds, approximate for re-loaded
-    /// merges (carrying the two floats needs a format-version bump).
+    /// input that dropped it (`retained_slack`). Both survive persistence:
+    /// a merged summary writes them to the optional wire section 3, and a
+    /// decoded direct build rebuilds its ceiling from its smallest retained
+    /// importance, which is sound for it.
     pub fn bound_box(&self, query: &BoxRange) -> f64 {
         if query.is_empty() || self.coeffs.is_empty() {
             return 0.0;
@@ -728,6 +756,79 @@ mod tests {
                     "budget {budget} {q:?}: |{est} - {truth}| > {err}"
                 );
             }
+        }
+    }
+
+    /// Two independently built halves of `all` (`s` coefficients each),
+    /// merged.
+    fn merged_halves(all: &SpatialData, bits: u32, s: usize) -> WaveletSummary {
+        let rows: Vec<(u64, u64, f64)> = all
+            .keys
+            .iter()
+            .zip(&all.points)
+            .map(|(wk, p)| (p.coord(0), p.coord(1), wk.weight))
+            .collect();
+        let (first, second) = rows.split_at(rows.len() / 2);
+        let mut merged = WaveletSummary::build(&SpatialData::from_xyw(first), bits, bits, s);
+        merged
+            .try_merge(WaveletSummary::build(
+                &SpatialData::from_xyw(second),
+                bits,
+                bits,
+                s,
+            ))
+            .unwrap();
+        merged
+    }
+
+    #[test]
+    fn truncation_bound_survives_merge_and_persistence() {
+        // The store persists every window it compacts, so a merged wavelet
+        // must keep its confidence-1 interval through encode/decode, not
+        // only in memory.
+        use crate::erased::{decode_summary, encode_summary};
+        use crate::query::Query;
+        let mut misses = 0;
+        for seed in 0..40u64 {
+            let all = random_data(300, 6, 1000 + seed);
+            let frame = encode_summary(&merged_halves(&all, 6, 40));
+            let decoded = decode_summary(&frame).unwrap();
+            assert_eq!(encode_summary(decoded.as_ref()), frame, "seed {seed}");
+            let exact = crate::exact::ExactEngine::new(&all);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..50 {
+                let x0 = rng.gen_range(0..64);
+                let x1 = rng.gen_range(x0..64);
+                let y0 = rng.gen_range(0..64);
+                let y1 = rng.gen_range(y0..64);
+                let est = decoded
+                    .answer(&Query::BoxRange(vec![(x0, x1), (y0, y1)]), 1.0)
+                    .unwrap();
+                let truth = exact.box_sum(&BoxRange::xy(x0, x1, y0, y1));
+                if truth < est.lower - 1e-6 || truth > est.upper + 1e-6 {
+                    misses += 1;
+                }
+            }
+        }
+        assert_eq!(misses, 0, "decoded merged wavelets missed their bound");
+    }
+
+    #[test]
+    fn corrupt_error_bounds_are_rejected_on_decode() {
+        use crate::erased::{decode_summary, encode_summary};
+        let frame = encode_summary(&merged_halves(&random_data(120, 4, 7), 4, 10));
+        // Section 3 is the last section: `[dropped_ceiling, retained_slack]`
+        // right before the CRC trailer.
+        let at = frame.len() - sas_codec::TRAILER_LEN;
+        for (offset, bad) in [(16, f64::NAN), (16, -1.0), (8, f64::INFINITY), (8, -0.5)] {
+            let mut bytes = frame.clone();
+            bytes[at - offset..at - offset + 8].copy_from_slice(&bad.to_le_bytes());
+            let crc = sas_codec::crc32(&bytes[..at]);
+            bytes[at..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                decode_summary(&bytes).is_err(),
+                "bound {bad} at -{offset} decoded"
+            );
         }
     }
 }

@@ -1,7 +1,6 @@
-//! Properties pinning the column-oriented (SoA) `StoredSample` layout and
-//! the arena-backed merge path to the historical behavior: identical query
-//! values against an array-of-structs reference evaluation, identical
-//! encodings, bit-identical merge trees for any arena state, and
+//! Properties pinning the column-oriented (SoA) `StoredSample` layout to
+//! the historical behavior: identical query values against an
+//! array-of-structs reference evaluation, identical encodings, and
 //! `answer().value` equal to an independent reference computation for
 //! every registered kind.
 
@@ -18,10 +17,7 @@ use sas_structures::product::{BoxRange, Point};
 use sas_summaries::countsketch::SketchSummary;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
-use sas_summaries::{
-    decode_summary, encode_summary, merge_tree, merge_tree_with, MergeArena, Query, StoredSample,
-    Summary,
-};
+use sas_summaries::{decode_summary, encode_summary, Query, StoredSample, Summary};
 
 fn keys_strategy() -> impl Strategy<Value = Vec<WeightedKey>> {
     prop::collection::vec((0u64..5000, 0.1f64..50.0), 1..120).prop_map(|pairs| {
@@ -199,51 +195,5 @@ proptest! {
                 (0.0 + sketch.estimate_box(&b)).to_bits()
             );
         }
-    }
-}
-
-fn shard_1d(seed: u64, shard: u64) -> Box<dyn Summary> {
-    let rows: Vec<WeightedKey> = (0..60)
-        .map(|i| WeightedKey::new(shard * 1000 + i, 1.0 + ((seed + i) % 9) as f64))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31) + shard);
-    Box::new(StoredSample::one_dim(sas_sampling::order::sample(
-        &rows, 40, &mut rng,
-    )))
-}
-
-fn shard_2d(seed: u64, shard: u64) -> Box<dyn Summary> {
-    let rows: Vec<WeightedKey> = (0..60)
-        .map(|i| WeightedKey::new(shard * 1000 + i, 1.0 + ((seed + i) % 9) as f64))
-        .collect();
-    let points: HashMap<u64, Point> = rows
-        .iter()
-        .map(|wk| (wk.key, Point::xy(wk.key % 251, (wk.key / 3) % 241)))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31) + shard);
-    let sample = sas_sampling::order::sample(&rows, 40, &mut rng);
-    Box::new(StoredSample::two_dim(sample, points).unwrap())
-}
-
-/// One `MergeArena` threaded through 120 seeds' worth of merge trees —
-/// dirty with every size of buffer the previous trees left behind — gives
-/// the same bytes as a fresh arena per tree, for 1-D and 2-D samples.
-#[test]
-fn arena_merge_tree_is_bit_identical_across_seeds() {
-    let mut arena = MergeArena::new();
-    for seed in 0..120u64 {
-        let build: fn(u64, u64) -> Box<dyn Summary> =
-            if seed % 2 == 0 { shard_1d } else { shard_2d };
-        let shards: Vec<Box<dyn Summary>> = (0..8).map(|s| build(seed, s)).collect();
-        let shards2 = shards.clone();
-        let mut r1 = StdRng::seed_from_u64(seed);
-        let mut r2 = StdRng::seed_from_u64(seed);
-        let fresh = merge_tree(shards, Some(30), &mut r1).unwrap();
-        let reused = merge_tree_with(shards2, Some(30), &mut r2, &mut arena).unwrap();
-        assert_eq!(
-            encode_summary(fresh.as_ref()),
-            encode_summary(reused.as_ref()),
-            "seed {seed}: arena-backed merge tree must match the allocating one"
-        );
     }
 }

@@ -5,7 +5,7 @@
 //! (VLDB 2011). Re-exports the public API of every workspace crate:
 //!
 //! * [`core`] — VarOpt/IPPS sampling primitives, estimation, tail bounds,
-//!   and the [`Mergeable`] trait for combining summaries of disjoint data.
+//!   and the merges that combine samples of disjoint data.
 //! * [`structures`] — orders, hierarchies, product spaces, kd-hierarchies.
 //! * [`sampling`] — the structure-aware samplers (the paper's contribution)
 //!   and the sharded parallel summarization driver
@@ -40,5 +40,4 @@ pub use sas_store as store;
 pub use sas_structures as structures;
 pub use sas_summaries as summaries;
 
-pub use sas_core::Mergeable;
 pub use sas_summaries::{Estimate, Query, QueryBatch, QueryError, Summary, SummaryKind};

@@ -41,6 +41,21 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
         StoredSample::spatial(smp, &spatial).expect("points cover all keys")
     };
 
+    // A merged wavelet carries its error bookkeeping in the optional
+    // section 3, which direct builds never write.
+    let merged_wavelet = {
+        let (first, second) = rows.split_at(rows.len() / 2);
+        let mut w = WaveletSummary::build(&SpatialData::from_xyw(first), 4, 4, 8);
+        w.try_merge(WaveletSummary::build(
+            &SpatialData::from_xyw(second),
+            4,
+            4,
+            8,
+        ))
+        .expect("same geometry");
+        w
+    };
+
     vec![
         ("sample-1d", encode_summary(&StoredSample::one_dim(sample))),
         ("sample-2d", encode_summary(&stored2)),
@@ -53,6 +68,7 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
             "wavelet",
             encode_summary(&WaveletSummary::build(&spatial, 4, 4, 20)),
         ),
+        ("wavelet-merged", encode_summary(&merged_wavelet)),
         (
             "sketch",
             encode_summary(&SketchSummary::build(&spatial, 4, 4, 90, 3)),

@@ -11,7 +11,8 @@ use rand::{Rng, SeedableRng};
 
 use structure_aware_sampling::core::{total_weight, VarOptSampler, WeightedKey};
 use structure_aware_sampling::sampling::sharded::{
-    merge_samples, summarize_sharded, ShardTopology, ShardedConfig,
+    merge_sample_tree, merge_samples, per_shard_samples, summarize_sharded, ShardTopology,
+    ShardedConfig,
 };
 use structure_aware_sampling::sampling::{order, IppsSetup};
 use structure_aware_sampling::structures::order::Interval;
@@ -281,7 +282,9 @@ use structure_aware_sampling::sampling::product::SpatialData;
 use structure_aware_sampling::summaries::countsketch::SketchSummary;
 use structure_aware_sampling::summaries::qdigest::QDigestSummary;
 use structure_aware_sampling::summaries::wavelet::WaveletSummary;
-use structure_aware_sampling::summaries::{decode_summary, encode_summary, StoredSample};
+use structure_aware_sampling::summaries::{
+    decode_summary, encode_summary, merge_tree, StoredSample,
+};
 use structure_aware_sampling::{Query, Summary};
 
 /// The point estimate of a box query.
@@ -447,6 +450,41 @@ fn budgeted_sample_merge_roundtrip_conserves_invariants() {
                 .sum();
             let delta = (box_value(merged.as_ref(), &[(lo, hi)]) - truth).abs() / tau;
             assert!(delta < 4.0 + 1e-6, "seed {seed} [{lo},{hi}]: Δ = {delta}");
+        }
+    }
+}
+
+/// The one merge order: sharded builds (`merge_sample_tree`) and the erased
+/// `merge_tree` behind `sas merge` and store compaction pair the same
+/// inputs in the same order, so on the same per-shard samples, budget, and
+/// RNG seed they agree bit for bit — keys, weights, adjusted weights, τ.
+#[test]
+fn sample_tree_and_erased_tree_merge_in_one_order() {
+    let s = 40;
+    for seed in 0..12u64 {
+        let data = mixed_data(3000, 7000 + seed);
+        for shards in [2, 5, 8] {
+            let cfg = if seed % 2 == 0 {
+                ShardedConfig::key_range(shards, seed)
+            } else {
+                ShardedConfig::round_robin(shards, seed)
+            };
+            let samples = per_shard_samples(&data, s, &cfg);
+            let erased: Vec<Box<dyn Summary>> = samples
+                .iter()
+                .map(|smp| Box::new(StoredSample::one_dim(smp.clone())) as Box<dyn Summary>)
+                .collect();
+            let direct = merge_sample_tree(samples, s, &mut StdRng::seed_from_u64(seed));
+            let tree = merge_tree(erased, Some(s), &mut StdRng::seed_from_u64(seed)).unwrap();
+            let tree = tree.as_any().downcast_ref::<StoredSample>().unwrap();
+            let ctx = format!("seed {seed}, {shards} shards");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(tree.keys(), direct.keys().collect::<Vec<_>>(), "{ctx}");
+            let weights: Vec<f64> = direct.iter().map(|e| e.weight).collect();
+            let adjusted: Vec<f64> = direct.iter().map(|e| e.adjusted_weight).collect();
+            assert_eq!(bits(tree.weights()), bits(&weights), "{ctx}");
+            assert_eq!(bits(tree.adjusted_weights()), bits(&adjusted), "{ctx}");
+            assert_eq!(tree.tau().to_bits(), direct.tau().to_bits(), "{ctx}");
         }
     }
 }
