@@ -612,7 +612,7 @@ impl QueryBatch {
 /// sound).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SampleAccumulator {
-    /// Running estimate — adjusted weights in item order.
+    /// Running estimate — the sum of the adjusted weights folded in.
     pub value: f64,
     /// Exact part: adjusted weights of heavy keys (included with
     /// probability 1).
@@ -663,6 +663,18 @@ impl SampleAccumulator {
         } else {
             self.heavy += adjusted;
         }
+    }
+
+    /// Folds in the accumulator of a disjoint set of items (a block sum of
+    /// the key-order index): the sums add, and the largest light threshold
+    /// is the larger of the two.
+    #[inline(always)]
+    pub fn absorb(&mut self, other: &SampleAccumulator) {
+        self.value += other.value;
+        self.heavy += other.heavy;
+        self.light_adjusted += other.light_adjusted;
+        self.light_tau = self.light_tau.max(other.light_tau);
+        self.variance += other.variance;
     }
 
     /// Finishes the accumulator into an estimate: heavy part exact, light

@@ -17,8 +17,12 @@
 //! v1 wire format serializes entries in that order and the encoding must
 //! stay bit-identical to the original array-of-structs layout.
 //!
-//! A 1-D sample answers through a key-order index over its keys (see
-//! `crate::fold`), built on the first query and dropped by every merge.
+//! A 1-D sample answers through a key-order index over its keys, with a
+//! key fence and the folded accumulator of every whole block of 16 index
+//! positions (see `crate::fold`), built on the first query and dropped by
+//! every merge.
+//! A mapped segment builds the same index over the same columns, so the
+//! two answer bit for bit alike.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -196,7 +200,12 @@ impl StoredSample {
     /// The key-order index over the keys, built on first use.
     pub(crate) fn key_order(&self) -> &KeyOrder {
         self.order.get_or_init(|| {
-            KeyOrder::build(self.keys.as_slice()).expect("a sample holds at most u32::MAX items")
+            KeyOrder::build_sample(
+                self.keys.as_slice(),
+                self.weights.as_slice(),
+                self.adjusted.as_slice(),
+            )
+            .expect("a sample holds at most u32::MAX items")
         })
     }
 
@@ -507,7 +516,7 @@ mod tests {
 
     #[test]
     fn merges_never_leave_the_key_order_index_stale() {
-        use crate::fold::tests::{assert_same_bits, reference_answers};
+        use crate::fold::tests::{assert_same_bits, assert_sample_answers};
         use rand::Rng;
         let queries = [
             Query::Total,
@@ -519,8 +528,7 @@ mod tests {
         let check = |s: &StoredSample, ctx: &str| {
             for confidence in [0.5, 0.9] {
                 let got = s.answer_batch(&queries, confidence).unwrap();
-                let want = reference_answers(s, &queries, confidence);
-                assert_same_bits(&got, &want, &queries, ctx);
+                assert_sample_answers(s, &got, &queries, confidence, ctx);
             }
         };
         // A sampled batch over keys `keys`, with a few heavy keys so the

@@ -17,7 +17,12 @@
 //! alone. Once validation passes, [`SegmentSummary::open`] builds, for every
 //! 1-D key column (the sample keys, and both VarOpt partitions), a `u32`
 //! permutation of item indices stably sorted by key — 4 bytes per item, no
-//! copy of the keys. 2-D samples keep the column scan.
+//! copy of the keys — and a fence holding the key at the start of every
+//! block of 16 index positions (0.5 B per item), which a range search
+//! binary-searches before it reads one block of the index. The sample
+//! index also keeps one sum of each whole block's items (2.5 B per item),
+//! so a range folds its two edges item by item and the blocks between
+//! them as sums. 2-D samples keep the column scan.
 //!
 //! ## Answers
 //!
@@ -27,7 +32,10 @@
 //! same query by running the same code. Columns hold the same words the v1
 //! wire carries, so a segment answers bit for bit like the decoded v1
 //! frame — pinned by the multi-seed property tests at the bottom of this
-//! file, which also check both against an item-by-item reference scan.
+//! file, which also check both against the reference folds of
+//! `crate::fold`'s tests: bit for bit against a naive replay of the block
+//! decomposition, and to within float reassociation against an
+//! item-by-item scan.
 //! VarOpt segments answer through `crate::fold::varopt_1d`; the owned
 //! [`VarOptSampler`] keeps its own scan, and the same tests pin the two
 //! together.
@@ -277,7 +285,11 @@ impl SegmentSummary {
         // Mirrors `StoredSample::total_estimate` (same fold order).
         let total = adjusted.le(b).values().sum();
         let order = match dims {
-            1 => Some(KeyOrder::build(keys.le(b))?),
+            1 => Some(KeyOrder::build_sample(
+                keys.le(b),
+                weights.le(b),
+                adjusted.le(b),
+            )?),
             _ => None,
         };
         Ok(Layout::Sample {
@@ -530,7 +542,7 @@ impl Summary for SegmentSummary {
 mod tests {
     use super::*;
     use crate::erased::in_interval;
-    use crate::fold::tests::{assert_same_bits, reference_answers};
+    use crate::fold::tests::{assert_same_bits, assert_sample_answers};
     use crate::{decode_summary, encode_summary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -615,11 +627,11 @@ mod tests {
             assert_same_bits(&a, &b, queries, ctx);
             // Owned and mapped samples share their kernels, so agreeing
             // with each other proves nothing about the fold itself: pin
-            // both to the independent item-by-item reference scan.
+            // both to the independent reference folds.
             if let Some(sample) = owned.as_any().downcast_ref::<StoredSample>() {
-                let reference = reference_answers(sample, queries, confidence);
-                assert_same_bits(&a, &reference, queries, &format!("{ctx}: owned vs scan"));
-                assert_same_bits(&b, &reference, queries, &format!("{ctx}: mapped vs scan"));
+                let ctx = format!("{ctx}: confidence {confidence}");
+                assert_sample_answers(sample, &a, queries, confidence, &format!("{ctx}: owned"));
+                assert_sample_answers(sample, &b, queries, confidence, &format!("{ctx}: mapped"));
             }
             // The single-answer path routes through the same batch loop.
             for q in queries {
@@ -783,8 +795,10 @@ mod tests {
 
     #[test]
     fn view_matches_decoded_rollup_sample_across_seeds() {
-        // Out-of-key-order columns: a fold in index order instead of item
-        // order would reassociate the float sums and show up here.
+        // Out-of-key-order columns with duplicate keys: the fold's order
+        // (key order, ties in item order, whole blocks summed apart) is
+        // what the block reference replays, so any other order shows up
+        // here.
         let mut with_duplicates = 0;
         for seed in 0..160u64 {
             let span = if seed % 2 == 0 { 400 } else { u64::MAX };

@@ -1,8 +1,10 @@
 //! Properties pinning the column-oriented (SoA) `StoredSample` layout to
-//! the historical behavior: identical query values against an
-//! array-of-structs reference evaluation, identical encodings, and
-//! `answer().value` equal to an independent reference computation for
-//! every registered kind.
+//! the historical behavior: query values against an array-of-structs
+//! reference evaluation, identical encodings, and `answer().value` equal
+//! to an independent reference computation for every registered kind.
+//! 1-D sample values are pinned bit for bit to a replay of the block fold
+//! of the key-order index, and to the in-order walk of the entries within
+//! `n·ε` relative.
 
 use std::collections::HashMap;
 
@@ -44,6 +46,65 @@ fn box_value(s: &dyn Summary, range: &[(u64, u64)]) -> f64 {
         .value
 }
 
+/// Positions per block of the key-order index's block sums.
+const BLOCK: usize = 16;
+
+/// The value the 1-D sample fold gives `[lo, hi]`, replayed naively: the
+/// entries in key order (ties in entry order); a block of `BLOCK`
+/// positions the range covers whole, starting on a multiple of `BLOCK`,
+/// summed on its own first; every other entry added alone; all from +0.0
+/// (`Iterator::sum` would yield -0.0 on ranges matching nothing).
+fn block_fold_value(entries: impl Iterator<Item = (u64, f64)>, lo: u64, hi: u64) -> f64 {
+    let mut sorted: Vec<(u64, usize, f64)> = entries
+        .enumerate()
+        .map(|(i, (key, adjusted))| (key, i, adjusted))
+        .collect();
+    sorted.sort_by_key(|&(key, i, _)| (key, i));
+    let inside: Vec<usize> = (0..sorted.len())
+        .filter(|&p| lo <= sorted[p].0 && sorted[p].0 <= hi)
+        .collect();
+    let (mut p, end) = match (inside.first(), inside.last()) {
+        (Some(&first), Some(&last)) => (first, last + 1),
+        _ => return 0.0,
+    };
+    let mut value = 0.0;
+    while p < end {
+        if p % BLOCK == 0 && p + BLOCK <= end {
+            value += sorted[p..p + BLOCK].iter().fold(0.0, |acc, e| acc + e.2);
+            p += BLOCK;
+        } else {
+            value += sorted[p].2;
+            p += 1;
+        }
+    }
+    value
+}
+
+/// The in-order walk of the entries over `[lo, hi]`, from +0.0 like the
+/// query accumulator.
+fn entry_order_value(entries: impl Iterator<Item = (u64, f64)>, lo: u64, hi: u64) -> f64 {
+    entries
+        .filter(|&(key, _)| lo <= key && key <= hi)
+        .fold(0.0, |acc, (_, adjusted)| acc + adjusted)
+}
+
+/// Pins a 1-D sample's value for `[lo, hi]` to its entries as the old
+/// array-of-structs layout held them: bit for bit to the block fold, and
+/// within `n·ε` relative of the in-order walk of its `n` entries.
+fn check_sample_value(stored: &StoredSample, lo: u64, hi: u64) {
+    let aos = stored.to_sample();
+    let entries = || aos.iter().map(|e| (e.key, e.adjusted_weight));
+    let value = box_value(stored, &[(lo, hi)]);
+    let blocks = block_fold_value(entries(), lo, hi);
+    assert_eq!(value.to_bits(), blocks.to_bits(), "lo={lo} hi={hi}");
+    let in_order = entry_order_value(entries(), lo, hi);
+    let tol = aos.len() as f64 * f64::EPSILON * in_order.abs();
+    assert!(
+        (value - in_order).abs() <= tol,
+        "lo={lo} hi={hi}: {value} vs in order {in_order}"
+    );
+}
+
 /// Checks a batch answer against per-query answers, bit for bit.
 fn assert_batch_matches_loop(s: &dyn Summary, queries: &[Query]) {
     let batch = s.answer_batch(queries, 0.95).unwrap();
@@ -59,9 +120,9 @@ fn assert_batch_matches_loop(s: &dyn Summary, queries: &[Query]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The 1-D column layout is observationally identical to evaluating
-    /// the sample entries the old array-of-structs way, and the encoding
-    /// round-trips byte-identically.
+    /// The 1-D column layout answers like evaluating the sample entries
+    /// the old array-of-structs way (up to the block fold's reassociation),
+    /// and the encoding round-trips byte-identically.
     #[test]
     fn soa_sample_1d_matches_aos_reference(
         data in keys_strategy(),
@@ -71,17 +132,8 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let stored = StoredSample::one_dim(sas_sampling::order::sample(&data, budget, &mut rng));
-        // Reference: walk the entries in order, as the old layout did.
-        let aos = stored.to_sample();
         for &(lo, hi) in &ranges {
-            // Fold from +0.0 like the query accumulator (`Iterator::sum`
-            // would yield -0.0 on ranges matching nothing).
-            let reference: f64 = aos
-                .iter()
-                .filter(|e| lo <= e.key && e.key <= hi)
-                .fold(0.0, |acc, e| acc + e.adjusted_weight);
-            let est = stored.answer(&Query::BoxRange(vec![(lo, hi)]), 0.95).unwrap();
-            prop_assert_eq!(est.value.to_bits(), reference.to_bits(), "lo={lo} hi={hi}");
+            check_sample_value(&stored, lo, hi);
         }
         let queries: Vec<Query> = ranges.iter().map(|&r| Query::BoxRange(vec![r])).collect();
         assert_batch_matches_loop(&stored, &queries);
@@ -168,14 +220,9 @@ proptest! {
             let reference = large + small as f64 * tau;
             prop_assert_eq!(box_value(&varopt, &[(lo, hi)]).to_bits(), reference.to_bits());
 
-            // Stored samples: the entries walked in order, folded from
-            // +0.0 like the accumulator.
-            let reference = stored
-                .to_sample()
-                .iter()
-                .filter(|e| lo <= e.key && e.key <= hi)
-                .fold(0.0, |acc, e| acc + e.adjusted_weight);
-            prop_assert_eq!(box_value(&stored, &[(lo, hi)]).to_bits(), reference.to_bits());
+            // Stored samples: the block fold, and the entries walked in
+            // order.
+            check_sample_value(&stored, lo, hi);
 
             // Deterministic 2-D kinds: the old override's estimate_box
             // (`answer` folds the box values from +0.0, so normalize a
