@@ -1,6 +1,6 @@
 //! Store-layer ingest and compaction throughput: windowed ingest (batches
-//! and rows per second, including the per-batch frame + manifest
-//! persistence), then one compaction pass over the resulting windows.
+//! and rows per second, including the per-batch log append and
+//! `sync_data`), then one compaction pass over the resulting windows.
 //!
 //! Query throughput is measured by `--bin query` (its store-level table is
 //! the one `BENCH_core.json` records) and the daemon end to end by
@@ -35,7 +35,7 @@ fn main() {
     .expect("open store");
 
     // Pre-build the batch summaries so ingest timing measures the store
-    // (merge + frame write + manifest + snapshot swap), not the sampler.
+    // (merge + log append + snapshot swap), not the sampler.
     let built: Vec<(u64, Box<dyn Summary>)> = (0..batches as u64)
         .map(|i| {
             let data: Vec<WeightedKey> = (0..rows)

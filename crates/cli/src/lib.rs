@@ -659,34 +659,59 @@ pub fn info_text(summary: &LoadedSummary, file_bytes: Option<u64>) -> String {
 }
 
 /// Renders the `sas info` summary of a store directory from its decoded
-/// manifest: one block per dataset with its lifecycle policy (`default`
-/// when none is installed), the window count per series level, and the
-/// oldest/newest window span. Datasets that only have a policy (no
-/// windows yet, or all expired) still get a block — the policy is state
-/// worth seeing.
-pub fn store_info_text(manifest: &sas_store::manifest::Manifest) -> String {
+/// manifest and a scan of its batch log: the log's live records and bytes,
+/// then one block per dataset with its lifecycle policy (`default` when
+/// none is installed), the window count per series level — windows that
+/// live only in the log included — and the oldest/newest window span.
+/// Datasets that only have a policy (no windows yet, or all expired) still
+/// get a block — the policy is state worth seeing.
+pub fn store_info_text(
+    manifest: &sas_store::manifest::Manifest,
+    log: &sas_store::LogScan,
+) -> String {
     use std::collections::BTreeMap;
     /// Per-series rollup: (window count, oldest start, newest end).
     type SeriesSpans = BTreeMap<(String, String), (u64, u64, u64)>;
     let mut out = String::new();
+    let windows = manifest.entries.len() + log.log_only.len();
     let _ = writeln!(
         out,
-        "store: {} window{}, manifest sequence {}",
-        manifest.entries.len(),
-        if manifest.entries.len() == 1 { "" } else { "s" },
+        "store: {windows} window{}, manifest sequence {}",
+        if windows == 1 { "" } else { "s" },
         manifest.sequence
     );
+    let _ = write!(
+        out,
+        "log: {} live record{}, {} bytes, {} log-only window{}",
+        log.live_records,
+        if log.live_records == 1 { "" } else { "s" },
+        log.live_bytes,
+        log.log_only.len(),
+        if log.log_only.len() == 1 { "" } else { "s" },
+    );
+    if log.dead_records > 0 {
+        let _ = write!(out, ", {} dead", log.dead_records);
+    }
+    if log.torn_bytes > 0 {
+        let _ = write!(out, ", {} torn tail bytes", log.torn_bytes);
+    }
+    let _ = writeln!(out);
     let mut datasets: BTreeMap<&str, SeriesSpans> = BTreeMap::new();
-    for e in &manifest.entries {
-        let series = (e.key.kind.to_string(), e.key.level.to_string());
+    let keys = manifest
+        .entries
+        .iter()
+        .map(|e| &e.key)
+        .chain(log.log_only.keys());
+    for key in keys {
+        let series = (key.kind.to_string(), key.level.to_string());
         let slot = datasets
-            .entry(e.key.dataset.as_str())
+            .entry(key.dataset.as_str())
             .or_default()
             .entry(series)
             .or_insert((0, u64::MAX, 0));
         slot.0 += 1;
-        slot.1 = slot.1.min(e.key.start);
-        slot.2 = slot.2.max(e.key.end());
+        slot.1 = slot.1.min(key.start);
+        slot.2 = slot.2.max(key.end());
     }
     for dataset in manifest.policies.keys() {
         datasets.entry(dataset.as_str()).or_default();

@@ -275,22 +275,35 @@ fn cmd_info(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return Err("missing summary path".into());
     }
     // Expand directories (store layouts) into their frame files, skipping
-    // in-flight temp debris. A directory with a decodable manifest is a
-    // store: lead with its lifecycle summary (per-dataset policy, window
-    // counts per level, oldest/newest span) before the per-frame lines.
+    // in-flight temp debris. A directory with a decodable manifest or a
+    // batch log is a store: lead with its lifecycle summary (log records,
+    // per-dataset policy, window counts per level, oldest/newest span)
+    // before the per-frame lines. The log is summarized, never decoded as
+    // a frame.
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     for p in &paths {
         let path = Path::new(p.as_str());
         if path.is_dir() {
-            if let Ok(bytes) = std::fs::read(path.join(sas_store::MANIFEST_FILE)) {
-                if let Ok(manifest) = Manifest::decode(&bytes) {
-                    print!("{}", sas_cli::store_info_text(&manifest));
-                }
+            let log_path = path.join(sas_store::LOG_FILE);
+            let manifest = match std::fs::read(path.join(sas_store::MANIFEST_FILE)) {
+                Ok(bytes) => Manifest::decode(&bytes).ok(),
+                Err(_) => log_path.exists().then(Manifest::default),
+            };
+            if let Some(manifest) = manifest {
+                let scan = sas_store::scan_log(path, &manifest)?;
+                print!("{}", sas_cli::store_info_text(&manifest, &scan));
+                println!(
+                    "{}\tlog\t{}\t{}",
+                    log_path.display(),
+                    scan.live_records,
+                    std::fs::metadata(&log_path).map_or(0, |m| m.len())
+                );
             }
             files.extend(fsio::walk_files(path)?.into_iter().filter(|f| {
-                f.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| !n.contains(fsio::TEMP_INFIX))
+                *f != log_path
+                    && f.file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(|n| !n.contains(fsio::TEMP_INFIX))
             }));
         } else {
             files.push(path.to_path_buf());

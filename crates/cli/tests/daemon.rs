@@ -105,14 +105,16 @@ fn exact_total(lo: u64, n: u64) -> f64 {
     (lo..lo + n).map(|k| 1.0 + (k % 7) as f64).sum()
 }
 
-/// All persisted window frames under a store directory (manifest excluded).
+/// All persisted window frames under a store directory (manifest and
+/// batch log excluded).
 fn frame_files(store_dir: &Path) -> Vec<PathBuf> {
     sas_store::fsio::walk_files(store_dir)
         .unwrap()
         .into_iter()
         .filter(|p| {
             p.extension().is_some_and(|e| e == "sas")
-                && p.file_name().is_some_and(|n| n != "MANIFEST.sas")
+                && p.file_name()
+                    .is_some_and(|n| n != "MANIFEST.sas" && n != "LOG.sas")
         })
         .collect()
 }
@@ -204,12 +206,10 @@ fn daemon_serves_concurrent_clients_and_recovers_bit_identically() {
         assert!(r.join().unwrap() >= 5);
     }
 
-    // Quiesced: every served answer must match the offline `sas query`
-    // sum over the persisted frames — the daemon holds no truth the files
-    // don't.
+    // Quiesced: capture the served answers. The checks against the files
+    // follow the shutdown, once `sas compact` has persisted the windows
+    // the batch log holds.
     let probes = ["0..99999999", "0..1999", "700..3000"];
-    let frames = frame_files(&store_dir);
-    assert!(!frames.is_empty());
     let serve_answers: Vec<String> = probes
         .iter()
         .map(|range| {
@@ -228,6 +228,30 @@ fn daemon_serves_concurrent_clients_and_recovers_bit_identically() {
             stdout.trim().to_string()
         })
         .collect();
+
+    // `sas list` and `sas info <dir>` agree on the catalog: with
+    // compaction off, every window lives only in the batch log.
+    let (list_out, _) = sas(&["client", &addr, "list"], true);
+    let windows = list_out.lines().count();
+    assert!(windows >= 2, "expected several minute windows:\n{list_out}");
+    let (info_out, _) = sas(&["info", store_dir.to_str().unwrap()], true);
+    assert!(
+        info_out.contains(&format!(", {windows} log-only windows")),
+        "{info_out}"
+    );
+    assert!(frame_files(&store_dir).is_empty(), "{info_out}");
+    daemon.shutdown();
+
+    // Persist every window, then every served answer must match the
+    // offline `sas query` sum over the frames — the daemon held no truth
+    // the files don't.
+    let (_, status) = sas(&["compact", store_dir.to_str().unwrap()], true);
+    assert!(
+        status.contains(&format!("converted {windows} of {windows}")),
+        "{status}"
+    );
+    let frames = frame_files(&store_dir);
+    assert_eq!(frames.len(), windows);
     for (range, served) in probes.iter().zip(&serve_answers) {
         let offline: f64 = frames
             .iter()
@@ -252,11 +276,8 @@ fn daemon_serves_concurrent_clients_and_recovers_bit_identically() {
     let served: f64 = serve_answers[0].parse().unwrap();
     assert!((served - truth).abs() <= truth * 1e-9);
 
-    // `sas list` and `sas info <dir>` agree on the catalog.
-    let (list_out, _) = sas(&["client", &addr, "list"], true);
-    let windows = list_out.lines().count();
-    assert!(windows >= 2, "expected several minute windows:\n{list_out}");
     let (info_out, _) = sas(&["info", store_dir.to_str().unwrap()], true);
+    assert!(info_out.contains(", 0 log-only windows"), "{info_out}");
     let info_frames = info_out
         .lines()
         .filter(|l| l.contains("\tsample\t"))
@@ -270,8 +291,6 @@ fn daemon_serves_concurrent_clients_and_recovers_bit_identically() {
         1,
         "{info_out}"
     );
-
-    daemon.shutdown();
 
     // Restart on the same directory: recovery must serve bit-identical
     // answers (shortest-roundtrip float printing makes string equality

@@ -206,6 +206,11 @@ fn client_metrics_serves_counts_in_every_format() {
         prom_value(&prom, "sas_request_ns_count{tag=\"query\"}").unwrap() >= 3.0,
         "{prom}"
     );
+    // The one ingest is attributed to its store sub-stages.
+    for stage in ["lock_wait", "merge", "log", "publish"] {
+        let name = format!("sas_store_ingest_ns_count{{stage=\"{stage}\"}}");
+        assert_eq!(prom_value(&prom, &name), Some(1.0), "{name}\n{prom}");
+    }
     // Cumulative bucket lines end with the +Inf sentinel equal to _count.
     assert!(
         prom.lines()

@@ -54,23 +54,30 @@ fn batch(lo: u64, n: u64, seed: u64) -> Box<dyn Summary> {
     )))
 }
 
-/// Seeds a store with two windows and returns their on-disk frame paths.
-fn seeded_store_dir(dir: &TempDir) -> Vec<PathBuf> {
+/// Seeds a store with two windows, which live in its batch log, and
+/// returns the path each window's frame takes once persisted, with the
+/// window's v1 frame bytes.
+fn seeded_store_dir(dir: &TempDir) -> (Vec<PathBuf>, Vec<Vec<u8>>) {
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     store.ingest("web", 5, batch(0, 100, 1)).unwrap();
     store.ingest("api", 5, batch(50, 80, 2)).unwrap();
     store
-        .list()
-        .iter()
-        .map(|row| frame_path(std::path::Path::new(dir.path()), &row.key))
-        .collect()
+        .snapshot()
+        .windows
+        .values()
+        .map(|w| {
+            (
+                frame_path(std::path::Path::new(dir.path()), &w.key),
+                sas_summaries::encode_summary(w.summary.as_ref()),
+            )
+        })
+        .unzip()
 }
 
 #[test]
 fn compact_roundtrips_a_store_through_segments() {
     let dir = TempDir::create("roundtrip");
-    let files = seeded_store_dir(&dir);
-    let v1: Vec<Vec<u8>> = files.iter().map(|f| fs::read(f).unwrap()).collect();
+    let (files, v1) = seeded_store_dir(&dir);
 
     let (_, status) = sas(&["compact", dir.path(), "--format", "v2"], true);
     assert!(status.contains("converted 2 of 2"), "{status}");
@@ -97,9 +104,8 @@ fn compact_roundtrips_a_store_through_segments() {
 #[test]
 fn info_dumps_the_segment_header() {
     let dir = TempDir::create("info");
-    let files = seeded_store_dir(&dir);
-    let frame = fs::read(&files[0]).unwrap();
-    let decoded = sas_summaries::decode_summary(&frame).unwrap();
+    let (files, frames) = seeded_store_dir(&dir);
+    let decoded = sas_summaries::decode_summary(&frames[0]).unwrap();
     sas(&["compact", dir.path(), "--format", "v2"], true);
 
     let seg_path = files[0].to_str().unwrap();
@@ -133,9 +139,8 @@ fn info_dumps_the_segment_header() {
 #[test]
 fn query_and_merge_accept_segment_files() {
     let dir = TempDir::create("query");
-    let files = seeded_store_dir(&dir);
-    let frame = fs::read(&files[0]).unwrap();
-    let decoded = sas_summaries::decode_summary(&frame).unwrap();
+    let (files, frames) = seeded_store_dir(&dir);
+    let decoded = sas_summaries::decode_summary(&frames[0]).unwrap();
     let expect = box_value(decoded.as_ref(), &[(0, 500)]);
     sas(&["compact", dir.path(), "--format", "v2"], true);
 
@@ -165,4 +170,53 @@ fn query_and_merge_accept_segment_files() {
         "merge of two copies doubles the mass: {doubled} vs {}",
         2.0 * expect
     );
+}
+
+/// `sas info <store-dir>` reads the batch log: it reports the live records
+/// and their bytes, counts the windows that live only in the log in the
+/// per-level summary, and lists the log as a log, never decoding it as a
+/// summary frame.
+#[test]
+fn info_reports_the_batch_log_and_log_only_windows() {
+    let dir = TempDir::create("info-log");
+    let log_bytes = {
+        let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+        store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+        store.ingest("web", 65, batch(100, 80, 2)).unwrap();
+        store.ingest("api", 5, batch(50, 80, 3)).unwrap();
+        // Persist all three, then log one more batch into a persisted
+        // window and one into a new window.
+        assert_eq!(
+            store.convert(sas_store::StorageFormat::SegmentV2).unwrap(),
+            3
+        );
+        store.ingest("web", 10, batch(300, 40, 4)).unwrap();
+        store.ingest("web", 125, batch(400, 40, 5)).unwrap();
+        let stats = store.stats();
+        let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(stat("log_records"), 2);
+        stat("log_bytes")
+    };
+    let log_path = std::path::Path::new(dir.path()).join(sas_store::LOG_FILE);
+    assert_eq!(fs::metadata(&log_path).unwrap().len(), log_bytes);
+
+    let (info, _) = sas(&["info", dir.path()], true);
+    assert!(info.contains("store: 4 windows, "), "{info}");
+    assert!(
+        info.contains(&format!(
+            "log: 2 live records, {log_bytes} bytes, 1 log-only window\n"
+        )),
+        "{info}"
+    );
+    assert!(
+        info.contains("  sample@minute: 3 windows, span 0..180"),
+        "{info}"
+    );
+    assert!(
+        info.contains(&format!("{}\tlog\t2\t{log_bytes}", log_path.display())),
+        "{info}"
+    );
+    let frames = info.lines().filter(|l| l.contains("\tsample\t")).count();
+    assert_eq!(frames, 3, "{info}");
+    assert!(!info.contains("\terror\t"), "{info}");
 }

@@ -453,6 +453,10 @@ pub mod proto {
     /// owned by `sas-summaries::query`).
     pub const TAG_ESTIMATE: u16 = 50;
 
+    /// One record of the store's batch log: an acknowledged ingest (body
+    /// layout owned by `sas-store::log`).
+    pub const TAG_LOG_RECORD: u16 = 51;
+
     /// Request: value-only range query against a dataset series — the
     /// legacy tag. The daemon answers it as a [`REQ_ESTIMATE`] of the same
     /// box at confidence 0.95 (same cache line, bit-identical value) and

@@ -1,10 +1,12 @@
-//! Crash-safe file persistence: every frame (window, manifest, or CLI
-//! `--out`) is written to a temp file in the destination directory and
-//! atomically `rename`d into place, so a reader can never observe a torn
-//! frame — it sees either the old bytes or the new bytes, completely.
+//! Crash-safe file persistence: every frame (window, manifest, batch log
+//! rewrite, or CLI `--out`) is written to a temp file in the destination
+//! directory, fsync'd, and atomically `rename`d into place, and the rename
+//! is made durable by fsyncing the directory that holds it. A reader can
+//! never observe a torn frame — it sees either the old bytes or the new
+//! bytes, completely — and once the call returns, a crash cannot undo it.
 
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,13 +16,24 @@ pub const TEMP_INFIX: &str = ".tmp-";
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory
 /// (rename is only atomic within a filesystem), flushed and fsync'd, then
-/// renamed over the destination. Parent directories are created as needed.
+/// renamed over the destination, then the directory fsync'd so the new
+/// name survives a crash. Parent directories are created as needed (see
+/// [`create_dirs`]).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
+    write_atomic_with(path, |w| w.write_all(bytes))
+}
+
+/// [`write_atomic`] with the contents streamed by `fill` into a buffered
+/// writer over the temp file, so a large file is never held in memory.
+pub fn write_atomic_with(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    create_dirs(parent)?;
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let id = COUNTER.fetch_add(1, Ordering::Relaxed);
     let file_name = path
@@ -31,15 +44,45 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     temp_name.push(format!("{TEMP_INFIX}{}-{id}", std::process::id()));
     let temp_path = path.with_file_name(temp_name);
     let result = (|| {
-        let mut f = fs::File::create(&temp_path)?;
-        f.write_all(bytes)?;
+        let mut w = BufWriter::new(fs::File::create(&temp_path)?);
+        fill(&mut w)?;
+        let f = w.into_inner().map_err(|e| e.into_error())?;
         f.sync_all()?;
         fs::rename(&temp_path, path)
     })();
     if result.is_err() {
         let _ = fs::remove_file(&temp_path);
+        return result;
     }
-    result
+    sync_dir(parent)
+}
+
+/// Fsyncs a directory, making the names created, renamed or removed in it
+/// durable.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
+/// `create_dir_all` that leaves every directory it creates durable: each
+/// new directory's parent is fsync'd after the directory appears in it.
+/// Existing directories cost one `metadata` call.
+pub fn create_dirs(dir: &Path) -> io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    if let Some(parent) = dir.parent().filter(|p| !p.as_os_str().is_empty()) {
+        create_dirs(parent)?;
+    }
+    match fs::create_dir(dir) {
+        Ok(()) => {}
+        // Another writer made it first; its creator syncs the parent.
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => return Ok(()),
+        Err(e) => return Err(e),
+    }
+    match dir.parent().filter(|p| !p.as_os_str().is_empty()) {
+        Some(parent) => sync_dir(parent),
+        None => Ok(()),
+    }
 }
 
 /// Recursively removes leftover temp files under `dir` (crash debris).

@@ -27,13 +27,18 @@
 //!   so a compacted window is **bit-identical** to an offline rebuild of
 //!   its children ([`rebuild_parent`]). The daemon's event loop drives the
 //!   tick; embedded users call it themselves.
-//! * **Crash-safe persistence** — every window is a `sas-codec` frame
-//!   written via temp-file + `rename` ([`fsio::write_atomic`]), referenced
-//!   by an atomically-rewritten [`Manifest`]. Every catalog change goes
+//! * **Crash-safe persistence** — an ingest is durable once one record is
+//!   appended to the store-wide batch [`log`] and `sync_data`'d: no new
+//!   file, rename or manifest rewrite. Minute windows live only in the log
+//!   until a roll-up, a retention pass or [`Store::convert`] persists or
+//!   drops them. Persisted windows are `sas-codec` frames written via
+//!   temp-file + `rename` ([`fsio::write_atomic`]), referenced by an
+//!   atomically-rewritten [`Manifest`]. Every such catalog change goes
 //!   through one private `Commit`, whose `finish` is the one place that
-//!   orders the writes: frames before the manifest that names them,
-//!   deletions after the manifest that forgets them.
-//!   Restart recovery replays the manifest and sweeps crash debris.
+//!   orders the writes: frames before the manifest that names them, then
+//!   the log rewrite and the deletions the manifest made dead. Restart
+//!   recovery loads the manifest's frames, replays the log through the
+//!   same seeded merge, and sweeps crash debris.
 //!
 //! The TCP daemon (`sas serve`) and its client live in [`server`] and
 //! [`client`]; the wire messages in [`wire`].
@@ -45,6 +50,7 @@ pub mod cache;
 pub mod client;
 pub mod conn;
 pub mod fsio;
+pub mod log;
 pub mod manifest;
 pub mod mapped;
 pub mod policy;
@@ -76,12 +82,16 @@ use sas_summaries::{
 };
 
 use cache::{CacheKey, QueryCache};
+use log::{BatchLog, LogError, LogReader, LogRecord};
 use manifest::{Manifest, ManifestEntry};
 use policy::{Coverage, Policy};
 use window::{check_dataset, valid_dataset, window_seed, Level, WindowKey};
 
 /// File name of the store manifest inside the store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.sas";
+
+/// File name of the batch log inside the store directory.
+pub const LOG_FILE: &str = "LOG.sas";
 
 /// Tuning knobs for a [`Store`].
 #[derive(Debug, Clone)]
@@ -153,6 +163,16 @@ impl From<SummaryError> for StoreError {
     }
 }
 
+fn log_error(path: &Path, e: LogError) -> StoreError {
+    match e {
+        LogError::Io(e) => StoreError::Io(path.to_path_buf(), e),
+        LogError::Corrupt(at, e) => StoreError::Codec(CodecError::Invalid(format!(
+            "{} at byte {at}: {e}",
+            path.display()
+        ))),
+    }
+}
+
 /// One immutable window: its coordinate, its summary, and its write state.
 #[derive(Debug)]
 pub struct WindowState {
@@ -162,8 +182,31 @@ pub struct WindowState {
     pub summary: Box<dyn Summary>,
     /// Batches merged in so far.
     pub batches: u64,
-    /// Size of the persisted frame in bytes.
+    /// Bytes the window holds on disk: its frame, if it has one, plus its
+    /// live batch-log records.
     pub frame_bytes: u64,
+    /// The window's persisted frame; `None` while it lives only in the
+    /// batch log.
+    pub frame: Option<FrameRef>,
+}
+
+impl WindowState {
+    /// Batches the window's persisted frame holds (0 while it lives only
+    /// in the log). Its log records from this batch index on are live.
+    pub fn persisted_batches(&self) -> u64 {
+        self.frame.map_or(0, |f| f.batches)
+    }
+}
+
+/// A persisted window frame, as its manifest row names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef {
+    /// Generation in the frame's file name ([`frame_file`]).
+    pub generation: u64,
+    /// Batches the frame holds.
+    pub batches: u64,
+    /// Size of the frame file in bytes.
+    pub bytes: u64,
 }
 
 /// An immutable, internally consistent view of the whole catalog. Cheap to
@@ -300,8 +343,8 @@ pub struct EstimateAnswer {
 }
 
 /// Per-series mutable writer state (watermarks drive compaction sealing,
-/// floors reject writes into already-compacted history).
-#[derive(Debug, Default)]
+/// floors reject writes into already-compacted history) and the batch log.
+#[derive(Debug)]
 struct WriterState {
     /// Highest ingested tick's window end, per `(dataset, kind tag)`.
     watermarks: HashMap<(String, u16), u64>,
@@ -316,6 +359,8 @@ struct WriterState {
     /// the newest windows.
     retention_floors: BTreeMap<(String, u16), u64>,
     manifest_sequence: u64,
+    /// The open batch log; appends are serialized by the writer lock.
+    log: BatchLog,
 }
 
 /// The store's metric registry plus pre-resolved hot-path handles — the
@@ -336,6 +381,14 @@ struct StoreObs {
     recovered_windows: Arc<ObsCounter>,
     orphans_removed: Arc<ObsCounter>,
     temp_files_swept: Arc<ObsCounter>,
+    log_rewrites: Arc<ObsCounter>,
+    /// Ingest sub-stages: waiting for the writer lock, merging the batch
+    /// (and encoding its log record), appending the record plus its
+    /// `sync_data`, and publishing the snapshot.
+    ingest_lock_wait_ns: Arc<ObsHistogram>,
+    ingest_merge_ns: Arc<ObsHistogram>,
+    ingest_log_ns: Arc<ObsHistogram>,
+    ingest_publish_ns: Arc<ObsHistogram>,
     datasets: RwLock<HashMap<String, CacheCells>>,
 }
 
@@ -359,9 +412,45 @@ impl StoreObs {
             recovered_windows: registry.counter("sas_store_recovered_windows"),
             orphans_removed: registry.counter("sas_store_orphans_removed"),
             temp_files_swept: registry.counter("sas_store_temp_files_swept"),
+            log_rewrites: registry.counter("sas_store_log_rewrites_total"),
+            ingest_lock_wait_ns: registry.histogram("sas_store_ingest_ns{stage=\"lock_wait\"}"),
+            ingest_merge_ns: registry.histogram("sas_store_ingest_ns{stage=\"merge\"}"),
+            ingest_log_ns: registry.histogram("sas_store_ingest_ns{stage=\"log\"}"),
+            ingest_publish_ns: registry.histogram("sas_store_ingest_ns{stage=\"publish\"}"),
             datasets: RwLock::new(HashMap::new()),
             registry,
         }
+    }
+
+    /// [`hydrate_clone`] with the hydration counted when it actually
+    /// transforms a mapped segment into its owned form.
+    fn hydrate_counted(&self, summary: &dyn Summary) -> Box<dyn Summary> {
+        if summary.as_any().downcast_ref::<SegmentSummary>().is_some() {
+            self.segment_hydrations.inc();
+        }
+        hydrate_clone(summary)
+    }
+
+    /// Merges batch number `index` into a minute window — the one merge
+    /// both [`Store::ingest`] and log replay run. A new window is the
+    /// batch itself; otherwise the window is seeded from its key plus the
+    /// batch counter, so replaying the same batches reproduces it.
+    fn apply_batch(
+        &self,
+        key: &WindowKey,
+        window: Option<&dyn Summary>,
+        index: u64,
+        batch: Box<dyn Summary>,
+        budget: Option<usize>,
+    ) -> Result<Box<dyn Summary>, StoreError> {
+        let Some(window) = window else {
+            return Ok(batch);
+        };
+        let mut merged = self.hydrate_counted(window);
+        let mut rng =
+            StdRng::seed_from_u64(window_seed(key).wrapping_add(index.wrapping_mul(GOLDEN)));
+        merged.merge_in_place(batch, budget, &mut rng)?;
+        Ok(merged)
     }
 }
 
@@ -377,46 +466,34 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (or creates) a store directory, sweeping crash debris,
-    /// replaying the manifest, and removing orphaned frames.
+    /// Opens (or creates) a store directory: sweeps crash debris, loads
+    /// the manifest's frames, replays the batch log, removes orphaned
+    /// frames, and rewrites the log if it holds dead records.
+    ///
+    /// Replay applies each record through the same seeded merge as
+    /// [`Store::ingest`], under the budget the record carries. It skips a
+    /// record whose batch index its window's manifest row already counts,
+    /// or whose window starts below the series floor (compaction's or
+    /// retention's): those batches are in a persisted frame or were
+    /// dropped with their window. Recovery is therefore bit-identical to
+    /// the catalog before the crash, minus any unacknowledged torn tail.
     pub fn open(dir: impl Into<PathBuf>, config: StoreConfig) -> Result<Store, StoreError> {
         let recovery_started = Instant::now();
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| StoreError::Io(dir.clone(), e))?;
+        fsio::create_dirs(&dir).map_err(|e| StoreError::Io(dir.clone(), e))?;
         let swept = fsio::remove_temp_files(&dir).map_err(|e| StoreError::Io(dir.clone(), e))?;
-
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let manifest = if manifest_path.exists() {
-            let bytes =
-                fs::read(&manifest_path).map_err(|e| StoreError::Io(manifest_path.clone(), e))?;
-            Manifest::decode(&bytes)?
-        } else {
-            Manifest::default()
-        };
+        let manifest = read_manifest(&dir)?;
+        let obs = StoreObs::new(Arc::new(Registry::new()));
 
         let mut windows = BTreeMap::new();
-        let mut writer = WriterState {
-            manifest_sequence: manifest.sequence,
-            policies: manifest.policies.clone(),
-            retention_floors: manifest.retention_floors.clone(),
-            ..WriterState::default()
-        };
-        // Retention floors seed both the stale-ingest floor and the series
-        // watermark: a dropped window proves the watermark had advanced at
-        // least to its end, even when retention removed every window of
-        // the series (nothing else on disk records that). This is what
-        // makes retention and recovery commute bit-identically.
-        for ((dataset, kind_tag), floor) in &manifest.retention_floors {
-            bump_max(&mut writer.watermarks, (dataset.clone(), *kind_tag), *floor);
-            bump_max(&mut writer.floors, (dataset.clone(), *kind_tag), *floor);
-        }
+        let (mut watermarks, floors) = recovery_marks(&manifest);
         // Segment files stay *mapped*: their validation pass walks the map
         // once (warming the page cache) and the window serves queries in
         // place with no heap copy until a merge hydrates it. v1 frames
         // decode straight from their map.
         let mut mapped_windows = 0u64;
         for entry in &manifest.entries {
-            let path = frame_path(&dir, &entry.key);
+            let path = frame_file(&dir, &entry.key, entry.generation);
             let buf = mapped::Mapped::open(&path).map_err(|e| StoreError::Io(path, e))?;
             let bytes = buf.len() as u64;
             let summary: Box<dyn Summary> = if is_segment(buf.as_ref()) {
@@ -433,12 +510,6 @@ impl Store {
                     summary.kind()
                 )));
             }
-            let series = series_of(&entry.key);
-            let end = entry.key.end();
-            bump_max(&mut writer.watermarks, series.clone(), end);
-            if entry.key.level != Level::Minute {
-                bump_max(&mut writer.floors, series, end);
-            }
             windows.insert(
                 entry.key.clone(),
                 Arc::new(WindowState {
@@ -446,27 +517,55 @@ impl Store {
                     summary,
                     batches: entry.batches,
                     frame_bytes: bytes,
+                    frame: Some(FrameRef {
+                        generation: entry.generation,
+                        batches: entry.batches,
+                        bytes,
+                    }),
                 }),
             );
         }
 
         // Orphans: frame files on disk the manifest does not name (debris
-        // of a crash between a roll-up's frame writes and its child
-        // deletions). The manifest is authoritative; sweep them.
-        let expected: std::collections::HashSet<PathBuf> =
-            windows.keys().map(|k| frame_path(&dir, k)).collect();
+        // of a crash between a commit's frame writes and its manifest, or
+        // between the manifest and its deletions). The manifest is
+        // authoritative; sweep them.
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let log_path = dir.join(LOG_FILE);
+        let expected: std::collections::HashSet<PathBuf> = windows
+            .values()
+            .filter_map(|w| Some(frame_file(&dir, &w.key, w.frame?.generation)))
+            .collect();
         let mut orphans = 0;
         for path in fsio::walk_files(&dir).map_err(|e| StoreError::Io(dir.clone(), e))? {
-            if path == manifest_path || expected.contains(&path) {
+            if path == manifest_path || path == log_path || expected.contains(&path) {
                 continue;
             }
             fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
             orphans += 1;
         }
 
+        let replayed = obs.replay(&log_path, &mut windows, &floors, &mut watermarks)?;
+        let mut log = BatchLog::open(&log_path, replayed.valid_len, replayed.records)
+            .map_err(|e| StoreError::Io(log_path.clone(), e))?;
+        if replayed.dead > 0 {
+            log.rewrite(|r| record_is_live(&windows, &floors, r))
+                .map_err(|e| log_error(&log_path, e))?;
+            obs.log_rewrites.inc();
+        }
+        let writer = WriterState {
+            watermarks,
+            floors,
+            policies: manifest.policies.clone(),
+            retention_floors: manifest.retention_floors.clone(),
+            manifest_sequence: manifest.sequence,
+            log,
+        };
+
         // Recovery publishes version 1, so every recovered series is
         // stamped 1; the cache starts empty, so no older line exists.
         let series_versions = windows.keys().map(|k| (series_of(k), 1)).collect();
+        let recovered = windows.len() as u64;
         let store = Store {
             dir,
             cache: QueryCache::new(config.cache_capacity),
@@ -478,9 +577,8 @@ impl Store {
                 retention_floors: manifest.retention_floors.clone(),
             })),
             writer: Mutex::new(writer),
-            obs: StoreObs::new(Arc::new(Registry::new())),
+            obs,
         };
-        let recovered = manifest.entries.len() as u64;
         store.obs.recovered_windows.add(recovered);
         store.obs.orphans_removed.add(orphans);
         store.obs.temp_files_swept.add(swept);
@@ -490,12 +588,17 @@ impl Store {
         obs.counter("sas_store_recovered_windows_mapped")
             .add(mapped_windows);
         obs.counter("sas_store_recovered_windows_hydrated")
-            .add(recovered - mapped_windows);
+            .add(manifest.entries.len() as u64 - mapped_windows);
+        obs.counter("sas_store_replayed_batches")
+            .add(replayed.applied);
         slog!(
             LogLevel::Info,
             "store_opened",
             windows = recovered,
             mapped = mapped_windows,
+            replayed = replayed.applied,
+            dead_records = replayed.dead,
+            torn_log = replayed.torn,
             orphans_removed = orphans,
             temp_files_swept = swept,
             recovery_ms = recovery_ns / 1_000_000
@@ -540,15 +643,6 @@ impl Store {
             .clone()
     }
 
-    /// [`hydrate_clone`] with the hydration counted when it actually
-    /// transforms a mapped segment into its owned form.
-    fn hydrate_counted(&self, summary: &dyn Summary) -> Box<dyn Summary> {
-        if summary.as_any().downcast_ref::<SegmentSummary>().is_some() {
-            self.obs.segment_hydrations.inc();
-        }
-        hydrate_clone(summary)
-    }
-
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -561,8 +655,10 @@ impl Store {
     }
 
     /// Merges a batch summary into the minute window containing `ts`,
-    /// persists the window and manifest, and publishes a new snapshot.
-    /// Returns the updated window.
+    /// makes it durable by appending one record to the batch log, and
+    /// publishes a new snapshot. Returns the updated window. When this
+    /// returns `Ok`, the batch survives a crash; the window's frame and the
+    /// manifest are untouched until a later commit persists it.
     pub fn ingest(
         &self,
         dataset: &str,
@@ -571,9 +667,14 @@ impl Store {
     ) -> Result<Arc<WindowState>, StoreError> {
         check_dataset(dataset).map_err(StoreError::BadRequest)?;
         let key = WindowKey::minute(dataset, batch.kind(), ts);
-        let mut commit = self.begin();
+        let waiting = Instant::now();
+        let mut writer = self.writer.lock().expect("writer lock");
+        let merging = Instant::now();
+        self.obs
+            .ingest_lock_wait_ns
+            .record_duration(merging - waiting);
         let series = series_of(&key);
-        let floor = commit.writer.floors.get(&series).copied().unwrap_or(0);
+        let floor = writer.floors.get(&series).copied().unwrap_or(0);
         if key.start < floor {
             return Err(StoreError::Stale { key, floor });
         }
@@ -581,37 +682,71 @@ impl Store {
         // Policy budget clamps apply to ingest-time merges: a per-kind
         // entry overrides the store-wide budget for this dataset. Roll-ups
         // keep the store budget so compaction stays bit-identical to the
-        // offline rebuild.
-        let budget = commit
-            .writer
+        // offline rebuild. The record carries the budget, so replay does
+        // not depend on the policy in force when it runs.
+        let budget = writer
             .policies
             .get(dataset)
             .and_then(|p| p.per_kind_budget.get(&key.kind.tag()))
             .map(|&b| b as usize)
             .or(self.config.budget);
-        let (summary, batches) = match commit.prev.windows.get(&key) {
-            None => (batch, 1),
-            Some(existing) => {
-                let mut merged = self.hydrate_counted(existing.summary.as_ref());
-                // Seed from the window plus its batch counter: replaying
-                // the same ingest sequence reproduces the same window.
-                let mut rng = StdRng::seed_from_u64(
-                    window_seed(&key).wrapping_add(existing.batches.wrapping_mul(GOLDEN)),
-                );
-                merged.merge_in_place(batch, budget, &mut rng)?;
-                (merged, existing.batches + 1)
-            }
-        };
+        let prev = self.snapshot();
+        let existing = prev.windows.get(&key);
+        let index = existing.map_or(0, |w| w.batches);
+        let record = log::encode_record(&key, ts, index, budget, &encode_summary(batch.as_ref()));
+        let summary = self.obs.apply_batch(
+            &key,
+            existing.map(|w| w.summary.as_ref()),
+            index,
+            batch,
+            budget,
+        )?;
+        let logging = Instant::now();
+        self.obs.ingest_merge_ns.record_duration(logging - merging);
 
-        let bytes = encode_summary(summary.as_ref());
-        commit.write(&key, &bytes)?;
-        let state = commit.insert(&key, summary, batches, &bytes);
-        // The watermark advances before the manifest write so the
-        // persisted lifecycle state can never lag the windows it governs.
-        bump_max(&mut commit.writer.watermarks, series, key.end());
-        commit.finish()?;
+        writer
+            .log
+            .append(&record)
+            .map_err(|e| StoreError::Io(writer.log.path().to_path_buf(), e))?;
+        let publishing = Instant::now();
+        self.obs.ingest_log_ns.record_duration(publishing - logging);
+
+        let state = Arc::new(WindowState {
+            key: key.clone(),
+            summary,
+            batches: index + 1,
+            frame_bytes: existing.map_or(0, |w| w.frame_bytes) + record.len() as u64,
+            frame: existing.and_then(|w| w.frame),
+        });
+        bump_max(&mut writer.watermarks, series, key.end());
+        let mut windows = prev.windows.clone();
+        windows.insert(key, state.clone());
+        self.publish(&prev, windows, &writer);
+        drop(writer);
+        self.obs
+            .ingest_publish_ns
+            .record_duration(publishing.elapsed());
         self.obs.ingested_batches.inc();
         Ok(state)
+    }
+
+    /// Swaps in the successor of `prev` with `windows`, re-stamping exactly
+    /// the series whose windows differ from `prev`'s. Called with the
+    /// writer lock held, so publishes are ordered.
+    fn publish(
+        &self,
+        prev: &Snapshot,
+        windows: BTreeMap<WindowKey, Arc<WindowState>>,
+        writer: &WriterState,
+    ) {
+        let version = prev.version + 1;
+        let series_versions = restamp(prev, &windows, version);
+        *self.snapshot.write().expect("snapshot lock") = Arc::new(Snapshot {
+            version,
+            windows,
+            series_versions,
+            retention_floors: writer.retention_floors.clone(),
+        });
     }
 
     /// Answers a query with error bounds from the current snapshot,
@@ -711,8 +846,12 @@ impl Store {
     /// Store statistics as ordered name/value pairs (also the `stats`
     /// protocol response): catalog shape from the current snapshot, plus a
     /// view over the store's registry counters (the same cells
-    /// [`Store::obs`] reports).
+    /// [`Store::obs`] reports), plus the batch log's records and bytes.
     pub fn stats(&self) -> Vec<(String, u64)> {
+        let (log_records, log_bytes) = {
+            let writer = self.writer.lock().expect("writer lock");
+            (writer.log.records(), writer.log.len())
+        };
         let snap = self.snapshot();
         let per_level =
             |level: Level| snap.windows.keys().filter(|k| k.level == level).count() as u64;
@@ -759,6 +898,8 @@ impl Store {
             ("recovered_windows".into(), o.recovered_windows.get()),
             ("orphans_removed".into(), o.orphans_removed.get()),
             ("temp_files_swept".into(), o.temp_files_swept.get()),
+            ("log_records".into(), log_records),
+            ("log_bytes".into(), log_bytes),
         ]
     }
 
@@ -799,12 +940,12 @@ impl Store {
                     &parent_key,
                     children
                         .iter()
-                        .map(|c| self.hydrate_counted(c.summary.as_ref()))
+                        .map(|c| self.obs.hydrate_counted(c.summary.as_ref()))
                         .collect(),
                     self.config.budget,
                 )?;
                 let bytes = encode_summary(merged.as_ref());
-                commit.write(&parent_key, &bytes)?;
+                let (_, frame) = commit.write(&parent_key, &bytes, batches)?;
                 for child in &children {
                     commit.remove(&child.key);
                 }
@@ -813,7 +954,7 @@ impl Store {
                     series_of(&parent_key),
                     parent_key.end(),
                 );
-                commit.insert(&parent_key, merged, batches, &bytes);
+                commit.insert(&parent_key, merged, batches, frame);
                 rollups += 1;
             }
         }
@@ -837,14 +978,16 @@ impl Store {
 
     /// Runs one retention pass: every window whose span has fallen
     /// `retention_ttl` ticks behind its series watermark is dropped from
-    /// the manifest and its frame deleted. "Now" is the watermark — the
-    /// largest window end ever ingested — never the wall clock, so the
-    /// pass is a pure function of the ingest history: replaying the same
-    /// ingests and ticks reproduces the same store bit-for-bit.
+    /// the manifest, its frame deleted and its log records rewritten away.
+    /// "Now" is the watermark — the largest window end ever ingested —
+    /// never the wall clock, so the pass is a pure function of the ingest
+    /// history: replaying the same ingests and ticks reproduces the same
+    /// store bit-for-bit.
     ///
     /// The manifest (no longer naming the expired windows, now carrying
-    /// their retention floor) is written *first*, frame deletion second —
-    /// a crash between the two leaves orphans that `open()` sweeps.
+    /// their retention floor) is written *first*, the log rewrite and frame
+    /// deletion second — a crash between the two leaves orphans and dead
+    /// log records that `open()` sweeps.
     /// Dropped spans also raise the series ingest floor, so an expired
     /// tick can never be re-ingested (which would make retention order
     /// observable). Returns the number of windows dropped.
@@ -943,8 +1086,9 @@ impl Store {
     }
 
     /// Rewrites every stored-sample window's frame in the requested format
-    /// and publishes the converted catalog. `SegmentV2` leaves each
-    /// converted window **cold**: its summary becomes a mapped
+    /// and publishes the converted catalog. A window that lives in the
+    /// batch log, wholly or in part, is persisted by `SegmentV2`, which
+    /// leaves each converted window **cold**: its summary becomes a mapped
     /// [`SegmentSummary`] served in place from the new file. `FrameV1`
     /// hydrates segments back to owned summaries and v1 frames. Windows
     /// whose kind has no segment layout (the deterministic summaries) are
@@ -959,7 +1103,7 @@ impl Store {
                 .as_any()
                 .downcast_ref::<SegmentSummary>()
                 .is_some();
-            let (bytes, summary): (Vec<u8>, Box<dyn Summary>) = match format {
+            let (frame, summary): (FrameRef, Box<dyn Summary>) = match format {
                 StorageFormat::SegmentV2 => {
                     if is_seg {
                         continue;
@@ -967,22 +1111,22 @@ impl Store {
                     let Some(bytes) = encode_segment(state.summary.as_ref()) else {
                         continue;
                     };
-                    let path = commit.write(key, &bytes)?;
+                    let (path, frame) = commit.write(key, &bytes, state.batches)?;
                     let buf = mapped::Mapped::open(&path).map_err(|e| StoreError::Io(path, e))?;
                     let seg = SegmentSummary::open(Arc::new(buf))?;
-                    (bytes, Box::new(seg))
+                    (frame, Box::new(seg))
                 }
                 StorageFormat::FrameV1 => {
                     if !is_seg {
                         continue;
                     }
-                    let summary = self.hydrate_counted(state.summary.as_ref());
+                    let summary = self.obs.hydrate_counted(state.summary.as_ref());
                     let bytes = encode_summary(summary.as_ref());
-                    commit.write(key, &bytes)?;
-                    (bytes, summary)
+                    let (_, frame) = commit.write(key, &bytes, state.batches)?;
+                    (frame, summary)
                 }
             };
-            commit.insert(key, summary, state.batches, &bytes);
+            commit.insert(key, summary, state.batches, frame);
             converted += 1;
         }
         if converted > 0 {
@@ -1007,14 +1151,14 @@ impl Store {
 }
 
 /// One catalog change in flight, holding the writer lock. Every change
-/// (ingest, roll-up, retention, policy, convert) goes through it, so the
-/// crash ordering lives in one place: frames are written as they are
-/// staged, [`Commit::finish`] writes the manifest that names them, and
-/// only then deletes the frames the manifest forgot. A crash at any step
-/// leaves a directory that `open()` recovers to the old or the new
-/// catalog, with one known exception: a `write` over a frame the old
-/// manifest names (an ingest into an existing window) replaces it before
-/// the manifest does (DESIGN.md, "Crash safety"). Dropping an unfinished
+/// that persists or drops a window (roll-up, retention, convert) and every
+/// policy change goes through it, so the crash ordering lives in one
+/// place: frames are written as they are staged, [`Commit::finish`] writes
+/// the manifest that names them, and only then rewrites the batch log
+/// without the records the manifest made dead and deletes the frames it
+/// forgot. A frame is never written over one that holds other batches
+/// (see [`Commit::write`]), so a crash at any step leaves a directory that
+/// `open()` recovers to the old or the new catalog. Dropping an unfinished
 /// commit publishes nothing.
 struct Commit<'a> {
     store: &'a Store,
@@ -1023,47 +1167,76 @@ struct Commit<'a> {
     prev: Arc<Snapshot>,
     /// The next snapshot's windows.
     windows: BTreeMap<WindowKey, Arc<WindowState>>,
-    /// Frames of removed windows, deleted after the manifest.
+    /// Frames of removed or superseded windows, deleted after the manifest.
     doomed: Vec<PathBuf>,
 }
 
 impl Commit<'_> {
-    /// Writes a window's frame atomically and returns its path.
-    fn write(&self, key: &WindowKey, bytes: &[u8]) -> Result<PathBuf, StoreError> {
-        let path = frame_path(&self.store.dir, key);
+    /// Writes the frame of a window holding `batches` batches atomically
+    /// and returns its path and manifest reference. The frame keeps the
+    /// window's current generation only when that frame holds the same
+    /// batches (a re-encode); a window whose batches changed gets the next
+    /// generation, and its old frame is deleted after the manifest. So no
+    /// frame ever holds batches its manifest row does not count.
+    fn write(
+        &mut self,
+        key: &WindowKey,
+        bytes: &[u8],
+        batches: u64,
+    ) -> Result<(PathBuf, FrameRef), StoreError> {
+        let generation = match self.windows.get(key).and_then(|w| w.frame) {
+            None => 0,
+            Some(old) if old.batches == batches => old.generation,
+            Some(old) => {
+                self.doomed
+                    .push(frame_file(&self.store.dir, key, old.generation));
+                old.generation + 1
+            }
+        };
+        let path = frame_file(&self.store.dir, key, generation);
         fsio::write_atomic(&path, bytes).map_err(|e| StoreError::Io(path.clone(), e))?;
-        Ok(path)
+        let frame = FrameRef {
+            generation,
+            batches,
+            bytes: bytes.len() as u64,
+        };
+        Ok((path, frame))
     }
 
-    /// Stages a window whose frame, `bytes`, has been written.
+    /// Stages a window whose frame has been written.
     fn insert(
         &mut self,
         key: &WindowKey,
         summary: Box<dyn Summary>,
         batches: u64,
-        bytes: &[u8],
+        frame: FrameRef,
     ) -> Arc<WindowState> {
         let state = Arc::new(WindowState {
             key: key.clone(),
             summary,
             batches,
-            frame_bytes: bytes.len() as u64,
+            frame_bytes: frame.bytes,
+            frame: Some(frame),
         });
         self.windows.insert(key.clone(), state.clone());
         state
     }
 
-    /// Stages a window's removal; its frame is deleted by `finish`.
+    /// Stages a window's removal; its frame, if it has one, is deleted by
+    /// `finish`, and its log records are rewritten away.
     fn remove(&mut self, key: &WindowKey) {
-        self.windows.remove(key);
-        self.doomed.push(frame_path(&self.store.dir, key));
+        if let Some(frame) = self.windows.remove(key).and_then(|w| w.frame) {
+            self.doomed
+                .push(frame_file(&self.store.dir, key, frame.generation));
+        }
     }
 
-    /// Writes the manifest, swaps in the successor of `prev` (re-stamping
-    /// exactly the series whose windows differ from `prev`'s), then
-    /// deletes the removed windows' frames. A crash before the manifest
-    /// leaves the new frames as orphans; a crash after it leaves the old
-    /// ones. `open()` sweeps either.
+    /// Writes the manifest, publishes the successor of `prev`, rewrites
+    /// the batch log if the change made records dead (a window persisted
+    /// or dropped while it held live records), then deletes the doomed
+    /// frames. A crash before the manifest leaves the new frames as
+    /// orphans; a crash after it leaves the old frames and the dead
+    /// records. `open()` sweeps either.
     fn finish(self) -> Result<(), StoreError> {
         let Commit {
             store,
@@ -1077,10 +1250,14 @@ impl Commit<'_> {
             sequence: writer.manifest_sequence,
             entries: windows
                 .values()
-                .map(|w| ManifestEntry {
-                    key: w.key.clone(),
-                    batches: w.batches,
-                    frame_bytes: w.frame_bytes,
+                .filter_map(|w| {
+                    let frame = w.frame?;
+                    Some(ManifestEntry {
+                        key: w.key.clone(),
+                        batches: frame.batches,
+                        frame_bytes: frame.bytes,
+                        generation: frame.generation,
+                    })
                 })
                 .collect(),
             policies: writer.policies.clone(),
@@ -1088,14 +1265,15 @@ impl Commit<'_> {
         };
         let path = store.dir.join(MANIFEST_FILE);
         fsio::write_atomic(&path, &manifest.encode()).map_err(|e| StoreError::Io(path, e))?;
-        let version = prev.version + 1;
-        let series_versions = restamp(&prev, &windows, version);
-        *store.snapshot.write().expect("snapshot lock") = Arc::new(Snapshot {
-            version,
-            windows,
-            series_versions,
-            retention_floors: writer.retention_floors.clone(),
-        });
+        let kills_records = logged_batches(&windows) < logged_batches(&prev.windows);
+        store.publish(&prev, windows, &writer);
+        if kills_records {
+            let snap = store.snapshot();
+            let WriterState { log, floors, .. } = &mut *writer;
+            log.rewrite(|r| record_is_live(&snap.windows, floors, r))
+                .map_err(|e| log_error(log.path(), e))?;
+            store.obs.log_rewrites.inc();
+        }
         for path in doomed {
             fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
         }
@@ -1150,12 +1328,218 @@ pub fn rebuild_parent(
     Ok(merge_tree(children, budget, &mut rng)?)
 }
 
-/// On-disk location of a window's frame.
+/// On-disk location of a window's generation-0 frame: the name every
+/// window's first frame gets ([`frame_file`]).
 pub fn frame_path(dir: &Path, key: &WindowKey) -> PathBuf {
+    frame_file(dir, key, 0)
+}
+
+/// On-disk location of a window's frame of the given generation:
+/// `<dataset>/<kind>/<level>/<start>.sas` for generation 0,
+/// `<start>.<generation>.sas` after it.
+pub fn frame_file(dir: &Path, key: &WindowKey, generation: u64) -> PathBuf {
+    let name = match generation {
+        0 => format!("{}.sas", key.start),
+        g => format!("{}.{g}.sas", key.start),
+    };
     dir.join(&key.dataset)
         .join(key.kind.name())
         .join(key.level.name())
-        .join(format!("{}.sas", key.start))
+        .join(name)
+}
+
+/// Reads a store directory's manifest; a directory without one holds no
+/// persisted window.
+fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
+    let path = dir.join(MANIFEST_FILE);
+    match fs::read(&path) {
+        Ok(bytes) => Ok(Manifest::decode(&bytes)?),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Manifest::default()),
+        Err(e) => Err(StoreError::Io(path, e)),
+    }
+}
+
+/// A value per `(dataset, kind tag)` series.
+type SeriesMarks = HashMap<(String, u16), u64>;
+
+/// The series watermarks and ingest floors a manifest implies. Retention
+/// floors seed both: a dropped window proves the watermark had advanced at
+/// least to its end, even when retention removed every window of the
+/// series (nothing else on disk records that). This is what makes
+/// retention and recovery commute bit-identically. Compacted windows raise
+/// the floor to their end; every window raises the watermark.
+fn recovery_marks(manifest: &Manifest) -> (SeriesMarks, SeriesMarks) {
+    let (mut watermarks, mut floors) = (HashMap::new(), HashMap::new());
+    for ((dataset, kind_tag), floor) in &manifest.retention_floors {
+        bump_max(&mut watermarks, (dataset.clone(), *kind_tag), *floor);
+        bump_max(&mut floors, (dataset.clone(), *kind_tag), *floor);
+    }
+    for entry in &manifest.entries {
+        let series = series_of(&entry.key);
+        bump_max(&mut watermarks, series.clone(), entry.key.end());
+        if entry.key.level != Level::Minute {
+            bump_max(&mut floors, series, entry.key.end());
+        }
+    }
+    (watermarks, floors)
+}
+
+fn floor_of(floors: &SeriesMarks, key: &WindowKey) -> u64 {
+    floors.get(&series_of(key)).copied().unwrap_or(0)
+}
+
+/// The replay rule: a log record for `key` is dead when its window starts
+/// below the series floor (rolled up or expired) or its batch `index` is
+/// already counted by the window's frame, which holds `persisted` batches.
+fn record_is_dead(key: &WindowKey, index: u64, floors: &SeriesMarks, persisted: u64) -> bool {
+    key.start < floor_of(floors, key) || index < persisted
+}
+
+/// Whether a log record holds a batch the catalog still needs: its window
+/// is in the catalog and the record is not dead.
+fn record_is_live(
+    windows: &BTreeMap<WindowKey, Arc<WindowState>>,
+    floors: &SeriesMarks,
+    record: &LogRecord,
+) -> bool {
+    let key = record.key();
+    windows
+        .get(&key)
+        .is_some_and(|w| !record_is_dead(&key, record.index, floors, w.persisted_batches()))
+}
+
+/// Batches the catalog holds only in the batch log: its live records.
+fn logged_batches(windows: &BTreeMap<WindowKey, Arc<WindowState>>) -> u64 {
+    windows
+        .values()
+        .map(|w| w.batches - w.persisted_batches())
+        .sum()
+}
+
+/// What replaying the batch log did.
+struct Replayed {
+    /// Records merged into the catalog.
+    applied: u64,
+    /// Records skipped as dead (counted by a frame, or below a floor).
+    dead: u64,
+    /// All records in the log's valid prefix.
+    records: u64,
+    /// Length of the valid prefix.
+    valid_len: u64,
+    /// Bytes of torn tail after it.
+    torn: u64,
+}
+
+impl StoreObs {
+    /// Replays the batch log at `path` into `windows` (loaded from the
+    /// manifest), by the rule in [`Store::open`].
+    fn replay(
+        &self,
+        path: &Path,
+        windows: &mut BTreeMap<WindowKey, Arc<WindowState>>,
+        floors: &SeriesMarks,
+        watermarks: &mut SeriesMarks,
+    ) -> Result<Replayed, StoreError> {
+        let mut reader =
+            LogReader::open(path).map_err(|e| StoreError::Io(path.to_path_buf(), e))?;
+        let (mut applied, mut dead) = (0u64, 0u64);
+        while let Some(record) = reader.next_record().map_err(|e| log_error(path, e))? {
+            let key = record.key();
+            let existing = windows.get(&key);
+            let persisted = existing.map_or(0, |w| w.persisted_batches());
+            if record_is_dead(&key, record.index, floors, persisted) {
+                dead += 1;
+                continue;
+            }
+            let batches = existing.map_or(0, |w| w.batches);
+            if record.index != batches {
+                return Err(StoreError::Codec(CodecError::Invalid(format!(
+                    "{}: record {} of {key} follows {batches} batches",
+                    path.display(),
+                    record.index
+                ))));
+            }
+            let batch = decode_summary(record.frame())?;
+            if batch.kind() != key.kind {
+                return Err(StoreError::Codec(CodecError::Invalid(format!(
+                    "{}: a {} record holds a {} batch",
+                    path.display(),
+                    key.kind,
+                    batch.kind()
+                ))));
+            }
+            let summary = self.apply_batch(
+                &key,
+                existing.map(|w| w.summary.as_ref()),
+                record.index,
+                batch,
+                record.budget,
+            )?;
+            let state = WindowState {
+                key: key.clone(),
+                summary,
+                batches: batches + 1,
+                frame_bytes: existing.map_or(0, |w| w.frame_bytes) + record.bytes().len() as u64,
+                frame: existing.and_then(|w| w.frame),
+            };
+            bump_max(watermarks, series_of(&key), key.end());
+            windows.insert(key, Arc::new(state));
+            applied += 1;
+        }
+        Ok(Replayed {
+            applied,
+            dead,
+            records: applied + dead,
+            valid_len: reader.valid_len(),
+            torn: reader.torn_bytes(),
+        })
+    }
+}
+
+/// What a store directory's batch log holds, by the replay rule of
+/// [`Store::open`] and without merging anything (`sas info` reads this).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LogScan {
+    /// Records replay would apply.
+    pub live_records: u64,
+    /// Their bytes.
+    pub live_bytes: u64,
+    /// Records replay would skip (and the next rewrite drops).
+    pub dead_records: u64,
+    /// Bytes of torn tail after the last whole record.
+    pub torn_bytes: u64,
+    /// Windows no manifest row names, which live only in the log, with
+    /// the batches each holds.
+    pub log_only: BTreeMap<WindowKey, u64>,
+}
+
+/// Scans the batch log of the store in `dir`, whose manifest is
+/// `manifest`.
+pub fn scan_log(dir: &Path, manifest: &Manifest) -> Result<LogScan, StoreError> {
+    let (_, floors) = recovery_marks(manifest);
+    let counted: HashMap<&WindowKey, u64> = manifest
+        .entries
+        .iter()
+        .map(|e| (&e.key, e.batches))
+        .collect();
+    let path = dir.join(LOG_FILE);
+    let mut reader = LogReader::open(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
+    let mut scan = LogScan::default();
+    while let Some(record) = reader.next_record().map_err(|e| log_error(&path, e))? {
+        let key = record.key();
+        let persisted = counted.get(&key).copied();
+        if record_is_dead(&key, record.index, &floors, persisted.unwrap_or(0)) {
+            scan.dead_records += 1;
+            continue;
+        }
+        scan.live_records += 1;
+        scan.live_bytes += record.bytes().len() as u64;
+        if persisted.is_none() {
+            *scan.log_only.entry(key).or_default() += 1;
+        }
+    }
+    scan.torn_bytes = reader.torn_bytes();
+    Ok(scan)
 }
 
 fn series_of(key: &WindowKey) -> (String, u16) {
@@ -1237,6 +1621,7 @@ mod tests {
                             summary: Box::new(VarOptSampler::new(4)),
                             batches: 1,
                             frame_bytes: 0,
+                            frame: None,
                         };
                         windows.insert(key, Arc::new(state));
                     }

@@ -2,10 +2,12 @@
 //! a store directory contains.
 //!
 //! The manifest is itself a `sas-codec` frame (tag
-//! [`sas_codec::proto::TAG_MANIFEST`]) written atomically after every
-//! mutation, *after* the frames it references — so at any crash point the
-//! manifest only ever names frames that are fully on disk. Files present
-//! but unlisted are compaction/crash orphans and are swept on open.
+//! [`sas_codec::proto::TAG_MANIFEST`]) written atomically by every catalog
+//! change that persists or drops a window (ingests only append to the
+//! batch log), *after* the frames it references — so at any crash point
+//! the manifest only ever names frames that are fully on disk. Files
+//! present but unlisted are compaction/crash orphans and are swept on
+//! open.
 
 use std::collections::BTreeMap;
 
@@ -16,16 +18,21 @@ use crate::policy::Policy;
 use crate::window::{Level, WindowKey};
 
 /// One manifest row: a window's key plus the writer state needed to resume
-/// it (batch counter for deterministic ingest-merge seeds) and its frame
-/// size for integrity checking.
+/// it (batch counter for deterministic ingest-merge seeds), its frame size
+/// for integrity checking, and the generation that names its frame file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestEntry {
     /// The window's catalog coordinate.
     pub key: WindowKey,
-    /// Batches merged into the window so far.
+    /// Batches the window's frame holds. Batch-log records of the window
+    /// with a smaller batch index are already counted here.
     pub batches: u64,
     /// Size of the window's frame file in bytes.
     pub frame_bytes: u64,
+    /// Generation of the frame file ([`crate::frame_file`]). A window whose
+    /// batches changed is persisted under the next generation, never over
+    /// the frame this row names.
+    pub generation: u64,
 }
 
 /// The decoded manifest.
@@ -50,8 +57,16 @@ impl Manifest {
     /// Serializes the manifest as a frame. Stores that never used
     /// lifecycle features encode byte-identically to the pre-lifecycle
     /// format: the policy and floor sections are appended only when one of
-    /// them is non-empty.
+    /// them is non-empty (or section 5 follows them), and the generation
+    /// section 5 only when some frame is past generation 0.
     pub fn encode(&self) -> Vec<u8> {
+        let generations: Vec<(u64, u64)> = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.generation > 0)
+            .map(|(i, e)| (i as u64, e.generation))
+            .collect();
         encode_frame(proto::TAG_MANIFEST, |w| {
             w.section(1, |w| {
                 w.put_u64(self.sequence);
@@ -62,7 +77,10 @@ impl Manifest {
                     write_entry(w, e);
                 }
             });
-            if !self.policies.is_empty() || !self.retention_floors.is_empty() {
+            if !self.policies.is_empty()
+                || !self.retention_floors.is_empty()
+                || !generations.is_empty()
+            {
                 w.section(3, |w| {
                     w.put_u64(self.policies.len() as u64);
                     for (dataset, policy) in &self.policies {
@@ -76,6 +94,15 @@ impl Manifest {
                         w.put_str(dataset);
                         w.put_u16(*kind_tag);
                         w.put_u64(*floor);
+                    }
+                });
+            }
+            if !generations.is_empty() {
+                w.section(5, |w| {
+                    w.put_u64(generations.len() as u64);
+                    for (row, generation) in &generations {
+                        w.put_u64(*row);
+                        w.put_u64(*generation);
                     }
                 });
             }
@@ -146,6 +173,26 @@ impl Manifest {
             }
             sec.finish()?;
         }
+        // Stores whose every frame is generation 0 end here.
+        if frame.body.remaining() > 0 {
+            let mut sec = frame.body.expect_section(5)?;
+            let n = sec.get_len(8 + 8)?;
+            let mut prev: Option<u64> = None;
+            for _ in 0..n {
+                let row = sec.get_u64()?;
+                let generation = sec.get_u64()?;
+                let entry = usize::try_from(row)
+                    .ok()
+                    .and_then(|i| entries.get_mut(i))
+                    .filter(|_| prev.is_none_or(|p| p < row) && generation > 0)
+                    .ok_or_else(|| {
+                        CodecError::Invalid(format!("manifest generation row {row} is invalid"))
+                    })?;
+                entry.generation = generation;
+                prev = Some(row);
+            }
+            sec.finish()?;
+        }
         frame.body.finish()?;
         Ok(Manifest {
             sequence,
@@ -196,6 +243,7 @@ fn read_entry(r: &mut Reader<'_>) -> Result<ManifestEntry, CodecError> {
     let batches = r.get_u64()?;
     let frame_bytes = r.get_u64()?;
     Ok(ManifestEntry {
+        generation: 0,
         key: WindowKey {
             dataset,
             kind,
@@ -224,6 +272,7 @@ mod tests {
                     },
                     batches: 3,
                     frame_bytes: 999,
+                    generation: 0,
                 },
                 ManifestEntry {
                     key: WindowKey {
@@ -234,6 +283,7 @@ mod tests {
                     },
                     batches: 60,
                     frame_bytes: 12345,
+                    generation: 0,
                 },
             ],
             policies: BTreeMap::new(),
@@ -281,6 +331,49 @@ mod tests {
         assert!(decoded.policies.is_empty());
         assert!(decoded.retention_floors.is_empty());
         assert_eq!(decoded.encode(), old);
+    }
+
+    #[test]
+    fn generations_roundtrip_with_and_without_lifecycle_state() {
+        for mut m in [sample(), sample_with_lifecycle()] {
+            let before = m.encode();
+            m.entries[1].generation = 3;
+            let bytes = m.encode();
+            assert_ne!(bytes, before);
+            assert_eq!(Manifest::decode(&bytes).unwrap(), m);
+            for len in 0..bytes.len() {
+                assert!(Manifest::decode(&bytes[..len]).is_err(), "prefix {len}");
+            }
+            // Back at generation 0 the section is gone again.
+            m.entries[1].generation = 0;
+            assert_eq!(m.encode(), before);
+        }
+        // A generation row past the entries, out of order, or naming
+        // generation 0 is rejected.
+        let with_rows = |rows: &[(u64, u64)]| {
+            encode_frame(proto::TAG_MANIFEST, |w| {
+                w.section(1, |w| w.put_u64(1));
+                w.section(2, |w| {
+                    w.put_u64(sample().entries.len() as u64);
+                    for e in &sample().entries {
+                        write_entry(w, e);
+                    }
+                });
+                w.section(3, |w| w.put_u64(0));
+                w.section(4, |w| w.put_u64(0));
+                w.section(5, |w| {
+                    w.put_u64(rows.len() as u64);
+                    for (row, generation) in rows {
+                        w.put_u64(*row);
+                        w.put_u64(*generation);
+                    }
+                });
+            })
+        };
+        assert!(Manifest::decode(&with_rows(&[(0, 2), (1, 5)])).is_ok());
+        for rows in [&[(2u64, 1u64)][..], &[(1, 1), (0, 1)], &[(0, 0)]] {
+            assert!(Manifest::decode(&with_rows(rows)).is_err(), "{rows:?}");
+        }
     }
 
     #[test]

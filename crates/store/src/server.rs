@@ -58,7 +58,8 @@
 //! re-evaluation. A subscriber whose outbox exceeds the write budget is
 //! shed with `RESP_BUSY` and closed, exactly like an over-limit arrival.
 //! With `lifecycle_every` set, the loop also schedules a single-inflight
-//! lifecycle job (retention, then compaction) on that cadence.
+//! lifecycle job (retention, then compaction) on that cadence, or sooner
+//! once [`LIFECYCLE_INGESTS`] ingests have landed since the last one.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -703,6 +704,13 @@ fn to_message(frame: &[u8]) -> Vec<u8> {
     m
 }
 
+/// Ingests after which a lifecycle pass runs even if the cadence is not
+/// due. An ingest costs one log append, so at high ingest rates a fixed
+/// cadence alone would let minute windows awaiting roll-up or retention
+/// pile up in memory in proportion to the rate; this keeps the backlog
+/// bounded by a count instead.
+pub const LIFECYCLE_INGESTS: u64 = 64;
+
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -825,6 +833,8 @@ struct EventLoop {
     last_lifecycle: Instant,
     /// A lifecycle job is on the worker pool; never schedule a second.
     lifecycle_inflight: bool,
+    /// Ingests completed since the last lifecycle job was scheduled.
+    ingests_since_lifecycle: u64,
     lobs: LoopObs,
     robs: RequestObs,
 }
@@ -866,6 +876,7 @@ impl EventLoop {
             next_watch_id: 1,
             last_lifecycle: Instant::now(),
             lifecycle_inflight: false,
+            ingests_since_lifecycle: 0,
             lobs: LoopObs::new(registry),
             robs: RequestObs::new(registry),
         })
@@ -953,8 +964,9 @@ impl EventLoop {
     }
 
     /// Schedules one lifecycle pass onto the worker pool when the cadence
-    /// is due. Single-inflight: a slow pass never stacks a second behind
-    /// it, and the cadence anchor resets when the pass *completes*.
+    /// is due, or [`LIFECYCLE_INGESTS`] ingests landed since the last one.
+    /// Single-inflight: a slow pass never stacks a second behind it, and
+    /// the cadence anchor resets when the pass *completes*.
     fn maybe_schedule_lifecycle(&mut self) {
         let Some(every) = self.config.lifecycle_every else {
             return;
@@ -962,7 +974,8 @@ impl EventLoop {
         if self.lifecycle_inflight || self.shutting_down {
             return;
         }
-        if self.last_lifecycle.elapsed() < every {
+        if self.last_lifecycle.elapsed() < every && self.ingests_since_lifecycle < LIFECYCLE_INGESTS
+        {
             return;
         }
         let job = Job {
@@ -977,6 +990,7 @@ impl EventLoop {
         };
         if self.job_tx.send(job).is_ok() {
             self.lifecycle_inflight = true;
+            self.ingests_since_lifecycle = 0;
             self.lobs.lifecycle_ticks.inc();
         }
     }
@@ -1428,6 +1442,7 @@ impl EventLoop {
                     // A sealed ingest re-evaluates every watch on its
                     // series (coalesced while one is already in flight).
                     if let Some((dataset, kind_tag)) = done.ingested {
+                        self.ingests_since_lifecycle += 1;
                         self.notify_watchers(&dataset, kind_tag);
                     }
                 }

@@ -124,7 +124,8 @@ pub struct WindowRow {
     pub items: u64,
     /// Batches merged into the window.
     pub batches: u64,
-    /// Frame file size in bytes.
+    /// Bytes the window holds on disk: its frame file, if persisted, plus
+    /// its live batch-log records.
     pub frame_bytes: u64,
 }
 

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use sas_core::varopt::VarOptSampler;
 use sas_core::WeightedKey;
 use sas_store::{frame_path, StorageFormat, Store, StoreConfig};
-use sas_summaries::{Query, StoredSample, Summary, SummaryKind};
+use sas_summaries::{encode_summary, Query, SegmentSummary, StoredSample, Summary, SummaryKind};
 
 struct TempDir(PathBuf);
 
@@ -142,7 +142,14 @@ fn converting_back_to_frames_restores_v1_bytes() {
     };
     let dir = TempDir::new("roundtrip");
     let store = seeded_store(&dir);
-    let v1 = frames_of(&store, &dir);
+    // The windows live in the batch log until converted; their v1 frames
+    // are their encodings.
+    let v1: Vec<Vec<u8>> = store
+        .snapshot()
+        .windows
+        .values()
+        .map(|w| encode_summary(w.summary.as_ref()))
+        .collect();
     store.convert(StorageFormat::SegmentV2).unwrap();
     assert_eq!(store.convert(StorageFormat::FrameV1).unwrap(), 3);
     assert_eq!(frames_of(&store, &dir), v1);
@@ -163,12 +170,25 @@ fn ingest_into_cold_window_matches_warm_store() {
         cold.ingest("web", ts, batch(lo, 50, seed)).unwrap();
     }
     assert_eq!(estimates(&warm), estimates(&cold));
-    // The re-ingested windows were hydrated and rewritten as v1 frames;
-    // the untouched "api" window is still a segment.
-    for row in cold.list() {
-        let bytes = fs::read(frame_path(cold_dir.path(), &row.key)).unwrap();
-        let expect_segment = row.key.dataset == "api";
-        assert_eq!(sas_codec::segment::is_segment(&bytes), expect_segment);
+    // The re-ingested windows were hydrated in memory and keep their new
+    // batches in the batch log on top of their segment files; the
+    // untouched "api" window is still served from its segment.
+    for w in cold.snapshot().windows.values() {
+        let bytes = fs::read(frame_path(cold_dir.path(), &w.key)).unwrap();
+        assert!(sas_codec::segment::is_segment(&bytes), "{}", w.key);
+        let mapped = w
+            .summary
+            .as_any()
+            .downcast_ref::<SegmentSummary>()
+            .is_some();
+        let expect_segment = w.key.dataset == "api";
+        assert_eq!(mapped, expect_segment, "{}", w.key);
+        assert_eq!(
+            w.persisted_batches() < w.batches,
+            !expect_segment,
+            "{}",
+            w.key
+        );
     }
 }
 
@@ -191,19 +211,36 @@ fn compaction_over_cold_windows_matches_warm_store() {
         assert!(store.compact_once().unwrap() > 0);
     }
     assert_eq!(estimates(&warm), estimates(&cold));
-    let warm_rows = warm.list();
-    let cold_rows = cold.list();
-    assert_eq!(warm_rows.len(), cold_rows.len());
-    // The rolled-up hour frame is byte-identical across the two stores.
-    for (w, c) in warm_rows.iter().zip(&cold_rows) {
+    let (warm_snap, cold_snap) = (warm.snapshot(), cold.snapshot());
+    assert_eq!(warm_snap.windows.len(), cold_snap.windows.len());
+    // The rolled-up hour frame is byte-identical across the two stores,
+    // and so is the window still in the batch log.
+    for (w, c) in warm_snap.windows.values().zip(cold_snap.windows.values()) {
         assert_eq!(w.key, c.key);
         assert_eq!(
-            fs::read(frame_path(warm_dir.path(), &w.key)).unwrap(),
-            fs::read(frame_path(cold_dir.path(), &c.key)).unwrap(),
+            encode_summary(w.summary.as_ref()),
+            encode_summary(c.summary.as_ref()),
             "{}",
             w.key
         );
+        assert_eq!(w.frame.is_some(), c.frame.is_some(), "{}", w.key);
+        if w.frame.is_some() {
+            assert_eq!(
+                fs::read(frame_path(warm_dir.path(), &w.key)).unwrap(),
+                fs::read(frame_path(cold_dir.path(), &c.key)).unwrap(),
+                "{}",
+                w.key
+            );
+        }
     }
+    assert_eq!(
+        warm_snap
+            .windows
+            .values()
+            .filter(|w| w.frame.is_some())
+            .count(),
+        1
+    );
 }
 
 /// One batch of `n` distinct random keys below `KEY_SPAN`, in random order

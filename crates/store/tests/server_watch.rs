@@ -2,8 +2,8 @@
 //! registrations answered with ids, every sealed ingest pushing an update
 //! that matches what polling would have returned, the idle reaper sparing
 //! subscriber connections (and only them), the per-connection watch cap,
-//! policies round-tripping over the wire, and the event-loop timer driving
-//! retention without any client asking for it.
+//! policies round-tripping over the wire, and the event-loop timer (or
+//! enough ingests) driving retention without any client asking for it.
 
 mod util;
 
@@ -213,6 +213,47 @@ fn lifecycle_timer_expires_windows_without_any_client_driving_it() {
         assert!(
             std::time::Instant::now() < deadline,
             "lifecycle timer never expired the windows: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(server);
+}
+
+#[test]
+fn enough_ingests_run_a_lifecycle_pass_before_the_cadence_is_due() {
+    let (_dir, store, server) = start(
+        "watch-lifecycle-count",
+        ServerConfig {
+            lifecycle_every: Some(Duration::from_secs(3600)),
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.set_policy("web", sample_ttl(60)).unwrap();
+    let expired = |store: &sas_store::Store| {
+        let stats = store.stats();
+        stats
+            .iter()
+            .find(|(n, _)| n == "expired_windows")
+            .unwrap()
+            .1
+    };
+    let n = sas_store::server::LIFECYCLE_INGESTS;
+    for i in 0..n - 1 {
+        client
+            .ingest("web", i * 60, batch_frame(i * 10, 10, i))
+            .unwrap();
+    }
+    // The cadence is an hour away and the count not reached: no pass ran.
+    assert_eq!(expired(&store), 0);
+    client
+        .ingest("web", (n - 1) * 60, batch_frame(n * 10, 10, n))
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while expired(&store) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{n} ingests never triggered a lifecycle pass"
         );
         std::thread::sleep(Duration::from_millis(10));
     }

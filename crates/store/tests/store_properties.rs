@@ -184,13 +184,13 @@ fn budgeted_compaction_matches_offline_rebuild() {
                 )
                 .unwrap();
         }
+        // The minutes live in the batch log; their frames are their
+        // encodings.
         let minute_frames: Vec<(WindowKey, Vec<u8>)> = store
-            .list()
-            .iter()
-            .map(|r| {
-                let path = frame_path(dir.path(), &r.key);
-                (r.key.clone(), fs::read(path).unwrap())
-            })
+            .snapshot()
+            .windows
+            .values()
+            .map(|w| (w.key.clone(), encode_summary(w.summary.as_ref())))
             .collect();
         assert_eq!(store.compact_once().unwrap(), 2);
         for hour_start in [0u64, 3600] {
@@ -231,14 +231,13 @@ fn compaction_is_bit_identical_to_offline_rebuild() {
         .estimate
         .value;
 
-    // Capture the minute frames compaction will consume.
+    // Capture the minute frames compaction will consume (the minutes live
+    // in the batch log; their frames are their encodings).
     let minute_frames: Vec<(WindowKey, Vec<u8>)> = store
-        .list()
-        .iter()
-        .map(|r| {
-            let path = frame_path(dir.path(), &r.key);
-            (r.key.clone(), fs::read(path).unwrap())
-        })
+        .snapshot()
+        .windows
+        .values()
+        .map(|w| (w.key.clone(), encode_summary(w.summary.as_ref())))
         .collect();
 
     // Hours 0 and 1 are sealed (watermark = 7260); hour 2 is still open.
@@ -414,21 +413,27 @@ fn concurrent_ingest_and_queries_see_consistent_snapshots() {
         assert!(r.join().unwrap() > 0, "readers must have run");
     }
 
-    // Quiesced: the served answers equal an offline recompute from the
-    // persisted frames, summed in catalog order — bit for bit.
-    for dataset in ["web", "api"] {
-        let offline: f64 = store
-            .list()
-            .iter()
-            .filter(|r| r.key.dataset == dataset)
-            .map(|r| {
-                let bytes = fs::read(frame_path(dir.path(), &r.key)).unwrap();
-                box_value(decode_summary(&bytes).unwrap().as_ref(), FULL)
-            })
+    // Quiesced: the served answers equal an offline recompute from what
+    // is on disk (a store recovered from the directory), summed in catalog
+    // order — bit for bit.
+    let served: Vec<f64> = ["web", "api"]
+        .iter()
+        .map(|dataset| {
+            query(&store, dataset, SummaryKind::Sample, FULL, None)
+                .estimate
+                .value
+        })
+        .collect();
+    drop(store);
+    let recovered = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    for (dataset, served) in ["web", "api"].into_iter().zip(served) {
+        let offline: f64 = recovered
+            .snapshot()
+            .windows
+            .values()
+            .filter(|w| w.key.dataset == dataset)
+            .map(|w| box_value(w.summary.as_ref(), FULL))
             .sum();
-        let served = query(&store, dataset, SummaryKind::Sample, FULL, None)
-            .estimate
-            .value;
         assert_eq!(served.to_bits(), offline.to_bits(), "{dataset}");
         let truth: f64 = (0..BATCHES).map(|i| exact_total(i * 200, 100)).sum();
         assert!((served - truth).abs() / truth < 1e-9);
@@ -539,6 +544,7 @@ fn crash_debris_and_orphans_are_swept_on_open() {
     // Simulate a crash mid-write (truncated temp never renamed) and a
     // frame orphaned by an interrupted compaction.
     let window_dir = dir.path().join("web/sample/minute");
+    fs::create_dir_all(&window_dir).unwrap();
     fs::write(window_dir.join("0.sas.tmp-12345-0"), b"torn").unwrap();
     fs::write(
         window_dir.join("999960.sas"),
@@ -1102,20 +1108,35 @@ fn write_file(dir: &Path, rel: &Path, bytes: &[u8]) {
 #[derive(Debug)]
 enum Step {
     Write(PathBuf, Vec<u8>),
+    Append(PathBuf, Vec<u8>),
     Delete(PathBuf),
 }
 
 /// The steps that turn directory `before` into `after`, in the order the
-/// crash contract allows: every new file, then the manifest, then every
-/// deletion. Returns them with the index of the manifest step.
+/// crash contract allows, with the index of the step that commits the
+/// change. An ingest only appends records to the batch log: one `Append`
+/// step, which commits. Any other change writes every new frame, then the
+/// manifest (which commits), then the rewritten log, then every deletion.
 fn commit_steps(before: &Files, after: &Files) -> (Vec<Step>, usize) {
     let manifest = PathBuf::from(sas_store::MANIFEST_FILE);
+    let log = PathBuf::from(sas_store::LOG_FILE);
+    let (log_before, log_after) = (&before[&log], &after[&log]);
+    if before.get(&manifest) == after.get(&manifest) {
+        let others = |files: &Files| -> Vec<PathBuf> {
+            files.keys().filter(|p| **p != log).cloned().collect()
+        };
+        assert_eq!(others(before), others(after), "an ingest writes no file");
+        assert!(
+            log_after.len() > log_before.len() && log_after.starts_with(log_before),
+            "an ingest only appends to the log"
+        );
+        let appended = log_after[log_before.len()..].to_vec();
+        return (vec![Step::Append(log, appended)], 0);
+    }
     for (path, bytes) in before {
-        if *path != manifest && after.get(path).is_some_and(|b| b != bytes) {
-            // A frame rewritten in place has no crash-safe order under this
-            // contract (an ingest into an existing window is a known
-            // defect, see DESIGN "Crash safety"), so no scenario here may
-            // rewrite one.
+        if *path != manifest && *path != log && after.get(path).is_some_and(|b| b != bytes) {
+            // Only a re-encode of the same batches may rewrite a frame in
+            // place; no scenario here does.
             panic!("{} was rewritten in place", path.display());
         }
     }
@@ -1125,12 +1146,10 @@ fn commit_steps(before: &Files, after: &Files) -> (Vec<Step>, usize) {
         .map(|(path, bytes)| Step::Write(path.clone(), bytes.clone()))
         .collect();
     let manifest_step = steps.len();
-    assert_ne!(
-        before.get(&manifest),
-        after.get(&manifest),
-        "the manifest changed"
-    );
     steps.push(Step::Write(manifest.clone(), after[&manifest].clone()));
+    if log_before != log_after {
+        steps.push(Step::Write(log, log_after.clone()));
+    }
     steps.extend(
         before
             .keys()
@@ -1140,38 +1159,52 @@ fn commit_steps(before: &Files, after: &Files) -> (Vec<Step>, usize) {
     (steps, manifest_step)
 }
 
+fn append_file(dir: &Path, rel: &Path, bytes: &[u8]) {
+    use std::io::Write as _;
+    let mut f = fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(rel))
+        .unwrap();
+    f.write_all(bytes).unwrap();
+}
+
 /// What a store recovered from `dir` serves, bit for bit: its window rows,
 /// and the total, one box and one multi-range of `web`'s samples at 0.9.
 fn recovered(dir: &Path) -> (Vec<sas_store::wire::WindowRow>, Vec<[u64; 5]>) {
     let store = Store::open(dir, StoreConfig::default()).unwrap();
+    (store.list(), battery(&store))
+}
+
+/// The total, one box and one multi-range of `web`'s samples at 0.9.
+fn battery(store: &Store) -> Vec<[u64; 5]> {
     let battery = [
         Query::Total,
         Query::BoxRange(vec![(10, 120)]),
         Query::MultiRange(vec![vec![(0, 30)], vec![(60, 90)], vec![(200, 4000)]]),
     ];
-    let estimates = battery
+    battery
         .iter()
         .map(|q| {
             let answer = store.estimate("web", SummaryKind::Sample, q, 0.9, None);
             estimate_bits(&answer.unwrap().estimate)
         })
-        .collect();
-    (store.list(), estimates)
+        .collect()
 }
 
 /// Runs `op` on a store prepared by `setup`, derives the operation's
 /// file-system steps from the directory before (B) and after (A) it, and
 /// crashes after every prefix of them: B plus the first `k` steps, plus a
-/// torn temp file when step `k + 1` is a write. Each crashed directory must
-/// recover to exactly B's rows and estimates before the manifest step and
-/// to A's from it on, and recovery must sweep the directory back to B's or
-/// A's files. Returns the steps for the caller to check the scenario's
-/// shape.
+/// torn temp file when step `k + 1` is a write, or half its record when it
+/// is an append. Each crashed directory must recover to exactly B's rows
+/// and estimates before the commit step and to A's from it on, and
+/// recovery must sweep the directory back to B's or A's files. Returns the
+/// steps for the caller to check the scenario's shape, and the rows B and
+/// A serve.
 fn check_crash_points(
     name: &str,
     setup: impl FnOnce(&Store),
     op: impl FnOnce(&Store),
-) -> Vec<Step> {
+) -> (Vec<Step>, [Vec<sas_store::wire::WindowRow>; 2]) {
     let dir = TempDir::new(name);
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     setup(&store);
@@ -1179,7 +1212,7 @@ fn check_crash_points(
     op(&store);
     drop(store);
     let after = read_files(dir.path());
-    let (steps, manifest_step) = commit_steps(&before, &after);
+    let (steps, commit_step) = commit_steps(&before, &after);
     let serves = |files: &Files| {
         let copy = TempDir::new(name);
         for (rel, bytes) in files {
@@ -1198,15 +1231,22 @@ fn check_crash_points(
         for step in &steps[..k] {
             match step {
                 Step::Write(rel, bytes) => write_file(crash.path(), rel, bytes),
+                Step::Append(rel, bytes) => append_file(crash.path(), rel, bytes),
                 Step::Delete(rel) => fs::remove_file(crash.path().join(rel)).unwrap(),
             }
         }
-        if let Some(Step::Write(rel, bytes)) = steps.get(k) {
-            let mut torn = rel.clone().into_os_string();
-            torn.push(format!("{}0-0", sas_store::fsio::TEMP_INFIX));
-            write_file(crash.path(), Path::new(&torn), &bytes[..bytes.len() / 2]);
+        match steps.get(k) {
+            Some(Step::Write(rel, bytes)) => {
+                let mut torn = rel.clone().into_os_string();
+                torn.push(format!("{}0-0", sas_store::fsio::TEMP_INFIX));
+                write_file(crash.path(), Path::new(&torn), &bytes[..bytes.len() / 2]);
+            }
+            Some(Step::Append(rel, bytes)) => {
+                append_file(crash.path(), rel, &bytes[..bytes.len() / 2]);
+            }
+            _ => {}
         }
-        let (files, serves) = if k > manifest_step {
+        let (files, serves) = if k > commit_step {
             (&after, &serves_after)
         } else {
             (&before, &serves_before)
@@ -1224,34 +1264,41 @@ fn check_crash_points(
             steps.len()
         );
     }
-    steps
+    (steps, [serves_before.0, serves_after.0])
 }
 
-/// The crash points of a commit, enumerated: a new minute window, a
-/// roll-up and a retention pass each survive a crash between any two of
-/// their file-system steps.
+/// The crash points of every catalog change, enumerated: an ingest into a
+/// new window and into an existing one, a roll-up, a retention pass, and a
+/// `convert` that persists a window whose frame holds fewer batches than
+/// the window does, each survive a crash between any two of their
+/// file-system steps.
 #[test]
 fn every_crash_point_of_a_commit_recovers_the_old_or_the_new_catalog() {
     let shape = |steps: &[Step]| {
         let writes = steps
             .iter()
-            .filter(|s| matches!(s, Step::Write(..)))
+            .filter(|s| !matches!(s, Step::Delete(..)))
             .count();
         (writes, steps.len() - writes)
     };
 
-    let steps = check_crash_points(
-        "crash-ingest",
-        |store| {
-            store.ingest("web", 5, batch(0, 50, 1)).unwrap();
-        },
-        |store| {
-            store.ingest("web", 65, batch(100, 50, 2)).unwrap();
-        },
-    );
-    assert_eq!(shape(&steps), (2, 0), "frame and manifest: {steps:?}");
+    for (name, ts) in [("crash-ingest", 65u64), ("crash-ingest-merge", 10)] {
+        let (steps, _) = check_crash_points(
+            name,
+            |store| {
+                store.ingest("web", 5, batch(0, 50, 1)).unwrap();
+            },
+            |store| {
+                store.ingest("web", ts, batch(100, 50, 2)).unwrap();
+            },
+        );
+        assert!(
+            matches!(steps.as_slice(), [Step::Append(..)]),
+            "{name}: one log append: {steps:?}"
+        );
+    }
 
-    let steps = check_crash_points(
+    let (steps, _) = check_crash_points(
         "crash-rollup",
         |store| {
             for ts in [0u64, 60, 120, 180] {
@@ -1262,13 +1309,9 @@ fn every_crash_point_of_a_commit_recovers_the_old_or_the_new_catalog() {
         },
         |store| assert_eq!(store.compact_once().unwrap(), 1),
     );
-    assert_eq!(
-        shape(&steps),
-        (2, 4),
-        "hour, manifest, 4 minutes: {steps:?}"
-    );
+    assert_eq!(shape(&steps), (3, 0), "hour, manifest, log: {steps:?}");
 
-    let steps = check_crash_points(
+    let (steps, _) = check_crash_points(
         "crash-retention",
         |store| {
             store.set_policy("web", ttl_policy(120)).unwrap();
@@ -1280,5 +1323,210 @@ fn every_crash_point_of_a_commit_recovers_the_old_or_the_new_catalog() {
         // least 120 ticks behind it.
         |store| assert_eq!(store.retain_once().unwrap(), 3),
     );
-    assert_eq!(shape(&steps), (1, 3), "manifest, 3 minutes: {steps:?}");
+    assert_eq!(shape(&steps), (2, 0), "manifest, log: {steps:?}");
+
+    // A window persisted with 50 keys at ts 5 takes 50 more at ts 10, then
+    // the convert that persists both. The new frame takes the next
+    // generation instead of replacing the one the old manifest row counts
+    // as one batch, so a crash anywhere recovers 1 or 2 batches, never a
+    // 100-item frame counted as one.
+    let (steps, [rows_before, rows_after]) = check_crash_points(
+        "crash-convert",
+        |store| {
+            store.ingest("web", 5, batch(0, 50, 1)).unwrap();
+            assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 1);
+        },
+        |store| {
+            store.ingest("web", 10, batch(100, 50, 2)).unwrap();
+            assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 1);
+        },
+    );
+    assert_eq!(
+        shape(&steps),
+        (2, 1),
+        "frame generation 1, manifest, generation 0: {steps:?}"
+    );
+    for (rows, batches) in [(rows_before, 1), (rows_after, 2)] {
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].batches, rows[0].items), (batches, 50 * batches));
+    }
+    // The same convert with the second batch already acknowledged: before
+    // the log rewrite, the log still holds that batch's record, which the
+    // new manifest row counts, so replay must skip it.
+    let (steps, [rows_before, rows_after]) = check_crash_points(
+        "crash-convert-logged",
+        |store| {
+            store.ingest("web", 5, batch(0, 50, 1)).unwrap();
+            assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 1);
+            store.ingest("web", 10, batch(100, 50, 2)).unwrap();
+        },
+        |store| assert_eq!(store.convert(StorageFormat::SegmentV2).unwrap(), 1),
+    );
+    assert_eq!(
+        shape(&steps),
+        (3, 1),
+        "frame generation 1, manifest, log, generation 0: {steps:?}"
+    );
+    for rows in [rows_before, rows_after] {
+        assert_eq!((rows[0].batches, rows[0].items), (2, 100));
+    }
+}
+
+/// A store that ingested `ops` (dataset, ts, batch) in order, with a
+/// per-kind budget of 30 on `web` so merges re-subsample, and a convert to
+/// segments after the third ingest so later records follow a persisted
+/// frame.
+fn prefix_store(dir: &Path, ops: &[(&str, u64, u64)]) -> Store {
+    let store = Store::open(dir, StoreConfig::default()).unwrap();
+    let mut budget = Policy::default();
+    budget.per_kind_budget.insert(SummaryKind::Sample.tag(), 30);
+    store.set_policy("web", budget).unwrap();
+    for (i, &(dataset, ts, seed)) in ops.iter().enumerate() {
+        store
+            .ingest(dataset, ts, batch(seed * 100, 20 + seed % 7, seed))
+            .unwrap();
+        if i == 2 {
+            store.convert(StorageFormat::SegmentV2).unwrap();
+        }
+    }
+    store
+}
+
+/// Every window's key, batch count and encoded summary, plus the battery.
+type CatalogBits = (Vec<(WindowKey, u64, Vec<u8>)>, Vec<[u64; 5]>);
+
+fn catalog_bits(store: &Store) -> CatalogBits {
+    let windows = store
+        .snapshot()
+        .windows
+        .values()
+        .map(|w| (w.key.clone(), w.batches, encode_summary(w.summary.as_ref())))
+        .collect();
+    (windows, battery(store))
+}
+
+/// A log cut at any byte inside its last two records recovers exactly the
+/// acknowledged prefix: the store equals, window by window and bit for
+/// bit, one that ingested only the records wholly before the cut.
+#[test]
+fn a_log_truncated_anywhere_recovers_exactly_the_acknowledged_prefix() {
+    let ops: [(&str, u64, u64); 8] = [
+        ("web", 5, 1),
+        ("web", 10, 2),
+        ("api", 70, 3),
+        ("web", 20, 4),
+        ("web", 65, 5),
+        ("api", 75, 6),
+        ("web", 30, 7),
+        ("web", 66, 8),
+    ];
+    let dir = TempDir::new("truncate");
+    let mut ends = Vec::new();
+    {
+        let store = prefix_store(dir.path(), &ops[..3]);
+        ends.push(
+            fs::metadata(dir.path().join(sas_store::LOG_FILE))
+                .unwrap()
+                .len(),
+        );
+        for &(dataset, ts, seed) in &ops[3..] {
+            store
+                .ingest(dataset, ts, batch(seed * 100, 20 + seed % 7, seed))
+                .unwrap();
+            ends.push(
+                fs::metadata(dir.path().join(sas_store::LOG_FILE))
+                    .unwrap()
+                    .len(),
+            );
+        }
+    }
+    let files = read_files(dir.path());
+    let expect: Vec<_> = (ops.len() - 2..=ops.len())
+        .map(|n| {
+            let reference = TempDir::new("truncate-reference");
+            catalog_bits(&prefix_store(reference.path(), &ops[..n]))
+        })
+        .collect();
+    let log = &files[Path::new(sas_store::LOG_FILE)];
+    let first_cut = ends[ends.len() - 3];
+    assert_eq!(*ends.last().unwrap(), log.len() as u64);
+    for cut in first_cut..=log.len() as u64 {
+        let crash = TempDir::new("truncate-crash");
+        for (rel, bytes) in &files {
+            write_file(crash.path(), rel, bytes);
+        }
+        write_file(
+            crash.path(),
+            Path::new(sas_store::LOG_FILE),
+            &log[..cut as usize],
+        );
+        // `ends[0]` is the log after the first three ingests and the
+        // convert; each later end closes one more ingest's record.
+        let ingested = 3 + ends[1..].iter().filter(|&&end| end <= cut).count();
+        let store = Store::open(crash.path(), StoreConfig::default()).unwrap();
+        assert_eq!(
+            catalog_bits(&store),
+            expect[ingested - (ops.len() - 2)],
+            "cut at byte {cut}"
+        );
+    }
+}
+
+/// A per-kind budget changed between two logged ingests into one window
+/// still replays bit-identically: each record carries the budget it was
+/// merged under.
+#[test]
+fn a_budget_changed_between_logged_ingests_replays_bit_identically() {
+    let dir = TempDir::new("budget-replay");
+    let with_budget = |b: u64| {
+        let mut p = Policy::default();
+        p.per_kind_budget.insert(SummaryKind::Sample.tag(), b);
+        p
+    };
+    let before = {
+        let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+        store.set_policy("web", with_budget(40)).unwrap();
+        store.ingest("web", 5, batch(0, 60, 1)).unwrap();
+        store.ingest("web", 6, batch(100, 60, 2)).unwrap();
+        store.set_policy("web", with_budget(15)).unwrap();
+        store.ingest("web", 7, batch(200, 60, 3)).unwrap();
+        store.ingest("web", 8, batch(300, 60, 4)).unwrap();
+        let rows = store.list();
+        assert_eq!((rows.len(), rows[0].batches, rows[0].items), (1, 4, 15));
+        catalog_bits(&store)
+    };
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    assert_eq!(catalog_bits(&store), before);
+}
+
+/// Ingests into new minute windows create, rename and rewrite no file:
+/// the directory keeps the same names, the log keeps its inode, and only
+/// the log's bytes grow.
+#[test]
+fn ingests_into_new_minute_windows_leave_the_file_set_unchanged() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = TempDir::new("file-set");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    store.set_policy("web", ttl_policy(86_400)).unwrap();
+    let log = dir.path().join(sas_store::LOG_FILE);
+    let before = read_files(dir.path());
+    let inode = fs::metadata(&log).unwrap().ino();
+    for i in 0..20u64 {
+        store.ingest("web", i * 60, batch(i * 100, 30, i)).unwrap();
+    }
+    assert_eq!(store.list().len(), 20);
+    let after = read_files(dir.path());
+    assert_eq!(
+        before.keys().collect::<Vec<_>>(),
+        after.keys().collect::<Vec<_>>()
+    );
+    for (path, bytes) in &before {
+        if path != Path::new(sas_store::LOG_FILE) {
+            assert_eq!(&after[path], bytes, "{}", path.display());
+        }
+    }
+    assert!(
+        after[Path::new(sas_store::LOG_FILE)].len() > before[Path::new(sas_store::LOG_FILE)].len()
+    );
+    assert_eq!(fs::metadata(&log).unwrap().ino(), inode);
 }

@@ -320,6 +320,29 @@ pub(crate) struct SampleColumns<U, F> {
     pub ys: U,
 }
 
+/// The value a sample's [`Query::Total`] folds to — bit for bit the value
+/// `answer(&Query::Total, _)` returns — without finishing an interval:
+/// through the key-order index `order` for 1-D samples, in item order for
+/// 2-D samples (`order` is `None`).
+pub(crate) fn sample_total<U: Column<u64>, F: Column<f64>>(
+    c: &SampleColumns<U, F>,
+    order: Option<&KeyOrder>,
+) -> f64 {
+    match order {
+        Some(order) => {
+            let boxes = Query::Total.boxes(1).expect("Total has boxes in 1-D");
+            order.fold(c, &boxes).value
+        }
+        None => {
+            let mut acc = SampleAccumulator::default();
+            for (w, a) in c.weights.values().zip(c.adjusted.values()) {
+                acc.add(w, a);
+            }
+            acc.value
+        }
+    }
+}
+
 /// 1-D sample answers through the key-order index over `c.keys`.
 pub(crate) fn sample_1d<U: Column<u64>, F: Column<f64>>(
     c: &SampleColumns<U, F>,

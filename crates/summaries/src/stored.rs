@@ -170,9 +170,19 @@ impl StoredSample {
         &self.ys
     }
 
-    /// HT estimate of the total data weight.
+    /// HT estimate of the total data weight: the value of the
+    /// [`Query::Total`](crate::Query::Total) answer, folded in the same
+    /// order, so the two agree bit for bit.
     pub fn total_estimate(&self) -> f64 {
-        self.adjusted.iter().sum()
+        let cols = crate::fold::SampleColumns {
+            keys: self.keys(),
+            weights: self.weights(),
+            adjusted: self.adjusted_weights(),
+            xs: self.xs(),
+            ys: self.ys(),
+        };
+        let order = (self.dims == 1).then(|| self.key_order());
+        crate::fold::sample_total(&cols, order)
     }
 
     /// Materializes the underlying sample (entry order preserved).

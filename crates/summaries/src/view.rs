@@ -282,8 +282,6 @@ impl SegmentSummary {
                 )));
             }
         }
-        // Mirrors `StoredSample::total_estimate` (same fold order).
-        let total = adjusted.le(b).values().sum();
         let order = match dims {
             1 => Some(KeyOrder::build_sample(
                 keys.le(b),
@@ -292,6 +290,15 @@ impl SegmentSummary {
             )?),
             _ => None,
         };
+        // The `Total` fold's value, as `StoredSample::total_estimate`.
+        let cols = SampleColumns {
+            keys: keys.le(b),
+            weights: weights.le(b),
+            adjusted: adjusted.le(b),
+            xs: xs.le(b),
+            ys: ys.le(b),
+        };
+        let total = fold::sample_total(&cols, order.as_ref());
         Ok(Layout::Sample {
             dims,
             tau,
@@ -648,6 +655,14 @@ mod tests {
             owned.total_estimate().to_bits(),
             "{ctx}"
         );
+        // Both report the value the `Total` query answers, bit for bit.
+        for (s, path) in [(owned, "owned"), (seg as &dyn Summary, "mapped")] {
+            assert_eq!(
+                s.total_estimate().to_bits(),
+                s.answer(&Query::Total, 0.9).unwrap().value.to_bits(),
+                "{ctx}: {path} total"
+            );
+        }
         assert_eq!(
             Summary::tau(seg).unwrap().to_bits(),
             Summary::tau(owned).unwrap().to_bits(),
