@@ -35,8 +35,8 @@ use sas_summaries::countsketch::SketchSummary;
 use sas_summaries::qdigest::QDigestSummary;
 use sas_summaries::wavelet::WaveletSummary;
 use sas_summaries::{
-    decode_summary, encode_summary, Estimate, Query, QueryBatch, SegmentSummary, StoredSample,
-    Summary, SummaryKind,
+    decode_summary, encode_summary, Estimate, Query, SegmentSummary, StoredSample, Summary,
+    SummaryKind,
 };
 
 /// Parsed input data: 1-D weighted keys or 2-D located keys.
@@ -541,10 +541,8 @@ pub fn answer_queries(
     queries: &[Query],
     confidence: f64,
 ) -> Result<Vec<Estimate>, CliError> {
-    let batch =
-        QueryBatch::new(queries.to_vec(), confidence).map_err(|e| CliError(e.to_string()))?;
-    batch
-        .evaluate(&**summary)
+    summary
+        .answer_batch(queries, confidence)
         .map_err(|e| CliError(e.to_string()))
 }
 

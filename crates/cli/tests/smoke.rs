@@ -318,3 +318,62 @@ fn bad_invocations_fail_cleanly() {
         "expected an error message, got: {stderr}"
     );
 }
+
+#[test]
+fn query_confidence_outside_the_unit_interval_is_rejected() {
+    // A q-digest certifies its containment bounds at confidence 1, so 1 is
+    // a valid request; 0, anything above 1, and NaN are not, whatever the
+    // summary kind and with or without a batch file.
+    let data: String = (0..200u64)
+        .map(|k| format!("{}\t{}\t{}\n", k % 32, (k * 7) % 32, 1.0 + (k % 5) as f64))
+        .collect();
+    let input = TempFile::create("conf-data.tsv", &data);
+    let summary = TempFile::create("conf-qdigest.sas", "");
+    sas(
+        &[
+            "summarize",
+            input.path(),
+            "--size",
+            "40",
+            "--kind",
+            "qdigest",
+            "--out",
+            summary.path(),
+        ],
+        true,
+    );
+    let batch = TempFile::create("conf-queries.txt", "0..15,0..31\ntotal\n");
+    for confidence in ["0", "1.5", "nan"] {
+        for target in [["--range", "0..15,0..31"], ["--queries", batch.path()]] {
+            let mut args = vec!["query", summary.path()];
+            args.extend(target);
+            args.extend(["--confidence", confidence]);
+            let (_, stderr) = sas(&args, false);
+            assert!(stderr.contains("--confidence"), "{confidence}: {stderr}");
+        }
+    }
+    let (line, _) = sas(
+        &[
+            "query",
+            summary.path(),
+            "--range",
+            "0..15,0..31",
+            "--confidence",
+            "1",
+        ],
+        true,
+    );
+    assert!(line.trim_end().ends_with("@1"), "{line}");
+    let (tsv, _) = sas(
+        &[
+            "query",
+            summary.path(),
+            "--queries",
+            batch.path(),
+            "--confidence",
+            "1",
+        ],
+        true,
+    );
+    assert_eq!(tsv.lines().count(), 3, "{tsv}");
+}

@@ -32,19 +32,21 @@
 //! defines); `len == count * elem_size`; offsets are 8-byte aligned, start
 //! at or after the table, strictly increase, never overlap, and end before
 //! the trailer. All integers are little-endian; `f64` travels as its
-//! IEEE-754 bit pattern, read via checked `from_le_bytes` on sub-slices —
-//! never a pointer transmute, so alignment of the backing buffer is
-//! irrelevant to safety.
+//! IEEE-754 bit pattern, read by [`Le`] via `from_le_bytes` on 8-byte
+//! arrays — never a pointer transmute, so alignment of the backing buffer
+//! is irrelevant to safety.
 //!
 //! ## Robustness contract
 //!
 //! [`SegmentView::parse`] is the only entry point and it validates the
 //! whole file: CRC-32 first (one sequential pass — which doubles as page-
 //! cache warming for a freshly mapped file), then every header field and
-//! table invariant. After a successful parse, every [`Column`] access is
-//! bounds-checked against ranges proven in-bounds at parse time; corrupted
-//! or forged input surfaces as a [`CodecError`], never a panic or an
-//! out-of-bounds read.
+//! table invariant. After a successful parse, every column run ([`Le`]) is
+//! a slice proven in-bounds at parse time; corrupted or forged input
+//! surfaces as a [`CodecError`], never a panic or an out-of-bounds read.
+
+use std::marker::PhantomData;
+use std::ops::Range;
 
 use crate::{crc32, CodecError, TRAILER_LEN};
 
@@ -90,54 +92,66 @@ pub struct SectionEntry {
     pub len: u64,
 }
 
-/// A typed, bounds-checked view over one column run.
-///
-/// The slice was proven in-bounds by [`SegmentView::parse`]; accessors read
-/// little-endian words via `from_le_bytes` on 8-byte sub-slices.
-#[derive(Debug, Clone, Copy)]
-pub struct Column<'a> {
-    bytes: &'a [u8],
-    count: usize,
+/// A value stored as one 8-byte little-endian word of a column run.
+pub trait Word: Copy {
+    /// Decodes one word.
+    fn from_le(word: [u8; 8]) -> Self;
 }
 
-impl<'a> Column<'a> {
-    /// Number of elements.
-    pub fn count(&self) -> usize {
-        self.count
+impl Word for u64 {
+    #[inline(always)]
+    fn from_le(word: [u8; 8]) -> Self {
+        u64::from_le_bytes(word)
+    }
+}
+
+impl Word for f64 {
+    #[inline(always)]
+    fn from_le(word: [u8; 8]) -> Self {
+        f64::from_le_bytes(word)
+    }
+}
+
+/// A column run of little-endian `T`s, indexed as whole 8-byte words: the
+/// one reader of segment words, for meta and data columns alike.
+#[derive(Debug, Clone, Copy)]
+pub struct Le<'a, T> {
+    words: &'a [[u8; 8]],
+    _value: PhantomData<T>,
+}
+
+impl<'a, T: Word> Le<'a, T> {
+    /// Views a run whose length is a multiple of 8 ([`SegmentView::parse`]
+    /// proves it for every column; trailing bytes of any other slice are
+    /// not part of the view).
+    pub fn new(bytes: &'a [u8]) -> Self {
+        let (words, rest) = bytes.as_chunks();
+        debug_assert!(rest.is_empty(), "column run of {} bytes", bytes.len());
+        Self {
+            words,
+            _value: PhantomData,
+        }
     }
 
-    /// Whether the column has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
+    /// Number of words.
+    pub fn len(self) -> usize {
+        self.words.len()
     }
 
-    /// The raw column bytes.
-    pub fn bytes(&self) -> &'a [u8] {
-        self.bytes
+    /// Whether the run holds no words.
+    pub fn is_empty(self) -> bool {
+        self.words.is_empty()
     }
 
-    /// Iterates the column as little-endian `u64`s.
-    pub fn u64s(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
-        self.bytes
-            .chunks_exact(SEGMENT_ELEM_SIZE)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
+    /// Word `i`; panics if `i` is out of range.
+    #[inline(always)]
+    pub fn at(self, i: usize) -> T {
+        T::from_le(self.words[i])
     }
 
-    /// Iterates the column as `f64` bit patterns.
-    pub fn f64s(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
-        self.u64s().map(f64::from_bits)
-    }
-
-    /// Reads element `i` as a `u64`, if in range.
-    pub fn u64_at(&self, i: usize) -> Option<u64> {
-        let at = i.checked_mul(SEGMENT_ELEM_SIZE)?;
-        let chunk = self.bytes.get(at..at + SEGMENT_ELEM_SIZE)?;
-        Some(u64::from_le_bytes(chunk.try_into().expect("chunk of 8")))
-    }
-
-    /// Reads element `i` as an `f64`, if in range.
-    pub fn f64_at(&self, i: usize) -> Option<f64> {
-        self.u64_at(i).map(f64::from_bits)
+    /// Every word, in order.
+    pub fn values(self) -> impl ExactSizeIterator<Item = T> + 'a {
+        self.words.iter().map(|&w| T::from_le(w))
     }
 }
 
@@ -283,16 +297,21 @@ impl<'a> SegmentView<'a> {
         self.bytes.len()
     }
 
-    /// Looks a column up by section id.
-    pub fn column(&self, id: u32) -> Option<Column<'a>> {
-        let entry = self.table.iter().find(|e| e.id == id)?;
-        // The extent was proven in-bounds by `parse`.
+    /// The byte range of section `id`'s column run, proven in-bounds by
+    /// [`SegmentView::parse`].
+    pub fn column_range(&self, id: u32) -> Result<Range<usize>, CodecError> {
+        let entry = self
+            .table
+            .iter()
+            .find(|e| e.id == id)
+            .ok_or_else(|| CodecError::Invalid(format!("missing segment section {id}")))?;
         let start = entry.offset as usize;
-        let end = start + entry.len as usize;
-        Some(Column {
-            bytes: &self.bytes[start..end],
-            count: entry.count as usize,
-        })
+        Ok(start..start + entry.len as usize)
+    }
+
+    /// Section `id`'s column run, read as little-endian `T`s.
+    pub fn column<T: Word>(&self, id: u32) -> Result<Le<'a, T>, CodecError> {
+        Ok(Le::new(&self.bytes[self.column_range(id)?]))
     }
 }
 
@@ -412,23 +431,26 @@ mod tests {
         assert_eq!(view.kind(), 1);
         assert_eq!(view.sections().len(), 4);
         assert_eq!(view.file_len(), bytes.len());
-        let c1 = view.column(1).unwrap();
+        let c1 = view.column::<u64>(1).unwrap();
         assert_eq!(
-            c1.u64s().collect::<Vec<_>>(),
+            c1.values().collect::<Vec<_>>(),
             vec![2, 0x4045_0000_0000_0000]
         );
-        assert_eq!(c1.f64_at(1), Some(42.0));
-        let c2 = view.column(2).unwrap();
-        assert_eq!(c2.count(), 3);
-        assert_eq!(c2.u64s().collect::<Vec<_>>(), vec![10, 20, 30]);
-        assert_eq!(c2.u64_at(2), Some(30));
-        assert_eq!(c2.u64_at(3), None);
-        let c3 = view.column(3).unwrap();
-        assert_eq!(c3.f64s().collect::<Vec<_>>(), vec![1.5, 2.5, 3.5]);
-        let c5 = view.column(5).unwrap();
-        assert!(c5.is_empty());
-        assert_eq!(c5.u64_at(0), None);
-        assert!(view.column(4).is_none());
+        assert_eq!(view.column::<f64>(1).unwrap().at(1), 42.0);
+        let c2 = view.column::<u64>(2).unwrap();
+        assert_eq!(c2.len(), 3);
+        assert_eq!(c2.values().collect::<Vec<_>>(), vec![10, 20, 30]);
+        assert_eq!(c2.at(2), 30);
+        let c3 = view.column::<f64>(3).unwrap();
+        assert_eq!(c3.values().collect::<Vec<_>>(), vec![1.5, 2.5, 3.5]);
+        assert!(view.column::<u64>(5).unwrap().is_empty());
+        assert!(matches!(view.column::<u64>(4), Err(CodecError::Invalid(_))));
+        // The range is the run the table names.
+        let e = view.sections()[1];
+        assert_eq!(
+            view.column_range(2).unwrap(),
+            e.offset as usize..(e.offset + e.len) as usize
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Infix marking an in-flight temp file; anything containing it is garbage
-/// left by a crash and is swept by [`remove_temp_files`].
+/// Infix marking an in-flight temp file: [`write_atomic`] writes
+/// `<name>` through `<name>.tmp-<pid>-<n>`, and a file of that shape is
+/// garbage left by a crash, swept by [`remove_temp_files`].
 pub const TEMP_INFIX: &str = ".tmp-";
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory
@@ -85,21 +86,28 @@ pub fn create_dirs(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// Recursively removes leftover temp files under `dir` (crash debris).
-/// Returns how many were swept.
-pub fn remove_temp_files(dir: &Path) -> io::Result<u64> {
+/// Recursively removes leftover temp files under `dir` (crash debris): the
+/// files [`write_atomic`] names `<name>.tmp-<pid>-<n>`, for each
+/// destination `<name>` that `owned` claims. Returns how many were swept.
+pub fn remove_temp_files(dir: &Path, owned: impl Fn(&Path) -> bool) -> io::Result<u64> {
     let mut removed = 0;
     for path in walk_files(dir)? {
-        if path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.contains(TEMP_INFIX))
-        {
+        if temp_destination(&path).is_some_and(|dest| owned(&dest)) {
             fs::remove_file(&path)?;
             removed += 1;
         }
     }
     Ok(removed)
+}
+
+/// The destination a temp file of [`write_atomic`] stands in for, or
+/// `None` if `path` is not named like one.
+fn temp_destination(path: &Path) -> Option<PathBuf> {
+    let name = path.file_name()?.to_str()?;
+    let (base, suffix) = name.split_once(TEMP_INFIX)?;
+    let (pid, n) = suffix.split_once('-')?;
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    (digits(pid) && digits(n)).then(|| path.with_file_name(base))
 }
 
 /// All regular files under `dir`, recursively, in sorted order (so every
@@ -142,7 +150,7 @@ mod tests {
         write_atomic(&path, b"two").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"two");
         // No temp debris left behind.
-        assert_eq!(remove_temp_files(&dir).unwrap(), 0);
+        assert_eq!(remove_temp_files(&dir, |_| true).unwrap(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -156,8 +164,17 @@ mod tests {
         let torn = dir.join(format!("frame.sas{TEMP_INFIX}999-0"));
         fs::write(&torn, b"in").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"intact", "original untouched");
-        assert_eq!(remove_temp_files(&dir).unwrap(), 1);
+        // Temp-like files of names the caller does not own stay.
+        let foreign = [
+            dir.join(format!("notes.txt{TEMP_INFIX}1-2")),
+            dir.join(format!("frame.sas{TEMP_INFIX}draft")),
+        ];
+        for f in &foreign {
+            fs::write(f, b"keep").unwrap();
+        }
+        assert_eq!(remove_temp_files(&dir, |dest| dest == path).unwrap(), 1);
         assert!(!torn.exists());
+        assert!(foreign.iter().all(|f| f.exists()));
         assert_eq!(fs::read(&path).unwrap(), b"intact");
         fs::remove_dir_all(&dir).unwrap();
     }

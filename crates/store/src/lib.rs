@@ -481,7 +481,8 @@ impl Store {
         let recovery_started = Instant::now();
         let dir = dir.into();
         fsio::create_dirs(&dir).map_err(|e| StoreError::Io(dir.clone(), e))?;
-        let swept = fsio::remove_temp_files(&dir).map_err(|e| StoreError::Io(dir.clone(), e))?;
+        let swept = fsio::remove_temp_files(&dir, |dest| store_file(&dir, dest))
+            .map_err(|e| StoreError::Io(dir.clone(), e))?;
         let manifest = read_manifest(&dir)?;
         let obs = StoreObs::new(Arc::new(Registry::new()));
 
@@ -529,8 +530,8 @@ impl Store {
         // Orphans: frame files on disk the manifest does not name (debris
         // of a crash between a commit's frame writes and its manifest, or
         // between the manifest and its deletions). The manifest is
-        // authoritative; sweep them.
-        let manifest_path = dir.join(MANIFEST_FILE);
+        // authoritative; sweep them. A file under a name the store never
+        // writes is not the store's to delete.
         let log_path = dir.join(LOG_FILE);
         let expected: std::collections::HashSet<PathBuf> = windows
             .values()
@@ -538,7 +539,7 @@ impl Store {
             .collect();
         let mut orphans = 0;
         for path in fsio::walk_files(&dir).map_err(|e| StoreError::Io(dir.clone(), e))? {
-            if path == manifest_path || path == log_path || expected.contains(&path) {
+            if expected.contains(&path) || parse_frame_file(&dir, &path).is_none() {
                 continue;
             }
             fs::remove_file(&path).map_err(|e| StoreError::Io(path.clone(), e))?;
@@ -1348,6 +1349,41 @@ pub fn frame_file(dir: &Path, key: &WindowKey, generation: u64) -> PathBuf {
         .join(name)
 }
 
+/// The inverse of [`frame_file`]: the window and generation whose frame
+/// `path` is under `dir`, or `None` for any path `frame_file` never
+/// produces.
+pub fn parse_frame_file(dir: &Path, path: &Path) -> Option<(WindowKey, u64)> {
+    let parts: Vec<&str> = path
+        .strip_prefix(dir)
+        .ok()?
+        .iter()
+        .map(|c| c.to_str())
+        .collect::<Option<_>>()?;
+    let [dataset, kind, level, name] = parts[..] else {
+        return None;
+    };
+    let stem = name.strip_suffix(".sas")?;
+    let (start, generation) = stem.split_once('.').unwrap_or((stem, "0"));
+    let key = WindowKey {
+        dataset: dataset.to_string(),
+        kind: SummaryKind::from_name(kind)?,
+        level: Level::all().into_iter().find(|l| l.name() == level)?,
+        start: start.parse().ok()?,
+    };
+    let generation = generation.parse().ok()?;
+    // Only the canonical spelling: no leading zeros or signs, no `.0`.
+    (valid_dataset(dataset) && frame_file(dir, &key, generation) == path)
+        .then_some((key, generation))
+}
+
+/// Whether the store writes a file named `path` under `dir`: the manifest,
+/// the batch log, or a window frame.
+fn store_file(dir: &Path, path: &Path) -> bool {
+    path == dir.join(MANIFEST_FILE)
+        || path == dir.join(LOG_FILE)
+        || parse_frame_file(dir, path).is_some()
+}
+
 /// Reads a store directory's manifest; a directory without one holds no
 /// persisted window.
 fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
@@ -1596,6 +1632,49 @@ mod tests {
     use super::*;
     use rand::Rng;
     use sas_core::varopt::VarOptSampler;
+
+    #[test]
+    fn frame_file_names_parse_back_and_nothing_else_does() {
+        let dir = Path::new("/store");
+        let key = WindowKey {
+            dataset: "web-1_a".into(),
+            kind: SummaryKind::VarOptReservoir,
+            level: Level::Hour,
+            start: 7200,
+        };
+        for generation in [0, 1, 12] {
+            let path = frame_file(dir, &key, generation);
+            assert_eq!(
+                parse_frame_file(dir, &path),
+                Some((key.clone(), generation))
+            );
+        }
+        for name in [
+            "README.txt",
+            "MANIFEST.sas",
+            "notes/todo.md",
+            "web/sample/minute",
+            "web/sample/minute/60.sas.tmp-1-0",
+            "web/sample/minute/060.sas",
+            "web/sample/minute/+60.sas",
+            "web/sample/minute/60.0.sas",
+            "web/sample/minute/60.x.sas",
+            "web/sample/minute/60.txt",
+            "web/bogus/minute/60.sas",
+            "web/sample/week/60.sas",
+            "we.b/sample/minute/60.sas",
+            "web/sample/minute/60.sas/1.sas",
+        ] {
+            assert_eq!(parse_frame_file(dir, &dir.join(name)), None, "{name}");
+        }
+        assert_eq!(
+            parse_frame_file(dir, Path::new("/elsewhere/web/sample/minute/60.sas")),
+            None
+        );
+        assert!(store_file(dir, &dir.join(MANIFEST_FILE)));
+        assert!(store_file(dir, &dir.join(LOG_FILE)));
+        assert!(!store_file(dir, &dir.join("notes/MANIFEST.sas")));
+    }
 
     /// A catalog of 4 datasets (one name a prefix of another) × 2 kinds ×
     /// all three levels, plus the filters the range walk replaced.

@@ -481,7 +481,7 @@ mod tests {
         let (got, _) = read_all(&path);
         let order: Vec<u64> = got.iter().map(|r| r.index).collect();
         assert_eq!(order, vec![1, 3, 5, 0]);
-        assert_eq!(fsio::remove_temp_files(&dir).unwrap(), 0);
+        assert_eq!(fsio::remove_temp_files(&dir, |_| true).unwrap(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -45,7 +45,7 @@
 //! pushes. Shutdown (API or wire request) stops accepting, drops responses
 //! not yet on the wire, but always completes a half-written frame — a
 //! client never receives a torn response — then force-closes stragglers
-//! after `shutdown_grace`.
+//! after [`SHUTDOWN_GRACE`].
 //!
 //! ## Watches & lifecycle
 //!
@@ -106,9 +106,6 @@ pub struct ServerConfig {
     /// Per-dataset cap on in-flight requests across all connections
     /// (`0`: unlimited). Excess requests are answered `BUSY`.
     pub dataset_inflight: usize,
-    /// How long shutdown waits for half-written frames to reach a
-    /// boundary before force-closing.
-    pub shutdown_grace: Duration,
     /// Log (at `warn`) any request whose end-to-end time — first byte read
     /// to last byte flushed — reaches this threshold, with its per-stage
     /// breakdown, dataset, and canonical query bytes (`None`: disabled).
@@ -131,7 +128,6 @@ impl Default for ServerConfig {
             write_budget: 256 * 1024,
             max_pipeline: 128,
             dataset_inflight: 0,
-            shutdown_grace: Duration::from_secs(5),
             slow_query: None,
             max_watches_per_conn: 16,
             lifecycle_every: None,
@@ -453,8 +449,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` and starts the daemon with default tuning plus the
-    /// given worker-thread count — the signature PR 4's blocking server
-    /// exposed, kept for the CLI and existing tests.
+    /// given worker-thread count (the tests' shorthand; the CLI passes a
+    /// full [`ServerConfig`] to [`Server::start_with`]).
     pub fn start(
         store: Arc<Store>,
         addr: impl ToSocketAddrs,
@@ -710,6 +706,10 @@ fn to_message(frame: &[u8]) -> Vec<u8> {
 /// pile up in memory in proportion to the rate; this keeps the backlog
 /// bounded by a count instead.
 pub const LIFECYCLE_INGESTS: u64 = 64;
+
+/// How long shutdown waits for half-written frames to reach a boundary
+/// before force-closing.
+pub const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
@@ -1733,7 +1733,7 @@ impl EventLoop {
 
     fn enter_shutdown(&mut self) {
         self.shutting_down = true;
-        self.shutdown_deadline = Some(Instant::now() + self.config.shutdown_grace);
+        self.shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
         let _ = self
             .interest
             .deregister(&mut self.poller, self.listener.as_raw_fd());

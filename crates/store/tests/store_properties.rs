@@ -551,6 +551,20 @@ fn crash_debris_and_orphans_are_swept_on_open() {
         encode_summary(batch(0, 10, 2).as_ref()),
     )
     .unwrap();
+    // Files the store never names, at the root, in a subdirectory, next to
+    // the frames, and shaped like a temp file or a non-canonical frame:
+    // none of them is the store's to delete.
+    fs::create_dir_all(dir.path().join("notes")).unwrap();
+    let foreign = [
+        dir.path().join("README.txt"),
+        dir.path().join("notes/todo.md"),
+        dir.path().join("notes/todo.md.tmp-12345-0"),
+        window_dir.join("notes.txt"),
+        window_dir.join("007.sas"),
+    ];
+    for f in &foreign {
+        fs::write(f, b"keep me").unwrap();
+    }
 
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     assert_eq!(store.list().len(), 1, "orphan not resurrected");
@@ -565,6 +579,10 @@ fn crash_debris_and_orphans_are_swept_on_open() {
     assert_eq!(get("temp_files_swept"), 1);
     assert_eq!(get("orphans_removed"), 1);
     assert!(!window_dir.join("999960.sas").exists());
+    assert!(!window_dir.join("0.sas.tmp-12345-0").exists());
+    for f in &foreign {
+        assert_eq!(fs::read(f).unwrap(), b"keep me", "{}", f.display());
+    }
 
     // A corrupted manifest is an error, not a panic or a silent reset.
     fs::write(dir.path().join("MANIFEST.sas"), b"SASF junk").unwrap();

@@ -30,7 +30,7 @@ use sas_structures::product::BoxRange;
 use crate::countsketch::SketchSummary;
 use crate::fold::{self, SampleColumns};
 use crate::qdigest::QDigestSummary;
-use crate::query::{Estimate, Query, QueryError};
+use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
 use crate::stored::StoredSample;
 use crate::wavelet::WaveletSummary;
 
@@ -166,9 +166,8 @@ pub trait Summary: fmt::Debug + Send + Sync {
     ///
     /// Sample-based kinds override this to walk their items **once**,
     /// testing each item against every query, instead of once per query.
-    /// [`QueryBatch`](crate::QueryBatch) (`sas query --queries`) and the
-    /// benches call it; the store answers one query at a time through
-    /// [`Summary::answer`].
+    /// `sas query --queries` and the benches call it; the store answers
+    /// one query at a time through [`Summary::answer`].
     fn answer_batch(
         &self,
         queries: &[Query],
@@ -323,33 +322,6 @@ pub(crate) fn answer_one(
 
 pub(crate) fn in_interval((lo, hi): (u64, u64), v: u64) -> bool {
     (lo..=hi).contains(&v)
-}
-
-/// A VarOpt answer from its two parts: `large`, the in-range large-entry
-/// mass (`Σ max(wᵢ, τ)`, exact), and `small`, the in-range small-key count
-/// (each carrying the HT weight τ, the light part Eqn. (4) bounds).
-pub(crate) fn varopt_estimate(
-    large: f64,
-    small: usize,
-    tau: f64,
-    confidence: f64,
-) -> Result<Estimate, QueryError> {
-    let value = large + small as f64 * tau;
-    if tau <= 0.0 || small == 0 {
-        return Ok(Estimate::exact(value));
-    }
-    if !(confidence > 0.0 && confidence < 1.0) {
-        return Err(QueryError::BadConfidence(confidence));
-    }
-    let light = small as f64 * tau;
-    let (lo, hi) = sas_core::bounds::weight_confidence_interval(light, tau, 1.0 - confidence);
-    Ok(Estimate {
-        value,
-        variance: small as f64 * tau * tau,
-        lower: (large + lo).min(value),
-        upper: (large + hi).max(value),
-        confidence,
-    })
 }
 
 /// The deterministic kinds' shared answer shape: per-box values and bounds
@@ -507,15 +479,16 @@ impl Summary for VarOptSampler {
         let hit =
             |boxes: &[Vec<(u64, u64)>], k: KeyId| boxes.iter().any(|axes| in_interval(axes[0], k));
         // One pass over the reservoir per item class. Large keys are held
-        // with probability 1 (exact); small keys carry the HT weight τ with
-        // unknown original weight, so the variance proxy uses the per-key
-        // ceiling `Var[a(i)]/pᵢ = τ(τ − wᵢ) ≤ τ²`.
-        let mut large_sums = vec![0.0; queries.len()];
+        // with probability 1 and fold as heavy items of weight `max(w, τ)`;
+        // small keys carry the HT weight τ with unknown original weight,
+        // so they are only counted ([`SampleAccumulator::add_small`]).
+        let mut accs = vec![SampleAccumulator::default(); queries.len()];
         let mut small_counts = vec![0usize; queries.len()];
         for (k, w) in self.large_entries() {
-            for (sum, boxes) in large_sums.iter_mut().zip(&compiled) {
+            for (acc, boxes) in accs.iter_mut().zip(&compiled) {
                 if hit(boxes, k) {
-                    *sum += w.max(tau);
+                    let large = w.max(tau);
+                    acc.add(large, large);
                 }
             }
         }
@@ -526,10 +499,12 @@ impl Summary for VarOptSampler {
                 }
             }
         }
-        large_sums
-            .into_iter()
+        accs.into_iter()
             .zip(small_counts)
-            .map(|(large, small)| varopt_estimate(large, small, tau, confidence))
+            .map(|(mut acc, small)| {
+                acc.add_small(small, tau);
+                acc.finish(confidence)
+            })
             .collect()
     }
 

@@ -4,9 +4,9 @@
 //!
 //! Each kernel is generic over [`Column`], a read-only view of one column
 //! of 8-byte values, implemented for owned slices and for the
-//! little-endian runs of a segment ([`Le`]). An owned answer and a mapped
-//! answer therefore run the same code, and agree bit for bit by
-//! construction.
+//! little-endian runs of a segment (`sas_codec::segment::Le`). An owned
+//! answer and a mapped answer therefore run the same code, and agree bit
+//! for bit by construction.
 //!
 //! * [`sample_1d`] — 1-D samples, through a [`KeyOrder`] index built with
 //!   block sums: each box finds its index positions through the key
@@ -18,9 +18,12 @@
 //!   batch, each item tested against every query's boxes.
 //! * [`varopt_1d`] — mapped VarOpt reservoirs: large hits, found through
 //!   the same fence, are marked in a bitset ([`Hits`]) and fold in item
-//!   order as `max(w, τ)`; small keys only count, so their counts are
-//!   differences of index positions (the boxes of a validated [`Query`]
-//!   are disjoint).
+//!   order as heavy items of weight `max(w, τ)`; small keys only count, so
+//!   their counts are differences of index positions (the boxes of a
+//!   validated [`Query`] are disjoint), and fold in through
+//!   [`SampleAccumulator::add_small`].
+//!
+//! Every kernel finishes its answers through [`SampleAccumulator::finish`].
 //!
 //! The 2-D and VarOpt kernels fold their hits in item order, so they
 //! agree bit for bit with a scan that tests every item against every box.
@@ -30,13 +33,13 @@
 //! decomposition instead.
 
 use std::fmt;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
+use sas_codec::segment::{Le, Word};
 use sas_codec::CodecError;
 
-use crate::erased::{in_interval, varopt_estimate};
+use crate::erased::in_interval;
 use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
 
 /// Read access to one column of 8-byte values, owned or mapped.
@@ -64,59 +67,18 @@ impl<T: Copy> Column<T> for &[T] {
     }
 }
 
-/// A value stored as 8 little-endian bytes.
-pub(crate) trait Word: Copy {
-    /// Decodes one word.
-    fn from_le(word: [u8; 8]) -> Self;
-}
-
-impl Word for u64 {
-    #[inline(always)]
-    fn from_le(word: [u8; 8]) -> Self {
-        u64::from_le_bytes(word)
-    }
-}
-
-impl Word for f64 {
-    #[inline(always)]
-    fn from_le(word: [u8; 8]) -> Self {
-        f64::from_le_bytes(word)
-    }
-}
-
-/// A column run of little-endian `T`s inside segment bytes, indexed as
-/// whole 8-byte words.
-#[derive(Clone, Copy)]
-pub(crate) struct Le<'a, T> {
-    words: &'a [[u8; 8]],
-    _value: PhantomData<T>,
-}
-
-impl<'a, T> Le<'a, T> {
-    /// Views a run whose length is a multiple of 8 (segment validation
-    /// guarantees it for every column).
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        let (words, rest) = bytes.as_chunks();
-        debug_assert!(rest.is_empty(), "column run of {} bytes", bytes.len());
-        Self {
-            words,
-            _value: PhantomData,
-        }
-    }
-}
-
 impl<T: Word> Column<T> for Le<'_, T> {
     fn len(self) -> usize {
-        self.words.len()
+        Le::len(self)
     }
 
     #[inline(always)]
     fn at(self, i: usize) -> T {
-        T::from_le(self.words[i])
+        Le::at(self, i)
     }
 
     fn values(self) -> impl Iterator<Item = T> {
-        self.words.iter().map(|&w| T::from_le(w))
+        Le::values(self)
     }
 }
 
@@ -427,9 +389,13 @@ pub(crate) fn varopt_1d<U: Column<u64>, F: Column<f64>>(
                 hits.mark(large_order.span(large_keys, axes[0]));
                 small += small_order.span(small_keys, axes[0]).len();
             }
-            let mut large = 0.0;
-            hits.drain(|i| large += large_weights.at(i).max(tau));
-            varopt_estimate(large, small, tau, confidence)
+            let mut acc = SampleAccumulator::default();
+            hits.drain(|i| {
+                let large = large_weights.at(i).max(tau);
+                acc.add(large, large);
+            });
+            acc.add_small(small, tau);
+            acc.finish(confidence)
         })
         .collect()
 }

@@ -37,8 +37,8 @@
 //! node, total) and every answer an [`Estimate`] — value, variance, and a
 //! confidence interval derived per kind (Chernoff inversion for samples,
 //! deterministic containment/truncation bounds for q-digest/wavelet, row
-//! spread for sketches). [`QueryBatch`] evaluates many queries in one pass
-//! over a summary's items.
+//! spread for sketches). [`Summary::answer_batch`] evaluates many queries
+//! in one pass over a summary's items.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -56,6 +56,6 @@ pub mod wavelet;
 pub mod wavelet1d;
 
 pub use erased::{decode_summary, encode_summary, merge_tree, Summary, SummaryError, SummaryKind};
-pub use query::{Estimate, Query, QueryBatch, QueryError};
+pub use query::{Estimate, Query, QueryError};
 pub use stored::StoredSample;
 pub use view::{encode_segment, SegmentSummary};

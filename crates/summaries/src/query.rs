@@ -552,57 +552,12 @@ pub fn decode_estimate(bytes: &[u8]) -> Result<Estimate, CodecError> {
     Ok(e)
 }
 
-/// A batch of queries evaluated against one summary in a single pass.
-///
-/// For sample-based kinds the erased implementation walks the sample items
-/// **once**, testing each item against every query, instead of re-walking
-/// the sample per query — the win `sas-bench --bin query` measures.
-#[derive(Debug, Clone)]
-pub struct QueryBatch {
-    queries: Vec<Query>,
-    confidence: f64,
-}
-
-impl QueryBatch {
-    /// Builds a batch at the given confidence, validating every query —
-    /// and the confidence itself — up front. `confidence` must lie in
-    /// `(0, 1]`; 1 is accepted here because deterministic kinds certify
-    /// it, but sample-based kinds will refuse it at answer time whenever a
-    /// probabilistic bound is actually needed.
-    pub fn new(queries: Vec<Query>, confidence: f64) -> Result<Self, QueryError> {
-        if !(confidence > 0.0 && confidence <= 1.0) {
-            return Err(QueryError::BadConfidence(confidence));
-        }
-        for q in &queries {
-            q.canonical()?;
-        }
-        Ok(QueryBatch {
-            queries,
-            confidence,
-        })
-    }
-
-    /// The queries, in submission order.
-    pub fn queries(&self) -> &[Query] {
-        &self.queries
-    }
-
-    /// The confidence every estimate is computed at.
-    pub fn confidence(&self) -> f64 {
-        self.confidence
-    }
-
-    /// Evaluates the batch: one estimate per query, in order.
-    pub fn evaluate(&self, summary: &dyn crate::Summary) -> Result<Vec<Estimate>, QueryError> {
-        summary.answer_batch(&self.queries, self.confidence)
-    }
-}
-
 // --- Shared bound machinery -------------------------------------------------
 
-/// Per-query accumulator for sample-based kinds (stored samples, mapped
-/// sample segments): filled in one pass over the items, finished into an
-/// [`Estimate`] by [`SampleAccumulator::finish`].
+/// Per-query accumulator for every sample-based kind (stored samples and
+/// VarOpt reservoirs, owned or mapped): filled in one pass over the items,
+/// finished into an [`Estimate`] by [`SampleAccumulator::finish`], the one
+/// Eqn. (4) finisher.
 ///
 /// Every item carries its own threshold: a sampled light key's adjusted
 /// weight *is* the threshold `τᵢ > wᵢ` it was sampled at, while a heavy key
@@ -663,6 +618,23 @@ impl SampleAccumulator {
         } else {
             self.heavy += adjusted;
         }
+    }
+
+    /// Folds in `count` in-range keys that each carry the HT weight `tau`
+    /// and no original weight (a VarOpt reservoir's small keys): light mass
+    /// `count·τ`, variance `count·τ·τ` (the per-key ceiling of
+    /// `τ·(τ − wᵢ)`), threshold `τ`. No keys add nothing, so a reservoir
+    /// answer without small hits stays exact.
+    #[inline(always)]
+    pub fn add_small(&mut self, count: usize, tau: f64) {
+        if count == 0 {
+            return;
+        }
+        let light = count as f64 * tau;
+        self.value += light;
+        self.light_adjusted += light;
+        self.light_tau = self.light_tau.max(tau);
+        self.variance += light * tau;
     }
 
     /// Folds in the accumulator of a disjoint set of items (a block sum of
@@ -896,25 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_validates_up_front_and_preserves_order() {
-        let queries = vec![Query::interval(0, 9), Query::Total];
-        let batch = QueryBatch::new(queries.clone(), 0.9).unwrap();
-        assert_eq!(batch.queries(), &queries[..]);
-        assert_eq!(batch.confidence(), 0.9);
-        // A malformed member fails construction, naming the problem.
-        let err = QueryBatch::new(vec![Query::BoxRange(vec![(7, 2)])], 0.9).unwrap_err();
-        assert!(err.to_string().contains("reversed"), "{err}");
-        // So does an out-of-range confidence (NaN included).
-        for c in [0.0, -0.5, 1.5, f64::NAN] {
-            assert!(matches!(
-                QueryBatch::new(vec![Query::Total], c),
-                Err(QueryError::BadConfidence(_))
-            ));
-        }
-        assert!(QueryBatch::new(vec![Query::Total], 1.0).is_ok());
-    }
-
-    #[test]
     fn hierarchy_node_edges() {
         // Level 0 is a single key.
         assert_eq!(
@@ -973,6 +926,23 @@ mod tests {
         // Bad confidence is rejected when bounds are actually needed.
         let mut acc = SampleAccumulator::default();
         acc.add(1.0, 4.0);
+        assert!(matches!(acc.finish(1.0), Err(QueryError::BadConfidence(_))));
+    }
+
+    #[test]
+    fn sample_accumulator_counts_small_keys_at_the_reservoir_threshold() {
+        // No small keys leave a heavy-only answer exact.
+        let mut acc = SampleAccumulator::default();
+        acc.add(12.0, 12.0);
+        acc.add_small(0, 3.0);
+        assert_eq!(acc.finish(1.0).unwrap(), Estimate::exact(12.0));
+        // Three small keys at τ = 3: light mass 9, variance 27.
+        acc.add_small(3, 3.0);
+        assert_eq!(acc.value, 21.0);
+        assert_eq!(acc.heavy, 12.0);
+        assert_eq!(acc.light_adjusted, 9.0);
+        assert_eq!(acc.light_tau, 3.0);
+        assert_eq!(acc.variance, 27.0);
         assert!(matches!(acc.finish(1.0), Err(QueryError::BadConfidence(_))));
     }
 

@@ -37,8 +37,10 @@
 //! decomposition, and to within float reassociation against an
 //! item-by-item scan.
 //! VarOpt segments answer through `crate::fold::varopt_1d`; the owned
-//! [`VarOptSampler`] keeps its own scan, and the same tests pin the two
-//! together.
+//! [`VarOptSampler`] keeps its own scan, and both finish through the
+//! sample accumulator's one Eqn. (4) finisher. The same tests pin the two
+//! together and both to an independent copy of the reservoir's answer
+//! formula.
 //!
 //! Merging is the one thing a segment cannot do in place:
 //! [`SegmentSummary::hydrate`] rebuilds the owned summary (the store calls
@@ -46,18 +48,18 @@
 
 use std::any::Any;
 use std::fmt;
-use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::RngCore;
 
-use sas_codec::segment::{SegmentBuilder, SegmentView};
+use sas_codec::segment::{Le, SegmentBuilder, SegmentView, Word};
 use sas_codec::{CodecError, Writer};
 use sas_core::varopt::VarOptSampler;
 use sas_core::KeyId;
 
 use crate::erased::{answer_one, SummaryError};
-use crate::fold::{self, Column, KeyOrder, Le, SampleColumns};
+use crate::fold::{self, KeyOrder, SampleColumns};
 use crate::query::{Estimate, Query, QueryError};
 use crate::stored::StoredSample;
 use crate::{Summary, SummaryKind};
@@ -126,31 +128,13 @@ pub fn encode_segment(s: &dyn Summary) -> Option<Vec<u8>> {
     None
 }
 
-/// A run of 8-byte `T`s inside the segment, proven in-bounds and a
-/// whole number of words at open time.
-#[derive(Debug, Clone, Copy)]
-struct Col<T> {
-    start: usize,
-    end: usize,
-    _value: PhantomData<T>,
-}
+/// The byte range of one column run inside the segment, proven in-bounds
+/// and a whole number of words at open time.
+type Run = Range<usize>;
 
-impl<T> Col<T> {
-    fn of(entry: &sas_codec::segment::SectionEntry) -> Self {
-        Self {
-            start: entry.offset as usize,
-            end: (entry.offset + entry.len) as usize,
-            _value: PhantomData,
-        }
-    }
-
-    fn count(&self) -> usize {
-        (self.end - self.start) / 8
-    }
-
-    fn le<'a>(&self, bytes: &'a [u8]) -> Le<'a, T> {
-        Le::new(&bytes[self.start..self.end])
-    }
+/// Column run `run` of the segment bytes `b`, as little-endian `T`s.
+fn le<'a, T: Word>(b: &'a [u8], run: &Run) -> Le<'a, T> {
+    Le::new(&b[run.clone()])
 }
 
 /// The validated column layout of one segment.
@@ -160,11 +144,11 @@ enum Layout {
         dims: usize,
         tau: f64,
         total: f64,
-        keys: Col<u64>,
-        weights: Col<f64>,
-        adjusted: Col<f64>,
-        xs: Col<u64>,
-        ys: Col<u64>,
+        keys: Run,
+        weights: Run,
+        adjusted: Run,
+        xs: Run,
+        ys: Run,
         /// Key-order index over `keys`; `None` for 2-D, which scans.
         order: Option<KeyOrder>,
     },
@@ -174,9 +158,9 @@ enum Layout {
         count: usize,
         total_weight: f64,
         total: f64,
-        large_keys: Col<u64>,
-        large_weights: Col<f64>,
-        small_keys: Col<u64>,
+        large_keys: Run,
+        large_weights: Run,
+        small_keys: Run,
         large_order: KeyOrder,
         small_order: KeyOrder,
     },
@@ -196,17 +180,6 @@ impl fmt::Debug for SegmentSummary {
             .field("layout", &self.layout)
             .finish()
     }
-}
-
-fn section(
-    view: &SegmentView<'_>,
-    id: u32,
-) -> Result<sas_codec::segment::SectionEntry, CodecError> {
-    view.sections()
-        .iter()
-        .find(|e| e.id == id)
-        .copied()
-        .ok_or_else(|| CodecError::Invalid(format!("missing segment section {id}")))
 }
 
 impl SegmentSummary {
@@ -238,44 +211,49 @@ impl SegmentSummary {
     }
 
     fn validate_sample(b: &[u8], view: &SegmentView<'_>) -> Result<Layout, CodecError> {
-        let meta = view.column(COL_SAMPLE_META).ok_or_else(|| {
-            CodecError::Invalid(format!("missing segment section {COL_SAMPLE_META}"))
-        })?;
-        if meta.count() != 2 {
+        let meta = view.column::<u64>(COL_SAMPLE_META)?;
+        if meta.len() != 2 {
             return Err(CodecError::Invalid(format!(
                 "sample meta holds {} words, expected 2",
-                meta.count()
+                meta.len()
             )));
         }
-        let dims = meta.u64_at(0).expect("count 2") as usize;
-        let tau = meta.f64_at(1).expect("count 2");
+        let dims = meta.at(0) as usize;
+        let tau = f64::from_bits(meta.at(1));
         if dims != 1 && dims != 2 {
             return Err(CodecError::Invalid(format!("unsupported dims {dims}")));
         }
         if !(tau.is_finite() && tau >= 0.0) {
             return Err(CodecError::Invalid(format!("invalid threshold {tau}")));
         }
-        let keys: Col<u64> = Col::of(&section(view, COL_SAMPLE_KEYS)?);
-        let weights: Col<f64> = Col::of(&section(view, COL_SAMPLE_WEIGHTS)?);
-        let adjusted: Col<f64> = Col::of(&section(view, COL_SAMPLE_ADJUSTED)?);
-        let xs: Col<u64> = Col::of(&section(view, COL_SAMPLE_XS)?);
-        let ys: Col<u64> = Col::of(&section(view, COL_SAMPLE_YS)?);
-        let n = keys.count();
-        if weights.count() != n || adjusted.count() != n {
+        let keys = view.column_range(COL_SAMPLE_KEYS)?;
+        let weights = view.column_range(COL_SAMPLE_WEIGHTS)?;
+        let adjusted = view.column_range(COL_SAMPLE_ADJUSTED)?;
+        let xs = view.column_range(COL_SAMPLE_XS)?;
+        let ys = view.column_range(COL_SAMPLE_YS)?;
+        let cols = SampleColumns {
+            keys: le::<u64>(b, &keys),
+            weights: le::<f64>(b, &weights),
+            adjusted: le::<f64>(b, &adjusted),
+            xs: le::<u64>(b, &xs),
+            ys: le::<u64>(b, &ys),
+        };
+        let n = cols.keys.len();
+        if cols.weights.len() != n || cols.adjusted.len() != n {
             return Err(CodecError::Invalid(format!(
                 "column counts disagree: {n} keys, {} weights, {} adjusted",
-                weights.count(),
-                adjusted.count()
+                cols.weights.len(),
+                cols.adjusted.len()
             )));
         }
         let expected = if dims == 2 { n } else { 0 };
-        if xs.count() != expected || ys.count() != expected {
+        if cols.xs.len() != expected || cols.ys.len() != expected {
             return Err(CodecError::Invalid(format!(
                 "{} locations for {expected} expected",
-                xs.count().max(ys.count())
+                cols.xs.len().max(cols.ys.len())
             )));
         }
-        for (w, a) in weights.le(b).values().zip(adjusted.le(b).values()) {
+        for (w, a) in cols.weights.values().zip(cols.adjusted.values()) {
             if !(w.is_finite() && a.is_finite() && w >= 0.0 && a >= 0.0) {
                 return Err(CodecError::Invalid(format!(
                     "invalid weight pair ({w}, {a})"
@@ -284,20 +262,13 @@ impl SegmentSummary {
         }
         let order = match dims {
             1 => Some(KeyOrder::build_sample(
-                keys.le(b),
-                weights.le(b),
-                adjusted.le(b),
+                cols.keys,
+                cols.weights,
+                cols.adjusted,
             )?),
             _ => None,
         };
         // The `Total` fold's value, as `StoredSample::total_estimate`.
-        let cols = SampleColumns {
-            keys: keys.le(b),
-            weights: weights.le(b),
-            adjusted: adjusted.le(b),
-            xs: xs.le(b),
-            ys: ys.le(b),
-        };
         let total = fold::sample_total(&cols, order.as_ref());
         Ok(Layout::Sample {
             dims,
@@ -313,43 +284,42 @@ impl SegmentSummary {
     }
 
     fn validate_varopt(b: &[u8], view: &SegmentView<'_>) -> Result<Layout, CodecError> {
-        let meta = view.column(COL_VAROPT_META).ok_or_else(|| {
-            CodecError::Invalid(format!("missing segment section {COL_VAROPT_META}"))
-        })?;
-        if meta.count() != 4 {
+        let meta = view.column::<u64>(COL_VAROPT_META)?;
+        if meta.len() != 4 {
             return Err(CodecError::Invalid(format!(
                 "varopt meta holds {} words, expected 4",
-                meta.count()
+                meta.len()
             )));
         }
-        let capacity = meta.u64_at(0).expect("count 4") as usize;
-        let tau = meta.f64_at(1).expect("count 4");
-        let count = meta.u64_at(2).expect("count 4") as usize;
-        let total_weight = meta.f64_at(3).expect("count 4");
-        let large_keys: Col<u64> = Col::of(&section(view, COL_VAROPT_LARGE_KEYS)?);
-        let large_weights: Col<f64> = Col::of(&section(view, COL_VAROPT_LARGE_WEIGHTS)?);
-        let small_keys: Col<u64> = Col::of(&section(view, COL_VAROPT_SMALL_KEYS)?);
-        if large_weights.count() != large_keys.count() {
+        let capacity = meta.at(0) as usize;
+        let tau = f64::from_bits(meta.at(1));
+        let count = meta.at(2) as usize;
+        let total_weight = f64::from_bits(meta.at(3));
+        let large_keys = view.column_range(COL_VAROPT_LARGE_KEYS)?;
+        let large_weights = view.column_range(COL_VAROPT_LARGE_WEIGHTS)?;
+        let small_keys = view.column_range(COL_VAROPT_SMALL_KEYS)?;
+        let (lk, lw, sk) = (
+            le::<u64>(b, &large_keys),
+            le::<f64>(b, &large_weights),
+            le::<u64>(b, &small_keys),
+        );
+        if lw.len() != lk.len() {
             return Err(CodecError::Invalid(format!(
                 "column counts disagree: {} large keys, {} large weights",
-                large_keys.count(),
-                large_weights.count()
+                lk.len(),
+                lw.len()
             )));
         }
         // Reassembling through `from_parts` enforces every reservoir
         // invariant (heap order, weights vs threshold, counts) — and proves
         // `hydrate` cannot fail on these bytes.
-        let large: Vec<(KeyId, f64)> = large_keys
-            .le(b)
-            .values()
-            .zip(large_weights.le(b).values())
-            .collect();
-        let small: Vec<KeyId> = small_keys.le(b).values().collect();
+        let large: Vec<(KeyId, f64)> = lk.values().zip(lw.values()).collect();
+        let small: Vec<KeyId> = sk.values().collect();
         VarOptSampler::from_parts(capacity, large, small, tau, count, total_weight)
             .map_err(CodecError::Invalid)?;
         // Mirrors the erased `VarOptSampler::total_estimate` (same order).
-        let large_total: f64 = large_weights.le(b).values().map(|w| w.max(tau)).sum();
-        let total = large_total + small_keys.count() as f64 * tau;
+        let large_total: f64 = lw.values().map(|w| w.max(tau)).sum();
+        let total = large_total + sk.len() as f64 * tau;
         Ok(Layout::VarOpt {
             capacity,
             tau,
@@ -359,8 +329,8 @@ impl SegmentSummary {
             large_keys,
             large_weights,
             small_keys,
-            large_order: KeyOrder::build(large_keys.le(b))?,
-            small_order: KeyOrder::build(small_keys.le(b))?,
+            large_order: KeyOrder::build(lk)?,
+            small_order: KeyOrder::build(sk)?,
         })
     }
 
@@ -390,11 +360,11 @@ impl SegmentSummary {
                 ys,
                 ..
             } => Box::new(StoredSample::from_columns(
-                keys.le(b).values().collect(),
-                weights.le(b).values().collect(),
-                adjusted.le(b).values().collect(),
-                xs.le(b).values().collect(),
-                ys.le(b).values().collect(),
+                le(b, keys).values().collect(),
+                le(b, weights).values().collect(),
+                le(b, adjusted).values().collect(),
+                le(b, xs).values().collect(),
+                le(b, ys).values().collect(),
                 *tau,
                 *dims,
             )),
@@ -408,12 +378,11 @@ impl SegmentSummary {
                 small_keys,
                 ..
             } => {
-                let large: Vec<(KeyId, f64)> = large_keys
-                    .le(b)
+                let large: Vec<(KeyId, f64)> = le(b, large_keys)
                     .values()
-                    .zip(large_weights.le(b).values())
+                    .zip(le(b, large_weights).values())
                     .collect();
-                let small: Vec<KeyId> = small_keys.le(b).values().collect();
+                let small: Vec<KeyId> = le(b, small_keys).values().collect();
                 Box::new(
                     VarOptSampler::from_parts(*capacity, large, small, *tau, *count, *total_weight)
                         .expect("invariants were validated when the segment was opened"),
@@ -439,13 +408,14 @@ impl Summary for SegmentSummary {
     }
 
     fn item_count(&self) -> usize {
+        let words = |run: &Run| run.len() / 8;
         match &self.layout {
-            Layout::Sample { keys, .. } => keys.count(),
+            Layout::Sample { keys, .. } => words(keys),
             Layout::VarOpt {
                 large_keys,
                 small_keys,
                 ..
-            } => large_keys.count() + small_keys.count(),
+            } => words(large_keys) + words(small_keys),
         }
     }
 
@@ -484,11 +454,11 @@ impl Summary for SegmentSummary {
                 ..
             } => {
                 let cols = SampleColumns {
-                    keys: keys.le(b),
-                    weights: weights.le(b),
-                    adjusted: adjusted.le(b),
-                    xs: xs.le(b),
-                    ys: ys.le(b),
+                    keys: le::<u64>(b, keys),
+                    weights: le::<f64>(b, weights),
+                    adjusted: le::<f64>(b, adjusted),
+                    xs: le::<u64>(b, xs),
+                    ys: le::<u64>(b, ys),
                 };
                 match order {
                     Some(order) => fold::sample_1d(&cols, order, queries, confidence),
@@ -505,8 +475,12 @@ impl Summary for SegmentSummary {
                 ..
             } => fold::varopt_1d(
                 *tau,
-                (large_keys.le(b), large_weights.le(b), large_order),
-                (small_keys.le(b), small_order),
+                (
+                    le::<u64>(b, large_keys),
+                    le::<f64>(b, large_weights),
+                    large_order,
+                ),
+                (le::<u64>(b, small_keys), small_order),
                 queries,
                 confidence,
             ),
@@ -618,6 +592,69 @@ mod tests {
         }
     }
 
+    /// The reservoir answer formula, kept apart from the kernels and the
+    /// accumulator: every held key tested against every box, large hits
+    /// summed in item order as `max(w, τ)`, small hits counted, and the
+    /// light part `small·τ` bounded by inverting Eqn. (4) at τ.
+    fn reference_varopt_answer(
+        v: &VarOptSampler,
+        query: &Query,
+        confidence: f64,
+    ) -> Result<Estimate, QueryError> {
+        let tau = v.tau();
+        let boxes = query.boxes(1)?;
+        let hit = |k: u64| boxes.iter().any(|axes| in_interval(axes[0], k));
+        let mut large = 0.0;
+        for (k, w) in v.large_entries() {
+            if hit(k) {
+                large += w.max(tau);
+            }
+        }
+        let small = v.small_keys().iter().filter(|&&k| hit(k)).count();
+        let value = large + small as f64 * tau;
+        if tau <= 0.0 || small == 0 {
+            return Ok(Estimate::exact(value));
+        }
+        if !(confidence > 0.0 && confidence < 1.0) {
+            return Err(QueryError::BadConfidence(confidence));
+        }
+        let light = small as f64 * tau;
+        let (lo, hi) = sas_core::bounds::weight_confidence_interval(light, tau, 1.0 - confidence);
+        Ok(Estimate {
+            value,
+            variance: small as f64 * tau * tau,
+            lower: (large + lo).min(value),
+            upper: (large + hi).max(value),
+            confidence,
+        })
+    }
+
+    /// Pins owned and mapped answers of the reservoir `v` to
+    /// [`reference_varopt_answer`]: the same estimates bit for bit, or the
+    /// same error.
+    fn assert_varopt_reference(
+        v: &VarOptSampler,
+        seg: &SegmentSummary,
+        queries: &[Query],
+        confidence: f64,
+        ctx: &str,
+    ) {
+        let want: Result<Vec<Estimate>, QueryError> = queries
+            .iter()
+            .map(|q| reference_varopt_answer(v, q, confidence))
+            .collect();
+        for (got, path) in [
+            (v.answer_batch(queries, confidence), "owned"),
+            (seg.answer_batch(queries, confidence), "mapped"),
+        ] {
+            let ctx = format!("{ctx}: confidence {confidence}: {path} vs reference");
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => assert_same_bits(got, want, queries, &ctx),
+                _ => assert_eq!(got, want, "{ctx}"),
+            }
+        }
+    }
+
     fn assert_estimates_bit_identical(owned: &dyn Summary, seg: &SegmentSummary, ctx: &str) {
         assert_answers_bit_identical(owned, seg, &probe_queries(owned.dims() == 2), ctx);
     }
@@ -639,6 +676,11 @@ mod tests {
                 let ctx = format!("{ctx}: confidence {confidence}");
                 assert_sample_answers(sample, &a, queries, confidence, &format!("{ctx}: owned"));
                 assert_sample_answers(sample, &b, queries, confidence, &format!("{ctx}: mapped"));
+            }
+            // Reservoirs share the finisher with the samples too: pin them
+            // to the reservoir formula.
+            if let Some(v) = owned.as_any().downcast_ref::<VarOptSampler>() {
+                assert_varopt_reference(v, seg, queries, confidence, ctx);
             }
             // The single-answer path routes through the same batch loop.
             for q in queries {
@@ -873,6 +915,66 @@ mod tests {
             both_partitions >= 1000,
             "only {both_partitions} queries hit both partitions"
         );
+    }
+
+    #[test]
+    fn varopt_edge_answers_match_the_reference_formula() {
+        let mut rng = StdRng::seed_from_u64(17);
+        // Under capacity: every key is held as a large entry and τ = 0, so
+        // every answer is exact, at any confidence.
+        let mut under = VarOptSampler::new(64);
+        for wk in weighted(20, 3) {
+            under.push(wk.key, wk.weight, &mut rng);
+        }
+        assert_eq!(under.tau(), 0.0);
+        let seg = SegmentSummary::from_vec(encode_segment(&under).unwrap()).unwrap();
+        let held: Vec<u64> = under.large_entries().map(|(k, _)| k).collect();
+        assert_eq!(held.len(), 20);
+        let queries = index_probe_queries(&mut rng, &held);
+        for confidence in [0.5, 0.9, 0.99, 1.0] {
+            assert_varopt_reference(&under, &seg, &queries, confidence, "under capacity");
+            let answers = seg.answer_batch(&queries, confidence).unwrap();
+            assert!(answers
+                .iter()
+                .all(|e| e.confidence == 1.0 && e.lower == e.upper));
+        }
+
+        // A full reservoir (τ > 0), asked about boxes that hit large keys
+        // only, small keys only, and both.
+        let full = varopt_fixture(5);
+        assert!(full.tau() > 0.0);
+        let seg = SegmentSummary::from_vec(encode_segment(&full).unwrap()).unwrap();
+        let large_only: Vec<Query> = full
+            .large_entries()
+            .map(|(k, _)| Query::Point(vec![k]))
+            .collect();
+        let small_hit: Vec<Query> = full
+            .small_keys()
+            .iter()
+            .map(|&k| Query::Point(vec![k]))
+            .chain([Query::Total])
+            .collect();
+        assert!(!large_only.is_empty() && small_hit.len() > 1);
+        for confidence in [0.5, 0.9, 0.99, 1.0] {
+            assert_varopt_reference(&full, &seg, &large_only, confidence, "large only");
+            // No small-key hit: exact, even at confidence 1.
+            for e in seg.answer_batch(&large_only, confidence).unwrap() {
+                assert_eq!(e, Estimate::exact(e.value));
+            }
+            assert_varopt_reference(&full, &seg, &small_hit, confidence, "small hit");
+        }
+        // A small-key hit needs a probabilistic bound, which confidence 1
+        // cannot certify.
+        for s in [&full as &dyn Summary, &seg] {
+            for q in &small_hit {
+                assert_eq!(
+                    s.answer(q, 1.0),
+                    Err(QueryError::BadConfidence(1.0)),
+                    "{}: {q}",
+                    s.kind()
+                );
+            }
+        }
     }
 
     #[test]

@@ -40,4 +40,4 @@ pub use sas_store as store;
 pub use sas_structures as structures;
 pub use sas_summaries as summaries;
 
-pub use sas_summaries::{Estimate, Query, QueryBatch, QueryError, Summary, SummaryKind};
+pub use sas_summaries::{Estimate, Query, QueryError, Summary, SummaryKind};
