@@ -274,21 +274,25 @@ fn cmd_info(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if paths.is_empty() {
         return Err("missing summary path".into());
     }
-    // Expand directories (store layouts) into their frame files, skipping
-    // in-flight temp debris. A directory with a decodable manifest or a
-    // batch log is a store: lead with its lifecycle summary (log records,
-    // per-dataset policy, window counts per level, oldest/newest span)
-    // before the per-frame lines. The log is summarized, never decoded as
-    // a frame.
+    // Expand directories into their frame files. A directory with a
+    // decodable manifest or a batch log is a store: lead with its
+    // lifecycle summary (log records, per-dataset policy, window counts
+    // per level, oldest/newest span), then list only the files the store
+    // owns — the manifest and frame names — so foreign files (a README,
+    // notes) never print as failed summaries. The log is summarized, never
+    // decoded as a frame. Any other directory lists every file except
+    // in-flight temp debris.
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     for p in &paths {
         let path = Path::new(p.as_str());
         if path.is_dir() {
             let log_path = path.join(sas_store::LOG_FILE);
-            let manifest = match std::fs::read(path.join(sas_store::MANIFEST_FILE)) {
+            let manifest_path = path.join(sas_store::MANIFEST_FILE);
+            let manifest = match std::fs::read(&manifest_path) {
                 Ok(bytes) => Manifest::decode(&bytes).ok(),
                 Err(_) => log_path.exists().then(Manifest::default),
             };
+            let is_store = manifest.is_some();
             if let Some(manifest) = manifest {
                 let scan = sas_store::scan_log(path, &manifest)?;
                 print!("{}", sas_cli::store_info_text(&manifest, &scan));
@@ -300,10 +304,13 @@ fn cmd_info(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
             files.extend(fsio::walk_files(path)?.into_iter().filter(|f| {
-                *f != log_path
-                    && f.file_name()
+                if is_store {
+                    *f == manifest_path || sas_store::parse_frame_file(path, f).is_some()
+                } else {
+                    f.file_name()
                         .and_then(|n| n.to_str())
                         .is_some_and(|n| !n.contains(fsio::TEMP_INFIX))
+                }
             }));
         } else {
             files.push(path.to_path_buf());

@@ -291,18 +291,22 @@ fn slow_query_log_and_periodic_dump_reach_stderr() {
         ],
         true,
     );
-    sas(
-        &[
-            "client",
-            &addr,
-            "query",
-            "--dataset",
-            "web",
-            "--range",
-            "0..999",
-        ],
-        true,
-    );
+    // The same query twice: a worker answers the first, the event loop
+    // answers the second from the cache.
+    for _ in 0..2 {
+        sas(
+            &[
+                "client",
+                &addr,
+                "query",
+                "--dataset",
+                "web",
+                "--range",
+                "0..999",
+            ],
+            true,
+        );
+    }
 
     // Let at least one periodic dump fire.
     std::thread::sleep(std::time::Duration::from_millis(1400));
@@ -318,10 +322,16 @@ fn slow_query_log_and_periodic_dump_reach_stderr() {
     );
     // Every request was "slow": the trace names the dataset, the canonical
     // query bytes, and the per-stage breakdown.
-    let slow = lines
+    let slow: Vec<&String> = lines
         .iter()
-        .find(|l| l.contains("event=slow_query") && l.contains("tag=query"))
-        .unwrap_or_else(|| panic!("no slow_query record in:\n{}", lines.join("\n")));
+        .filter(|l| l.contains("event=slow_query") && l.contains("tag=query"))
+        .collect();
+    assert_eq!(
+        slow.len(),
+        2,
+        "two slow_query records in:\n{}",
+        lines.join("\n")
+    );
     for key in [
         "dataset=web",
         "query=",
@@ -329,8 +339,14 @@ fn slow_query_log_and_periodic_dump_reach_stderr() {
         "work_us=",
         "flush_us=",
     ] {
-        assert!(slow.contains(key), "missing {key} in: {slow}");
+        assert!(slow[0].contains(key), "missing {key} in: {}", slow[0]);
     }
+    // The cache hit answered on the loop carries the same metadata, and
+    // never waited in the worker queue.
+    for key in ["dataset=web", "query=", "windows=1 ", "queue_us=0 "] {
+        assert!(slow[1].contains(key), "missing {key} in: {}", slow[1]);
+    }
+    assert!(!slow[1].contains("query=- "), "{}", slow[1]);
     // The periodic dump wrote at least one TSV metric line.
     assert!(
         lines

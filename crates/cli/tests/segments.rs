@@ -220,3 +220,26 @@ fn info_reports_the_batch_log_and_log_only_windows() {
     assert_eq!(frames, 3, "{info}");
     assert!(!info.contains("\terror\t"), "{info}");
 }
+
+#[test]
+fn info_on_a_store_lists_only_store_files() {
+    let dir = TempDir::create("info-foreign");
+    let (files, _) = seeded_store_dir(&dir);
+    sas(&["compact", dir.path(), "--format", "v2"], true);
+    let root = std::path::Path::new(dir.path());
+    fs::write(root.join("README.txt"), "operator notes").unwrap();
+    fs::create_dir_all(root.join("notes")).unwrap();
+    fs::write(root.join("notes/todo.md"), "- rotate").unwrap();
+
+    let (info, _) = sas(&["info", dir.path()], true);
+    assert!(!info.contains("README.txt"), "{info}");
+    assert!(!info.contains("todo.md"), "{info}");
+    assert!(!info.contains("\terror\t"), "{info}");
+    assert!(info.contains("\tmanifest\t2\t"), "{info}");
+    for f in &files {
+        let line = format!("{}\tsample\t", f.display());
+        assert!(info.contains(&line), "no line for {}: {info}", f.display());
+    }
+    // The foreign files are untouched.
+    assert!(root.join("README.txt").exists() && root.join("notes/todo.md").exists());
+}

@@ -2,7 +2,9 @@
 //! query tag (`REQ_QUERY`, `REQ_ESTIMATE`, `REQ_ESTIMATE_COV`, watch
 //! evaluations) reads and fills it through [`crate::Store::estimate`];
 //! the legacy value-only tag is a box estimate at confidence 0.95, so it
-//! shares a line with a `REQ_ESTIMATE` of the same box at 0.95.
+//! shares a line with a `REQ_ESTIMATE` of the same box at 0.95. The
+//! daemon's event loop also reads it, never waiting for the lock, through
+//! [`crate::Store::cached_estimate`]; only `Store::estimate` fills it.
 //!
 //! Keys embed the **series stamp** of the `(dataset, kind)` series they
 //! read ([`crate::Snapshot::series_version`]): the global snapshot version
@@ -57,6 +59,21 @@ struct Inner {
     next_stamp: u64,
 }
 
+impl Inner {
+    /// The lookup both [`QueryCache::get`] and [`QueryCache::try_get`]
+    /// run: the answer, with its recency refreshed on a hit.
+    fn touch(&mut self, key: &CacheKey) -> Option<Answer> {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        let (value, at) = self.map.get_mut(key)?;
+        let old_stamp = std::mem::replace(at, stamp);
+        let value = *value;
+        self.order.remove(&old_stamp);
+        self.order.insert(stamp, key.clone());
+        Some(value)
+    }
+}
+
 /// A fixed-capacity LRU map from query coordinates to answers.
 #[derive(Debug)]
 pub struct QueryCache {
@@ -78,20 +95,18 @@ impl QueryCache {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
-        let stamp = inner.next_stamp;
-        inner.next_stamp += 1;
-        let (value, old_stamp) = match inner.map.get_mut(key) {
-            None => return None,
-            Some((value, at)) => {
-                let old = *at;
-                *at = stamp;
-                (*value, old)
-            }
-        };
-        inner.order.remove(&old_stamp);
-        inner.order.insert(stamp, key.clone());
-        Some(value)
+        self.inner.lock().expect("cache lock").touch(key)
+    }
+
+    /// [`QueryCache::get`] without waiting: a lock held elsewhere reads as
+    /// a miss, and leaves recency untouched. The daemon's event loop
+    /// probes through this, so it never blocks behind a worker's lookup
+    /// or fill.
+    pub fn try_get(&self, key: &CacheKey) -> Option<(Estimate, u64)> {
+        if self.capacity == 0 {
+            return None;
+        }
+        self.inner.try_lock().ok()?.touch(key)
     }
 
     /// Stores an answer, evicting the least-recently-used entry at
@@ -226,6 +241,27 @@ mod tests {
         cache.put(key(1, 0), plain(2.0));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(&key(1, 0)), Some(plain(2.0)));
+    }
+
+    #[test]
+    fn try_get_reads_a_held_lock_as_a_miss_and_keeps_recency() {
+        let cache = QueryCache::new(2);
+        cache.put(key(1, 0), plain(0.0));
+        cache.put(key(1, 100), plain(1.0));
+        {
+            let _held = cache.inner.lock().unwrap();
+            // Returns at once (a blocking lookup would deadlock here).
+            assert_eq!(cache.try_get(&key(1, 0)), None);
+        }
+        // The busy probe did not refresh key 0, so it is still the LRU
+        // victim.
+        cache.put(key(1, 200), plain(2.0));
+        assert_eq!(cache.get(&key(1, 0)), None, "LRU entry evicted");
+        // With the lock free, a hit refreshes recency exactly like `get`.
+        assert_eq!(cache.try_get(&key(1, 100)), Some(plain(1.0)));
+        cache.put(key(1, 300), plain(3.0));
+        assert_eq!(cache.get(&key(1, 200)), None, "key 200 was the LRU");
+        assert_eq!(cache.get(&key(1, 100)), Some(plain(1.0)));
     }
 
     #[test]

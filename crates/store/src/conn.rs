@@ -258,6 +258,14 @@ impl Conn {
 
     // ---- outbound ---------------------------------------------------
 
+    /// Whether every request before `seq` has had its response released
+    /// to the outbox: nothing the peer sent earlier on this connection is
+    /// still being worked on, so answering `seq` right now cannot overtake
+    /// it (a cached answer cannot jump an ingest pipelined ahead of it).
+    pub fn answered_before(&self, seq: u64) -> bool {
+        self.next_flush == seq
+    }
+
     /// Queues the response for request `seq` (a complete length-prefixed
     /// wire message). Responses may arrive in any order; the outbox
     /// releases them in sequence order. Ignored after abort/poison — the
@@ -581,6 +589,22 @@ mod tests {
         }
         assert_eq!(out, [msg(b"RA"), msg(b"RB"), msg(b"RC")].concat());
         assert_eq!(c.in_flight(), 0);
+    }
+
+    #[test]
+    fn answered_before_waits_for_every_earlier_response() {
+        let mut c = conn();
+        c.on_bytes(&[msg(b"a"), msg(b"b"), msg(b"c")].concat())
+            .unwrap();
+        assert!(c.answered_before(0), "nothing precedes the first request");
+        assert!(!c.answered_before(1));
+        // An answer parked behind an unanswered predecessor does not count.
+        c.push_response(1, msg(b"RB"));
+        assert!(!c.answered_before(2));
+        c.push_response(0, msg(b"RA"));
+        assert!(c.answered_before(2));
+        // Released to the outbox is enough; the socket need not drain.
+        assert!(c.next_chunk().is_some());
     }
 
     #[test]

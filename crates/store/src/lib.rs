@@ -754,7 +754,9 @@ impl Store {
     /// through the LRU cache. The cache key is the query's **canonical**
     /// form, so equivalent spellings share one entry. This is the single
     /// answer path: every daemon query tag, the legacy value-only
-    /// `REQ_QUERY` included, comes through here.
+    /// `REQ_QUERY` included, comes through here, except the cache hits the
+    /// event loop serves through [`Store::cached_estimate`] (same key, same
+    /// answer).
     pub fn estimate(
         &self,
         dataset: &str,
@@ -784,6 +786,43 @@ impl Store {
         Ok((answer, snap.coverage(dataset, kind, time)))
     }
 
+    /// Answers a query from the LRU cache alone, without waiting: `None`
+    /// on a miss, for a malformed query, or while the cache lock is held
+    /// elsewhere. A hit is bit-identical to [`Store::estimate`]'s answer
+    /// against the same snapshot, and is counted; a miss is not, because
+    /// the caller falls back to [`Store::estimate`], whose own probe
+    /// counts it — so each query is counted exactly once. The daemon's
+    /// event loop answers cache hits through this.
+    pub fn cached_estimate(
+        &self,
+        dataset: &str,
+        kind: SummaryKind,
+        query: &Query,
+        confidence: f64,
+        time: Option<(u64, u64)>,
+    ) -> Option<EstimateAnswer> {
+        let snap = self.snapshot();
+        let key = cache_key(&snap, dataset, kind, query, confidence, time).ok()?;
+        let hit = self.cache.try_get(&key)?;
+        Some(self.cache_hit(&snap, dataset, hit))
+    }
+
+    /// Counts a cache hit and frames it as an answer against `snap`.
+    fn cache_hit(
+        &self,
+        snap: &Snapshot,
+        dataset: &str,
+        (estimate, windows): (Estimate, u64),
+    ) -> EstimateAnswer {
+        self.cache_cells(dataset).hits.inc();
+        EstimateAnswer {
+            estimate,
+            windows,
+            cached: true,
+            version: snap.version,
+        }
+    }
+
     /// The shared estimate path: cache lookup, snapshot answer, cache
     /// fill — against the snapshot the caller pinned.
     fn estimate_on(
@@ -796,27 +835,13 @@ impl Store {
         time: Option<(u64, u64)>,
     ) -> Result<EstimateAnswer, StoreError> {
         let bad = |e: QueryError| StoreError::BadRequest(e.to_string());
-        let cells = self.cache_cells(dataset);
-        let cache_key = query.canonical_bytes().map(|query| CacheKey {
-            series_version: snap.series_version(dataset, kind),
-            dataset: dataset.to_string(),
-            kind_tag: kind.tag(),
-            query,
-            confidence_bits: confidence.to_bits(),
-            time,
-        });
-        if let Some((estimate, windows)) = cache_key.as_ref().ok().and_then(|k| self.cache.get(k)) {
-            cells.hits.inc();
-            return Ok(EstimateAnswer {
-                estimate,
-                windows,
-                cached: true,
-                version: snap.version,
-            });
+        let cache_key = cache_key(snap, dataset, kind, query, confidence, time);
+        if let Some(hit) = cache_key.as_ref().ok().and_then(|k| self.cache.get(k)) {
+            return Ok(self.cache_hit(snap, dataset, hit));
         }
         // Every query is a hit or a miss — a malformed one, rejected just
         // below, included — so `queries` in [`Store::stats`] is their sum.
-        cells.misses.inc();
+        self.cache_cells(dataset).misses.inc();
         let cache_key = cache_key.map_err(bad)?;
         let (estimate, windows) = snap
             .estimate(dataset, kind, query, confidence, time)
@@ -1327,6 +1352,28 @@ pub fn rebuild_parent(
 ) -> Result<Box<dyn Summary>, StoreError> {
     let mut rng = StdRng::seed_from_u64(window_seed(parent));
     Ok(merge_tree(children, budget, &mut rng)?)
+}
+
+/// The cache line a query reads against `snap`: its series stamp plus the
+/// query's canonical bytes and coordinates. Both [`Store::estimate`] and
+/// [`Store::cached_estimate`] key through this, so they address the same
+/// line.
+fn cache_key(
+    snap: &Snapshot,
+    dataset: &str,
+    kind: SummaryKind,
+    query: &Query,
+    confidence: f64,
+    time: Option<(u64, u64)>,
+) -> Result<CacheKey, QueryError> {
+    Ok(CacheKey {
+        series_version: snap.series_version(dataset, kind),
+        dataset: dataset.to_string(),
+        kind_tag: kind.tag(),
+        query: query.canonical_bytes()?,
+        confidence_bits: confidence.to_bits(),
+        time,
+    })
 }
 
 /// On-disk location of a window's generation-0 frame: the name every

@@ -15,7 +15,20 @@
 //! [`crate::poller::WakeHandle`]. Only `Ping`, `Shutdown`, undecodable
 //! frames and `BUSY` refusals (plus a watch over its per-connection cap)
 //! are answered inline on the loop — a ping measures loop latency even
-//! while every worker is busy.
+//! while every worker is busy — and so are answer-cache hits.
+//!
+//! ## Cache hits on the loop
+//!
+//! A cached answer costs about a microsecond, the worker round trip (job
+//! hand-off, worker wake, completion channel, loop wake) several times
+//! that. So the loop answers a `REQ_ESTIMATE` or legacy `REQ_QUERY` hit
+//! itself ([`Store::cached_estimate`], which never waits for the cache
+//! lock), with the bytes a worker would send. It probes only when every
+//! earlier request on the connection has been answered, so a hit never
+//! overtakes an ingest pipelined ahead of it, and only for a frame it has
+//! seen before (`SeenFrames`), so distinct queries skip the probe.
+//! Misses, `REQ_ESTIMATE_COV` (its coverage walks the series) and watches
+//! go to the pool.
 //!
 //! ## Pipelining & ordering
 //!
@@ -33,7 +46,9 @@
 //!   explicit `RESP_BUSY` frame and a clean close (never a silent drop).
 //! * With `dataset_inflight > 0`, requests against a dataset that already
 //!   has that many requests in flight get `RESP_BUSY` instead of queueing
-//!   — one hot dataset cannot monopolize the worker pool.
+//!   — one hot dataset cannot monopolize the worker pool. A cache hit
+//!   answered on the loop never occupies a worker, so it is never shed
+//!   and never counts as in flight.
 //!
 //! ## Timeouts & shutdown
 //!
@@ -61,7 +76,9 @@
 //! lifecycle job (retention, then compaction) on that cadence, or sooner
 //! once [`LIFECYCLE_INGESTS`] ingests have landed since the last one.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -82,7 +99,7 @@ use sas_summaries::{Query, SummaryKind};
 use crate::conn::{Conn, ConnConfig};
 use crate::poller::{Event, Interest, InterestCache, Poller, WakeHandle, Waker};
 use crate::wire::{decode_request, encode_push, encode_response, Request, Response, WatchUpdate};
-use crate::Store;
+use crate::{EstimateAnswer, Store, StoreError};
 
 /// Tuning knobs for [`Server::start_with`]. [`Default`] matches the CLI
 /// defaults.
@@ -152,7 +169,8 @@ pub struct ServerMetrics {
     pub idle_timeouts: u64,
     /// Connections dropped for fatal framing (oversized length).
     pub protocol_errors: u64,
-    /// Requests dispatched to the worker pool.
+    /// Requests dispatched to the worker pool (cache hits answered on the
+    /// event loop are not among them).
     pub requests: u64,
     /// High-water mark of any connection's unwritten response bytes.
     pub max_queued_bytes: u64,
@@ -214,7 +232,8 @@ impl MetricCells {
 
 /// Stage names of the per-request clock, in pipeline order. Every request
 /// is timed through all six; inline answers (ping, protocol errors) simply
-/// record zero for `queue` and `work`.
+/// record zero for `queue` and `work`, and a cache hit answered on the loop
+/// records zero `queue` and its probe (plus encoding) as `work`.
 const STAGES: [&str; 6] = ["read", "parse", "queue", "work", "queued", "flush"];
 
 /// Request tags used as metric labels. `invalid` is undecodable frames.
@@ -296,15 +315,36 @@ impl RequestObs {
     }
 }
 
-/// What the slow-query log reports beyond timings. Captured by workers
-/// only when the log is enabled (the canonical-query hex costs an
-/// allocation per request).
+/// What the slow-query log reports beyond timings. Captured (by a worker,
+/// or by the loop for a cache hit it answers) only when the log is enabled
+/// (the canonical-query hex costs an allocation per request).
 struct SlowMeta {
     dataset: String,
     /// Canonical query bytes, hex-encoded (`-` for requests with none).
     query: String,
     /// Summary windows the answer consulted.
     windows: u64,
+}
+
+impl SlowMeta {
+    /// The request's coordinates, before it is answered.
+    fn of(req: &Request) -> SlowMeta {
+        SlowMeta {
+            dataset: request_dataset(req).unwrap_or("-").to_string(),
+            query: canonical_query_hex(req),
+            windows: 0,
+        }
+    }
+
+    /// Records the windows `response` consulted (0 for a non-answer).
+    fn answered(&mut self, response: &Response) {
+        self.windows = match response {
+            Response::Query { windows, .. }
+            | Response::Estimate { windows, .. }
+            | Response::EstimateCov { windows, .. } => *windows,
+            _ => 0,
+        };
+    }
 }
 
 /// One request's stage clock, parked in its connection until the response
@@ -529,11 +569,7 @@ impl Server {
                                 // Slow-log metadata is captured up front:
                                 // whether the request turns out slow is only
                                 // known after the flush, when `req` is gone.
-                                slow = slow_enabled.then(|| SlowMeta {
-                                    dataset: dataset.clone().unwrap_or_else(|| "-".into()),
-                                    query: canonical_query_hex(&req),
-                                    windows: 0,
-                                });
+                                slow = slow_enabled.then(|| SlowMeta::of(&req));
                                 let response = match req {
                                     Request::Ingest { dataset, ts, frame } => {
                                         let (response, series) =
@@ -544,12 +580,7 @@ impl Server {
                                     req => handle_request(&store, req),
                                 };
                                 if let Some(meta) = &mut slow {
-                                    meta.windows = match &response {
-                                        Response::Query { windows, .. }
-                                        | Response::Estimate { windows, .. }
-                                        | Response::EstimateCov { windows, .. } => *windows,
-                                        _ => 0,
-                                    };
+                                    meta.answered(&response);
                                 }
                                 (
                                     Delivery::Response { seq },
@@ -650,7 +681,7 @@ impl Server {
             config,
             job_tx,
             done_rx,
-            &registry,
+            store,
         )?;
         let handle = std::thread::Builder::new()
             .name("sas-serve-loop".into())
@@ -710,6 +741,45 @@ pub const LIFECYCLE_INGESTS: u64 = 64;
 /// How long shutdown waits for half-written frames to reach a boundary
 /// before force-closing.
 pub const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+
+/// Fingerprints the loop's [`SeenFrames`] table holds.
+const SEEN_FRAMES: usize = 4096;
+
+/// Fingerprints per set of [`SeenFrames`] (64 bytes, scanned linearly).
+const SEEN_WAYS: usize = 8;
+
+/// The event loop's memory of recent `REQ_ESTIMATE`/`REQ_QUERY` frames:
+/// it probes the answer cache only for a frame it has seen before. A
+/// query's first instance is nearly always a miss (answering it is what
+/// fills its line), and a missed probe is not free, since building the
+/// cache key canonicalizes the query; on a stream of distinct 16-range
+/// estimates, probing every frame raised daemon CPU per request by 4%.
+/// Repeated queries still hit on the loop from their second instance on.
+/// Frame fingerprints live in [`SEEN_FRAMES`] / [`SEEN_WAYS`] sets, each
+/// kept most recent first; a frame evicted from its set only sends its
+/// next repeat to a worker, which answers it the same.
+struct SeenFrames(Vec<u64>);
+
+impl SeenFrames {
+    fn new() -> SeenFrames {
+        SeenFrames(vec![0; SEEN_FRAMES])
+    }
+
+    /// Whether `frame` was seen before; either way, it is now the most
+    /// recent frame of its set.
+    fn saw(&mut self, frame: &[u8]) -> bool {
+        let mut hasher = DefaultHasher::new();
+        frame.hash(&mut hasher);
+        let fingerprint = hasher.finish();
+        let start = (fingerprint % (SEEN_FRAMES / SEEN_WAYS) as u64) as usize * SEEN_WAYS;
+        let set = &mut self.0[start..start + SEEN_WAYS];
+        let at = set.iter().position(|&f| f == fingerprint);
+        // Move the frame to the front, or evict the least recent for it.
+        set[..=at.unwrap_or(SEEN_WAYS - 1)].rotate_right(1);
+        set[0] = fingerprint;
+        at.is_some()
+    }
+}
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
@@ -814,6 +884,11 @@ struct EventLoop {
     waker: Waker,
     shared: Arc<Shared>,
     config: ServerConfig,
+    /// Read only through [`Store::cached_estimate`]: everything that may
+    /// wait on the store runs on a worker.
+    store: Arc<Store>,
+    /// Estimate frames the loop has seen: it probes only these.
+    seen_frames: SeenFrames,
     job_tx: Sender<Job>,
     done_rx: Receiver<Completion>,
     poller: Poller,
@@ -847,8 +922,9 @@ impl EventLoop {
         config: ServerConfig,
         job_tx: Sender<Job>,
         done_rx: Receiver<Completion>,
-        registry: &Registry,
+        store: Arc<Store>,
     ) -> io::Result<EventLoop> {
+        let registry = store.obs().clone();
         let mut poller = Poller::new()?;
         let mut interest = InterestCache::new();
         interest.register(
@@ -863,6 +939,8 @@ impl EventLoop {
             waker,
             shared,
             config,
+            store,
+            seen_frames: SeenFrames::new(),
             job_tx,
             done_rx,
             poller,
@@ -877,8 +955,8 @@ impl EventLoop {
             last_lifecycle: Instant::now(),
             lifecycle_inflight: false,
             ingests_since_lifecycle: 0,
-            lobs: LoopObs::new(registry),
-            robs: RequestObs::new(registry),
+            lobs: LoopObs::new(&registry),
+            robs: RequestObs::new(&registry),
         })
     }
 
@@ -1240,9 +1318,10 @@ impl EventLoop {
         }
     }
 
-    /// Routes one decoded request: inline answers on the loop, store work
-    /// to the pool, BUSY under admission control. `read_ns` is the time
-    /// the request's bytes spent arriving (zero when it rode a burst).
+    /// Routes one decoded request: inline answers (cache hits included) on
+    /// the loop, store work to the pool, BUSY under admission control.
+    /// `read_ns` is the time the request's bytes spent arriving (zero when
+    /// it rode a burst).
     fn dispatch(&mut self, token: u64, seq: u64, frame: &[u8], read_ns: u64) {
         let parse_started = Instant::now();
         let decoded = decode_request(frame);
@@ -1283,6 +1362,11 @@ impl EventLoop {
                 self.shared.begin_shutdown();
             }
             Ok(req) => {
+                // Before admission control: a hit never occupies a worker,
+                // so it is never shed.
+                if self.answer_cached(token, seq, frame, &req, read_ns, parse_ns) {
+                    return;
+                }
                 let tag = request_tag(&req);
                 let dataset = request_dataset(&req).map(str::to_string);
                 if let (Some(ds), cap @ 1..) = (&dataset, self.config.dataset_inflight) {
@@ -1375,6 +1459,63 @@ impl EventLoop {
                 }
             }
         }
+    }
+
+    /// Answers a `REQ_ESTIMATE` or `REQ_QUERY` whose answer is cached,
+    /// right here on the loop, with the bytes a worker would send (both go
+    /// through [`estimate_response`]). Probes only when every earlier
+    /// request on the connection has been answered, so the hit cannot
+    /// overtake an ingest pipelined ahead of it, and only for a frame
+    /// seen before (see [`SeenFrames`]). Returns whether the request was
+    /// answered; a miss, or any other request, is left for the worker
+    /// pool.
+    fn answer_cached(
+        &mut self,
+        token: u64,
+        seq: u64,
+        frame: &[u8],
+        req: &Request,
+        read_ns: u64,
+        parse_ns: u64,
+    ) -> bool {
+        if !matches!(req, Request::Query { .. } | Request::Estimate { .. }) {
+            return false;
+        }
+        let Some(entry) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        if !entry.conn.answered_before(seq) {
+            return false;
+        }
+        let started = Instant::now();
+        if !self.seen_frames.saw(frame) {
+            return false;
+        }
+        let store = &self.store;
+        let Some(response) = estimate_response(req, |dataset, kind, query, confidence, time| {
+            store
+                .cached_estimate(dataset, kind, query, confidence, time)
+                .map(Ok)
+        }) else {
+            return false;
+        };
+        let message = to_message(&encode_response(&response));
+        let work_ns = elapsed_ns(started);
+        let slow = self.config.slow_query.is_some().then(|| {
+            let mut meta = SlowMeta::of(req);
+            meta.answered(&response);
+            meta
+        });
+        entry.conn.push_response(seq, message);
+        entry.traces.insert(
+            seq,
+            ReqTrace {
+                work_ns,
+                slow,
+                ..ReqTrace::inline(request_tag(req), read_ns, parse_ns)
+            },
+        );
+        true
     }
 
     fn drain_completions(&mut self) {
@@ -1798,9 +1939,22 @@ fn ingest_response(
     }
 }
 
-/// Dispatches one decoded request against the store. Pure: no I/O beyond
-/// the store itself, so it is directly unit-testable without sockets.
-pub fn handle_request(store: &Store, req: Request) -> Response {
+/// The response to a `REQ_QUERY` or `REQ_ESTIMATE`, from the answer
+/// `estimate` gives for the request's coordinates: [`Store::estimate`] on
+/// a worker, [`Store::cached_estimate`] on the loop. Both paths frame
+/// through here, so a hit answered on the loop is byte-identical to the
+/// worker's answer. `None` for any other request, or when `estimate`
+/// declines (a loop probe that missed).
+fn estimate_response(
+    req: &Request,
+    estimate: impl FnOnce(
+        &str,
+        SummaryKind,
+        &Query,
+        f64,
+        Option<(u64, u64)>,
+    ) -> Option<Result<EstimateAnswer, StoreError>>,
+) -> Option<Response> {
     match req {
         Request::Query {
             dataset,
@@ -1812,14 +1966,15 @@ pub fn handle_request(store: &Store, req: Request) -> Response {
             // confidence its values have always been computed at, so it
             // shares cache lines (and values, bit for bit) with
             // `REQ_ESTIMATE` at 0.95.
-            match store.estimate(&dataset, kind, &Query::BoxRange(range), 0.95, time) {
+            let query = Query::BoxRange(range.clone());
+            Some(match estimate(dataset, *kind, &query, 0.95, *time)? {
                 Err(e) => Response::Err(e.to_string()),
                 Ok(answer) => Response::Query {
                     value: answer.estimate.value,
                     windows: answer.windows,
                     cached: answer.cached,
                 },
-            }
+            })
         }
         Request::Estimate {
             dataset,
@@ -1827,14 +1982,28 @@ pub fn handle_request(store: &Store, req: Request) -> Response {
             query,
             confidence,
             time,
-        } => match store.estimate(&dataset, kind, &query, confidence, time) {
+        } => Some(match estimate(dataset, *kind, query, *confidence, *time)? {
             Err(e) => Response::Err(e.to_string()),
             Ok(answer) => Response::Estimate {
                 estimate: answer.estimate,
                 windows: answer.windows,
                 cached: answer.cached,
             },
-        },
+        }),
+        _ => None,
+    }
+}
+
+/// Dispatches one decoded request against the store. Pure: no I/O beyond
+/// the store itself, so it is directly unit-testable without sockets.
+pub fn handle_request(store: &Store, req: Request) -> Response {
+    match req {
+        req @ (Request::Query { .. } | Request::Estimate { .. }) => {
+            estimate_response(&req, |dataset, kind, query, confidence, time| {
+                Some(store.estimate(dataset, kind, query, confidence, time))
+            })
+            .expect("an estimate request")
+        }
         Request::EstimateCov {
             dataset,
             kind,
@@ -1868,5 +2037,53 @@ pub fn handle_request(store: &Store, req: Request) -> Response {
         Request::Metrics => Response::Metrics(store.obs().snapshot()),
         Request::Ping => Response::Pong,
         Request::Shutdown => Response::Shutdown,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seen_frames_remember_recent_frames_in_bounded_space() {
+        let mut seen = SeenFrames::new();
+        let frame = |i: u64| i.to_le_bytes();
+        assert!(!seen.saw(&frame(7)), "a first sight");
+        assert!(seen.saw(&frame(7)), "a repeat");
+        // Far more distinct frames than the table holds: early ones are
+        // evicted, recent ones stay, and the table never grows.
+        for i in 100..100 + 4 * SEEN_FRAMES as u64 {
+            seen.saw(&frame(i));
+        }
+        assert!(!seen.saw(&frame(7)), "evicted");
+        let last = 100 + 4 * SEEN_FRAMES as u64 - 1;
+        assert!(seen.saw(&frame(last)), "the newest frame stays");
+        assert_eq!(seen.0.len(), SEEN_FRAMES);
+    }
+
+    #[test]
+    fn seen_frames_keep_every_frame_of_a_full_set() {
+        // Eight frames of one set all stay; a ninth evicts the least
+        // recently seen, never one just repeated.
+        let mut seen = SeenFrames::new();
+        let set_of = |i: u64| {
+            let mut hasher = DefaultHasher::new();
+            i.to_le_bytes().as_slice().hash(&mut hasher);
+            hasher.finish() % (SEEN_FRAMES / SEEN_WAYS) as u64
+        };
+        let target = set_of(0);
+        let same_set: Vec<u64> = (0..).filter(|&i| set_of(i) == target).take(9).collect();
+        for &i in &same_set[..8] {
+            assert!(!seen.saw(&i.to_le_bytes()));
+        }
+        for &i in &same_set[..8] {
+            assert!(seen.saw(&i.to_le_bytes()), "frame {i} stays");
+        }
+        // Frame 0 is now the least recent; repeating it saves it, so the
+        // ninth frame evicts the second instead.
+        assert!(seen.saw(&same_set[0].to_le_bytes()));
+        assert!(!seen.saw(&same_set[8].to_le_bytes()));
+        assert!(seen.saw(&same_set[0].to_le_bytes()));
+        assert!(!seen.saw(&same_set[1].to_le_bytes()), "evicted");
     }
 }

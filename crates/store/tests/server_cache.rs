@@ -208,6 +208,50 @@ fn legacy_query_and_estimate_share_one_cache_line() {
 }
 
 #[test]
+fn the_loop_answers_a_frame_from_its_second_sight() {
+    // The event loop probes the cache only for a frame it has seen: a new
+    // spelling of a cached query is answered by a worker (from the
+    // cache), and its repeat by the loop, with the same bytes.
+    let (_dir, store, server) = start("second-sight", ServerConfig::default());
+    store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut ask = |req: &Request| {
+        let before = server.metrics().requests;
+        stream.write_all(&message(req)).unwrap();
+        let frame = match util::recv_message(&mut stream) {
+            util::Recv::Message(frame) => frame,
+            other => panic!("expected a response, got {other:?}"),
+        };
+        let on_worker = server.metrics().requests > before;
+        let cached = matches!(
+            sas_store::wire::decode_response(&frame, sas_codec::proto::REQ_ESTIMATE),
+            Ok(Response::Estimate { cached: true, .. })
+        );
+        (frame, cached, on_worker)
+    };
+    let estimate = |query: Query| Request::Estimate {
+        dataset: "web".into(),
+        kind: SummaryKind::Sample,
+        query,
+        confidence: 0.95,
+        time: None,
+    };
+    let (point, degenerate_box) = (
+        estimate(Query::Point(vec![7])),
+        estimate(Query::interval(7, 7)),
+    );
+    let (_, cached, on_worker) = ask(&point);
+    assert!(!cached && on_worker, "the first answer is computed");
+    let (first_sight, cached, on_worker) = ask(&degenerate_box);
+    assert!(cached && on_worker, "a new spelling hits on a worker");
+    let (second_sight, cached, on_worker) = ask(&degenerate_box);
+    assert!(cached && !on_worker, "its repeat hits on the loop");
+    assert_eq!(first_sight, second_sight);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn legacy_query_with_too_many_axes_is_an_error() {
     let (_dir, store, server) = start("legacy-axes", ServerConfig::default());
     store.ingest("web", 5, batch(0, 100, 1)).unwrap();

@@ -10,6 +10,8 @@ mod util;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -20,7 +22,7 @@ use sas_core::WeightedKey;
 use sas_store::client::{Client, ClientError};
 use sas_store::server::ServerConfig;
 use sas_store::wire::{Request, Response};
-use sas_summaries::{Estimate, Query, StoredSample, SummaryKind};
+use sas_summaries::{encode_summary, Estimate, Query, StoredSample, SummaryKind};
 
 use util::{batch_frame, message, recv_message, recv_response, start, wait_metrics, Recv};
 
@@ -131,6 +133,171 @@ fn dataset_admission_control_sheds_excess_in_flight_requests() {
         recv_response(&mut stream, proto::REQ_INGEST),
         Response::Ingest { .. }
     ));
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn cache_hits_are_never_shed_and_never_dispatched() {
+    // One request in flight per dataset: eight pipelined copies of a warm
+    // estimate would trip the limit on a worker. Answered on the loop,
+    // none occupies a worker, so none is shed.
+    let (_dir, store, server) = start(
+        "shed-hits",
+        ServerConfig {
+            threads: 4,
+            dataset_inflight: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .write_all(&message(&Request::Ingest {
+            dataset: "hot".into(),
+            ts: 61,
+            frame: batch_frame(0, 40, 1),
+        }))
+        .unwrap();
+    assert!(matches!(
+        recv_response(&mut stream, proto::REQ_INGEST),
+        Response::Ingest { .. }
+    ));
+    let estimate = message(&Request::Estimate {
+        dataset: "hot".into(),
+        kind: SummaryKind::Sample,
+        query: Query::BoxRange(vec![(0, 19)]),
+        confidence: 0.95,
+        time: None,
+    });
+    stream.write_all(&estimate).unwrap();
+    let warm = match recv_response(&mut stream, proto::REQ_ESTIMATE) {
+        Response::Estimate {
+            estimate, cached, ..
+        } => {
+            assert!(!cached);
+            estimate
+        }
+        other => panic!("warm-up: {other:?}"),
+    };
+    let dispatched = server.metrics().requests;
+
+    const N: usize = 8;
+    stream.write_all(&estimate.repeat(N)).unwrap();
+    for i in 0..N {
+        match recv_response(&mut stream, proto::REQ_ESTIMATE) {
+            Response::Estimate {
+                estimate, cached, ..
+            } => {
+                assert!(cached, "response {i}");
+                assert_eq!(estimate, warm, "response {i}");
+            }
+            other => panic!("response {i}: expected a cached estimate, got {other:?}"),
+        }
+    }
+    let m = server.metrics();
+    assert_eq!(m.shed_requests, 0);
+    assert_eq!(m.requests, dispatched, "no hit was dispatched to a worker");
+    // Each estimate is counted once, as a hit or a miss: the loop's probe
+    // counts its hits only.
+    let report = store.obs().snapshot();
+    let family = |name: &str| -> u64 {
+        let prefix = format!("{name}{{");
+        report
+            .counters
+            .iter()
+            .filter(|(n, _)| n.starts_with(&prefix))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    assert_eq!(family("sas_store_cache_misses_total"), 1, "the warm-up");
+    assert_eq!(
+        family("sas_store_cache_hits_total") + family("sas_store_cache_misses_total"),
+        1 + N as u64
+    );
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn cache_hits_are_answered_while_their_dataset_is_at_its_limit() {
+    // One request in flight per dataset, and a second connection keeping
+    // the dataset busy with back-to-back ingests into another series of
+    // it (VarOpt: the sample answers stay cached, and no ingest touches
+    // the cache lock). Requests queued behind the limit would be refused;
+    // cache hits are answered before admission control, so none is.
+    let (_dir, _store, server) = start(
+        "shed-busy-hits",
+        ServerConfig {
+            threads: 4,
+            dataset_inflight: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(&message(&Request::Ingest {
+            dataset: "hot".into(),
+            ts: 61,
+            frame: batch_frame(0, 40, 1),
+        }))
+        .unwrap();
+    assert!(matches!(
+        recv_response(&mut stream, proto::REQ_INGEST),
+        Response::Ingest { .. }
+    ));
+    let estimate = message(&Request::Estimate {
+        dataset: "hot".into(),
+        kind: SummaryKind::Sample,
+        query: Query::BoxRange(vec![(0, 19)]),
+        confidence: 0.95,
+        time: None,
+    });
+    stream.write_all(&estimate).unwrap();
+    let warm = match recv_response(&mut stream, proto::REQ_ESTIMATE) {
+        Response::Estimate { estimate, .. } => estimate,
+        other => panic!("warm-up: {other:?}"),
+    };
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let busy = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut ingests = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let mut varopt = sas_core::varopt::VarOptSampler::new(16);
+                for k in 0..64u64 {
+                    varopt.push(k, 1.0 + (k % 5) as f64, &mut rng);
+                }
+                client
+                    .ingest("hot", 61, encode_summary(&varopt))
+                    .expect("one ingest at a time is admitted");
+                ingests += 1;
+            }
+            ingests
+        })
+    };
+    const ROUNDS: usize = 20;
+    const N: usize = 8;
+    for round in 0..ROUNDS {
+        stream.write_all(&estimate.repeat(N)).unwrap();
+        for i in 0..N {
+            match recv_response(&mut stream, proto::REQ_ESTIMATE) {
+                Response::Estimate {
+                    estimate, cached, ..
+                } => {
+                    assert!(cached, "round {round}, response {i}");
+                    assert_eq!(estimate, warm, "round {round}, response {i}");
+                }
+                other => panic!("round {round}, response {i}: {other:?}"),
+            }
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    assert!(busy.join().unwrap() > 0);
+    assert_eq!(server.metrics().shed_requests, 0);
     server.shutdown();
     server.wait();
 }

@@ -11,7 +11,7 @@ use std::time::Duration;
 use sas_codec::proto;
 use sas_store::server::ServerConfig;
 use sas_store::wire::{decode_response, Request, Response};
-use sas_summaries::{Query, SummaryKind};
+use sas_summaries::{Estimate, Query, SummaryKind};
 
 use util::{batch_frame, message, recv_message, recv_response, start, Recv};
 
@@ -263,4 +263,137 @@ fn burst_larger_than_one_read_quantum_survives() {
     assert!(items_last > 0);
     server.shutdown();
     server.wait();
+}
+
+/// An estimate's bit patterns: "identical" below means all of them match.
+fn bits(e: &Estimate) -> [u64; 5] {
+    [e.value, e.variance, e.lower, e.upper, e.confidence].map(f64::to_bits)
+}
+
+/// What [`hit_ingest_hit`] observed: each estimate as `(bits, windows)`.
+struct HitIngestHit {
+    /// The in-process answer before the pipelined ingest.
+    before: ([u64; 5], u64),
+    /// The in-process answer after it.
+    after: ([u64; 5], u64),
+    /// Pipelined request 1 (its `cached` flag separately).
+    first: ([u64; 5], u64),
+    first_cached: bool,
+    /// Pipelined request 3.
+    third: ([u64; 5], u64),
+    /// Worker dispatches the three pipelined requests caused.
+    dispatched: u64,
+}
+
+/// Warms one estimate, then pipelines three requests on one connection
+/// in a single write: the warm estimate, an ingest into its series, and
+/// the same estimate again.
+fn hit_ingest_hit(name: &str, threads: usize) -> HitIngestHit {
+    let (_dir, store, server) = start(
+        name,
+        ServerConfig {
+            threads,
+            ..ServerConfig::default()
+        },
+    );
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let ingest = |ts: u64, lo: u64, seed: u64| {
+        message(&Request::Ingest {
+            dataset: "web".into(),
+            ts,
+            frame: batch_frame(lo, 50, seed),
+        })
+    };
+    let estimate = message(&Request::Estimate {
+        dataset: "web".into(),
+        kind: SummaryKind::Sample,
+        query: Query::Total,
+        confidence: 0.9,
+        time: None,
+    });
+    let in_process = || {
+        let a = store
+            .estimate("web", SummaryKind::Sample, &Query::Total, 0.9, None)
+            .unwrap();
+        (bits(&a.estimate), a.windows)
+    };
+    let answer = |stream: &mut TcpStream| match recv_response(stream, proto::REQ_ESTIMATE) {
+        Response::Estimate {
+            estimate,
+            windows,
+            cached,
+        } => ((bits(&estimate), windows), cached),
+        other => panic!("expected an estimate, got {other:?}"),
+    };
+    let ingested = |stream: &mut TcpStream| {
+        assert!(matches!(
+            recv_response(stream, proto::REQ_INGEST),
+            Response::Ingest { .. }
+        ));
+    };
+
+    stream.write_all(&ingest(61, 0, 1)).unwrap();
+    ingested(&mut stream);
+    stream.write_all(&estimate).unwrap();
+    let (warm, cached) = answer(&mut stream);
+    assert!(!cached, "the warm-up computes its answer");
+    let before = in_process();
+    assert_eq!(warm, before, "the worker's answer is the store's");
+
+    let dispatched = server.metrics().requests;
+    stream
+        .write_all(&[estimate.clone(), ingest(121, 50, 2), estimate].concat())
+        .unwrap();
+    let (first, first_cached) = answer(&mut stream);
+    ingested(&mut stream);
+    let (third, _) = answer(&mut stream);
+    let dispatched = server.metrics().requests - dispatched;
+    let after = in_process();
+    server.shutdown();
+    server.wait();
+    HitIngestHit {
+        before,
+        after,
+        first,
+        first_cached,
+        third,
+        dispatched,
+    }
+}
+
+#[test]
+fn loop_answered_hits_never_overtake_a_pipelined_ingest() {
+    // One worker runs the pool's jobs in dispatch order, so request 3 is
+    // answered after the ingest unless the loop answers it early from the
+    // cache line request 1 hit.
+    let run = hit_ingest_hit("pipeline-hit-order", 1);
+    assert!(run.first_cached, "request 1 is a cache hit");
+    assert_eq!(run.first, run.before, "request 1 is the store's answer");
+    assert_eq!(run.third, run.after, "request 3 reflects the ingest");
+    assert_ne!(run.after, run.before);
+    // The batches are exact, so the total grows by exactly the second one.
+    let second: f64 = (50..100u64).map(|k| 1.0 + (k % 7) as f64).sum();
+    let value = |b: ([u64; 5], u64)| f64::from_bits(b.0[0]);
+    assert_eq!(value(run.third), value(run.before) + second);
+    assert_eq!(run.third.1, 2, "request 3 reads both windows");
+    assert_eq!(run.dispatched, 2, "request 1 was answered on the loop");
+}
+
+#[test]
+fn loop_answered_hits_wait_for_earlier_requests_with_four_workers() {
+    // Four workers may run the ingest and request 3 concurrently, so
+    // request 3 reads the store before or after the ingest. Either way it
+    // is the store's answer, and it went to a worker: the loop did not
+    // answer it from request 1's cache line while the ingest was pending.
+    let run = hit_ingest_hit("pipeline-hit-four", 4);
+    assert!(run.first_cached, "request 1 is a cache hit");
+    assert_eq!(run.first, run.before, "request 1 is the store's answer");
+    assert!(
+        run.third == run.before || run.third == run.after,
+        "request 3 is the store's answer before or after the ingest"
+    );
+    assert_eq!(
+        run.dispatched, 2,
+        "the ingest and request 3 went to workers"
+    );
 }

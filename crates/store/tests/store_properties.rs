@@ -621,6 +621,48 @@ fn cache_serves_repeats_and_never_goes_stale() {
 }
 
 #[test]
+fn cached_estimate_answers_only_hits_and_counts_each_query_once() {
+    let dir = TempDir::new("cached-estimate");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    store.ingest("web", 5, batch(0, 50, 1)).unwrap();
+    let q = Query::BoxRange(vec![(0, 30)]);
+    let probe = |q: &Query| store.cached_estimate("web", SummaryKind::Sample, q, 0.9, None);
+    let counts = || {
+        let stats = store.stats();
+        let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+        (stat("cache_hits"), stat("cache_misses"))
+    };
+    // Cold: no answer and nothing counted; the caller's fallback to
+    // `estimate` counts the miss.
+    assert_eq!(probe(&q), None);
+    assert_eq!(counts(), (0, 0));
+    let computed = store
+        .estimate("web", SummaryKind::Sample, &q, 0.9, None)
+        .unwrap();
+    assert!(!computed.cached);
+    assert_eq!(counts(), (0, 1));
+    // Warm: the worker path's answer, bit for bit, counted as one hit.
+    let hit = probe(&q).expect("a warm cache line");
+    assert_eq!(
+        (estimate_bits(&hit.estimate), hit.windows, hit.version),
+        (
+            estimate_bits(&computed.estimate),
+            computed.windows,
+            computed.version
+        )
+    );
+    assert!(hit.cached);
+    assert_eq!(counts(), (1, 1));
+    // A malformed query never answers from the cache.
+    assert_eq!(probe(&Query::BoxRange(vec![(9, 3)])), None);
+    // An ingest re-stamps the series: the probe misses rather than serve
+    // the old answer.
+    store.ingest("web", 7, batch(10, 20, 2)).unwrap();
+    assert_eq!(probe(&q), None);
+    assert_eq!(counts(), (1, 1));
+}
+
+#[test]
 fn estimates_carry_bounds_and_match_the_legacy_value_path() {
     let dir = TempDir::new("estimate");
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
