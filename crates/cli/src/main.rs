@@ -543,25 +543,7 @@ fn cmd_client(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut client = Client::connect(addr.as_str())?;
     match sub.as_str() {
         "query" => {
-            let dataset = flag_value(rest, "--dataset").ok_or("missing --dataset")?;
-            let kind = parse_kind(rest)?;
-            let spec = flag_value(rest, "--range").ok_or("missing --range")?;
-            // The daemon knows the series' dimensionality; infer axes from
-            // the spec itself.
-            let dims = spec.split(',').count();
-            let range = parse_range(spec, dims)?;
-            let since: Option<u64> = flag_value(rest, "--since")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| "bad --since")?;
-            let until: Option<u64> = flag_value(rest, "--until")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| "bad --until")?;
-            let time = match (since, until) {
-                (None, None) => None,
-                (t0, t1) => Some((t0.unwrap_or(0), t1.unwrap_or(u64::MAX))),
-            };
+            let (dataset, kind, range, time) = parse_target(rest)?;
             let confidence = flag_value(rest, "--confidence");
             let (windows, cached) = if has_flag(rest, "--coverage") {
                 // Gap-aware protocol: the estimate plus which stretches of
@@ -595,23 +577,7 @@ fn cmd_client(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         "watch" => {
-            let dataset = flag_value(rest, "--dataset").ok_or("missing --dataset")?;
-            let kind = parse_kind(rest)?;
-            let spec = flag_value(rest, "--range").ok_or("missing --range")?;
-            let dims = spec.split(',').count();
-            let range = parse_range(spec, dims)?;
-            let since: Option<u64> = flag_value(rest, "--since")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| "bad --since")?;
-            let until: Option<u64> = flag_value(rest, "--until")
-                .map(|v| v.parse())
-                .transpose()
-                .map_err(|_| "bad --until")?;
-            let time = match (since, until) {
-                (None, None) => None,
-                (t0, t1) => Some((t0.unwrap_or(0), t1.unwrap_or(u64::MAX))),
-            };
+            let (dataset, kind, range, time) = parse_target(rest)?;
             let confidence = flag_value(rest, "--confidence")
                 .map(parse_confidence)
                 .transpose()?
@@ -728,6 +694,33 @@ fn print_estimate_line(e: &sas_summaries::Estimate) {
         e.upper,
         e.confidence
     );
+}
+
+/// What `sas client query` and `sas client watch` ask about: the dataset,
+/// the kind, the box, and the optional `--since`/`--until` time filter.
+type Target<'a> = (&'a str, SummaryKind, Vec<(u64, u64)>, Option<(u64, u64)>);
+
+fn parse_target(args: &[String]) -> Result<Target<'_>, Box<dyn std::error::Error>> {
+    let dataset = flag_value(args, "--dataset").ok_or("missing --dataset")?;
+    let kind = parse_kind(args)?;
+    let spec = flag_value(args, "--range").ok_or("missing --range")?;
+    // The daemon knows the series' dimensionality; infer axes from the spec
+    // itself.
+    let dims = spec.split(',').count();
+    let range = parse_range(spec, dims)?;
+    let since: Option<u64> = flag_value(args, "--since")
+        .map(|v| v.parse())
+        .transpose()
+        .map_err(|_| "bad --since")?;
+    let until: Option<u64> = flag_value(args, "--until")
+        .map(|v| v.parse())
+        .transpose()
+        .map_err(|_| "bad --until")?;
+    let time = match (since, until) {
+        (None, None) => None,
+        (t0, t1) => Some((t0.unwrap_or(0), t1.unwrap_or(u64::MAX))),
+    };
+    Ok((dataset, kind, range, time))
 }
 
 fn parse_kind(args: &[String]) -> Result<SummaryKind, Box<dyn std::error::Error>> {

@@ -206,6 +206,28 @@ fn client_metrics_serves_counts_in_every_format() {
         prom_value(&prom, "sas_request_ns_count{tag=\"query\"}").unwrap() >= 3.0,
         "{prom}"
     );
+    // Every request is timed through exactly five stages, each recorded
+    // once per request: a stage's count is its tag's request count.
+    assert!(!prom.contains("stage=\"read\""), "{prom}");
+    for tag in ["query", "ingest", "ping"] {
+        let requests = prom_value(&prom, &format!("sas_request_ns_count{{tag=\"{tag}\"}}"));
+        assert!(requests.unwrap() >= 1.0, "{tag}\n{prom}");
+        let prefix = format!("sas_stage_ns_count{{tag=\"{tag}\",stage=\"");
+        let mut stages: Vec<&str> = prom
+            .lines()
+            .filter_map(|l| l.strip_prefix(prefix.as_str())?.split('"').next())
+            .collect();
+        stages.sort_unstable();
+        assert_eq!(
+            stages,
+            ["flush", "parse", "queue", "queued", "work"],
+            "{tag}\n{prom}"
+        );
+        for stage in stages {
+            let name = format!("sas_stage_ns_count{{tag=\"{tag}\",stage=\"{stage}\"}}");
+            assert_eq!(prom_value(&prom, &name), requests, "{name}\n{prom}");
+        }
+    }
     // The one ingest is attributed to its store sub-stages.
     for stage in ["lock_wait", "merge", "log", "publish"] {
         let name = format!("sas_store_ingest_ns_count{{stage=\"{stage}\"}}");

@@ -127,7 +127,7 @@ pub fn sample<R: Rng + ?Sized>(data: &SpatialData, s: usize, rng: &mut R) -> Sam
         })
         .collect();
     let tree = KdHierarchy::build(items, 0.0);
-    let state = aggregate_over_kd(&setup, &tree, rng);
+    let state = aggregate_over_kd(&tree, rng);
 
     let mut sample = Sample::from_inclusion(
         &data.keys,
@@ -147,13 +147,8 @@ pub fn sample<R: Rng + ?Sized>(data: &SpatialData, s: usize, rng: &mut R) -> Sam
 /// Bottom-up aggregation over a kd-hierarchy: post-order traversal keeping
 /// at most one active entry per subtree (the kd analogue of the lowest-LCA
 /// rule).
-pub fn aggregate_over_kd<R: Rng + ?Sized>(
-    _setup: &IppsSetup,
-    tree: &KdHierarchy,
-    rng: &mut R,
-) -> AggregationState {
-    // Entry order matches tree.items() order, which matches setup.active
-    // order by construction in `sample`; rebuild defensively from the tree.
+pub fn aggregate_over_kd<R: Rng + ?Sized>(tree: &KdHierarchy, rng: &mut R) -> AggregationState {
+    // Entries follow the tree's item order.
     let keys: Vec<KeyId> = tree.items().iter().map(|it| it.key).collect();
     let probs: Vec<f64> = tree.items().iter().map(|it| it.prob).collect();
     let mut state = AggregationState::new(keys, probs);

@@ -15,11 +15,13 @@
 //!   declared length above the cap is *protocol-fatal* (the stream can
 //!   never resynchronize) and poisons the connection.
 //! * **Outbound**: responses are pushed by sequence number, in any order
-//!   ([`Conn::push_response`]); the outbox releases them strictly in
-//!   request order, so pipelining never reorders answers. Writes drain via
-//!   [`Conn::next_chunk`] / [`Conn::advance`], which track a partial write
-//!   of the front message — the loop always knows whether closing now
-//!   would tear a frame.
+//!   ([`Conn::push_response`]), each with the caller's record of its
+//!   request (the server's stage clock); the outbox releases them strictly
+//!   in request order, so pipelining never reorders answers. Writes drain
+//!   via [`Conn::next_chunk`] / [`Conn::advance`], which track a partial
+//!   write of the front message — the loop always knows whether closing
+//!   now would tear a frame — and hand a response's record back once its
+//!   last byte is written.
 //! * **Flow control**: [`Conn::wants_read`] goes false while the unwritten
 //!   outbox exceeds the write budget (a peer that never drains cannot make
 //!   the server buffer grow without bound) or while `max_pipeline`
@@ -104,9 +106,12 @@ pub struct Inbound {
     pub frame: Vec<u8>,
 }
 
-/// The per-connection state machine. See the module docs.
+/// The per-connection state machine. See the module docs. `T` is the
+/// record each sequenced response travels with: the connection holds it
+/// beside the response's bytes and returns it from [`Conn::advance`] when
+/// the last byte is written.
 #[derive(Debug)]
-pub struct Conn {
+pub struct Conn<T> {
     config: ConnConfig,
     phase: Phase,
 
@@ -117,18 +122,17 @@ pub struct Conn {
     // Outbound ordering + drain state.
     in_flight: usize,
     next_flush: u64,
-    parked: BTreeMap<u64, Vec<u8>>,
-    /// In-order messages awaiting the socket, each tagged with the request
-    /// sequence it answers (`None`: unsolicited, e.g. a shed BUSY) so the
-    /// server can attribute flush completion back to the request.
-    outbox: VecDeque<(Option<u64>, Vec<u8>)>,
+    parked: BTreeMap<u64, (T, Vec<u8>)>,
+    /// In-order messages awaiting the socket, each with the record of the
+    /// request it answers (`None`: unsolicited, e.g. a shed BUSY).
+    outbox: VecDeque<(Option<T>, Vec<u8>)>,
     front_written: usize,
     queued_bytes: usize,
 }
 
-impl Conn {
+impl<T> Conn<T> {
     /// A fresh connection.
-    pub fn new(config: ConnConfig) -> Conn {
+    pub fn new(config: ConnConfig) -> Conn<T> {
         Conn {
             config,
             phase: Phase::Open,
@@ -267,22 +271,23 @@ impl Conn {
     }
 
     /// Queues the response for request `seq` (a complete length-prefixed
-    /// wire message). Responses may arrive in any order; the outbox
-    /// releases them in sequence order. Ignored after abort/poison — the
-    /// peer is no longer owed anything.
-    pub fn push_response(&mut self, seq: u64, message: Vec<u8>) {
+    /// wire message) with its `record`. Responses may arrive in any order;
+    /// the outbox releases them in sequence order. Ignored after
+    /// abort/poison — the peer is no longer owed anything, and the record
+    /// is dropped.
+    pub fn push_response(&mut self, seq: u64, message: Vec<u8>, record: T) {
         if matches!(self.phase, Phase::Aborting | Phase::Poisoned) {
             return;
         }
         debug_assert!(seq >= self.next_flush, "duplicate response for {seq}");
-        self.parked.insert(seq, message);
+        self.parked.insert(seq, (record, message));
         // A request leaves flight only when its response is released in
         // order: one parked behind a slower predecessor still holds its
         // pipeline slot, so parked bytes stay bounded by `max_pipeline`.
-        while let Some(msg) = self.parked.remove(&self.next_flush) {
+        while let Some((record, msg)) = self.parked.remove(&self.next_flush) {
             self.in_flight = self.in_flight.saturating_sub(1);
             self.queued_bytes += msg.len();
-            self.outbox.push_back((Some(self.next_flush), msg));
+            self.outbox.push_back((Some(record), msg));
             self.next_flush += 1;
         }
     }
@@ -305,20 +310,21 @@ impl Conn {
         self.outbox.front().map(|(_, m)| &m[self.front_written..])
     }
 
-    /// The request sequence the front (currently draining) outbox message
-    /// answers; `None` when the outbox is empty or the front message is
-    /// unsolicited. The server's stage clock uses this to stamp when a
+    /// The record of the request the front (currently draining) outbox
+    /// message answers; `None` when the outbox is empty or the front
+    /// message is unsolicited. The server's stage clock stamps it when the
     /// response's first byte reaches the socket.
-    pub fn front_seq(&self) -> Option<u64> {
-        self.outbox.front().and_then(|(seq, _)| *seq)
+    pub fn front_mut(&mut self) -> Option<&mut T> {
+        self.outbox
+            .front_mut()
+            .and_then(|(record, _)| record.as_mut())
     }
 
     /// Records `n` bytes of the front message as written. When that
-    /// completes the front message, returns the sequence number of the
-    /// request it answered (`None` if the message was unsolicited or more
-    /// bytes remain) — the hook the server's stage clock uses to stamp
-    /// "flushed".
-    pub fn advance(&mut self, n: usize) -> Option<u64> {
+    /// completes the front message, returns the record of the request it
+    /// answered (`None` if the message was unsolicited or more bytes
+    /// remain) — where the server's stage clock stamps "flushed".
+    pub fn advance(&mut self, n: usize) -> Option<T> {
         self.front_written += n;
         self.queued_bytes -= n;
         let done = self
@@ -327,7 +333,7 @@ impl Conn {
             .map(|(_, m)| self.front_written >= m.len())
             .unwrap_or(false);
         if done {
-            let (seq, _) = self.outbox.pop_front().expect("done implies a front");
+            let (record, _) = self.outbox.pop_front().expect("done implies a front");
             self.front_written = 0;
             if self.phase == Phase::Aborting {
                 // Frame boundary reached: everything else was already
@@ -335,7 +341,7 @@ impl Conn {
                 // is closable.
                 debug_assert!(self.outbox.is_empty());
             }
-            return seq;
+            return record;
         }
         None
     }
@@ -372,9 +378,10 @@ impl Conn {
         }
     }
 
-    /// Server-shutdown teardown: drop every response not yet on the wire,
-    /// but always finish a half-written message so the peer never receives
-    /// a torn frame. Closable as soon as the boundary is reached.
+    /// Server-shutdown teardown: drop every response not yet on the wire
+    /// (and its record), but always finish a half-written message so the
+    /// peer never receives a torn frame. Closable as soon as the boundary
+    /// is reached.
     pub fn abort_at_boundary(&mut self) {
         match self.phase {
             Phase::Poisoned => return,
@@ -447,8 +454,13 @@ mod tests {
         m
     }
 
-    fn conn() -> Conn {
-        Conn::new(ConnConfig::default())
+    /// A connection whose records are the sequence numbers they answer.
+    fn conn() -> Conn<u64> {
+        conn_with(ConnConfig::default())
+    }
+
+    fn conn_with(config: ConnConfig) -> Conn<u64> {
+        Conn::new(config)
     }
 
     #[test]
@@ -541,7 +553,7 @@ mod tests {
 
     #[test]
     fn oversized_declared_length_poisons_the_connection() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_frame: 1024,
             ..ConnConfig::default()
         });
@@ -561,7 +573,7 @@ mod tests {
 
     #[test]
     fn oversized_length_after_valid_traffic_still_fatal() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_frame: 64,
             ..ConnConfig::default()
         });
@@ -577,10 +589,10 @@ mod tests {
         let mut c = conn();
         c.on_bytes(&[msg(b"a"), msg(b"b"), msg(b"c")].concat())
             .unwrap();
-        c.push_response(2, msg(b"RC"));
-        c.push_response(1, msg(b"RB"));
+        c.push_response(2, msg(b"RC"), 2);
+        c.push_response(1, msg(b"RB"), 1);
         assert!(c.next_chunk().is_none(), "seq 0 missing: nothing may flush");
-        c.push_response(0, msg(b"RA"));
+        c.push_response(0, msg(b"RA"), 0);
         let mut out = Vec::new();
         while let Some(chunk) = c.next_chunk() {
             let n = chunk.len();
@@ -592,6 +604,93 @@ mod tests {
     }
 
     #[test]
+    fn advance_returns_each_record_as_its_last_byte_is_written() {
+        // Pushed out of order, drained three bytes at a time: each record
+        // comes back exactly with the write that finishes its response,
+        // in request order.
+        let mut c = conn();
+        c.on_bytes(&[msg(b"a"), msg(b"b"), msg(b"c")].concat())
+            .unwrap();
+        let responses = [msg(b"zero"), msg(b"one-one"), msg(b"two")];
+        for seq in [2, 0, 1] {
+            c.push_response(seq, responses[seq as usize].clone(), seq);
+        }
+        let ends: Vec<usize> = responses
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.len();
+                Some(*end)
+            })
+            .collect();
+        let (mut written, mut returned) = (0, Vec::new());
+        while let Some(chunk) = c.next_chunk() {
+            let n = chunk.len().min(3);
+            written += n;
+            if let Some(record) = c.advance(n) {
+                returned.push((record, written));
+            }
+        }
+        assert_eq!(returned, vec![(0, ends[0]), (1, ends[1]), (2, ends[2])]);
+    }
+
+    #[test]
+    fn front_mut_reaches_the_draining_responses_record() {
+        let mut c = conn();
+        c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
+        assert!(c.front_mut().is_none(), "empty outbox");
+        c.push_response(0, msg(b"first"), 0);
+        c.push_response(1, msg(b"second"), 1);
+        *c.front_mut().unwrap() += 100; // a first-write stamp
+        c.advance(2);
+        assert_eq!(c.front_mut().copied(), Some(100), "still mid-frame");
+        let n = c.next_chunk().unwrap().len();
+        assert_eq!(c.advance(n), Some(100), "the stamped record comes back");
+        assert_eq!(c.front_mut().copied(), Some(1));
+    }
+
+    #[test]
+    fn unsolicited_frames_carry_no_record() {
+        let mut c = conn();
+        c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
+        c.push_response(0, msg(b"r0"), 0);
+        c.inject_unsolicited(msg(b"push"));
+        c.push_response(1, msg(b"r1"), 1);
+        let mut returned = Vec::new();
+        while let Some(chunk) = c.next_chunk() {
+            let n = chunk.len();
+            let front = c.front_mut().copied();
+            returned.push((front, c.advance(n)));
+        }
+        assert_eq!(
+            returned,
+            vec![(Some(0), Some(0)), (None, None), (Some(1), Some(1))]
+        );
+    }
+
+    #[test]
+    fn abort_at_boundary_drops_parked_and_queued_records() {
+        use std::rc::Rc;
+        let mut c: Conn<Rc<u64>> = Conn::new(ConnConfig::default());
+        c.on_bytes(&[msg(b"a"), msg(b"b"), msg(b"c"), msg(b"d")].concat())
+            .unwrap();
+        let records: Vec<Rc<u64>> = (0..4).map(Rc::new).collect();
+        for seq in [0, 1, 3] {
+            c.push_response(seq, msg(b"response"), records[seq as usize].clone());
+        }
+        c.advance(2); // response 0 is half on the wire
+        c.abort_at_boundary();
+        let held: Vec<usize> = records.iter().map(Rc::strong_count).collect();
+        assert_eq!(held, vec![2, 1, 1, 1], "only the torn frame's record stays");
+        // A straggler after the abort is dropped with its record.
+        c.push_response(2, msg(b"late"), records[2].clone());
+        assert_eq!(Rc::strong_count(&records[2]), 1);
+        let n = c.next_chunk().unwrap().len();
+        assert_eq!(c.advance(n).as_deref(), Some(&0));
+        assert!(c.closable());
+        assert_eq!(Rc::strong_count(&records[0]), 1);
+    }
+
+    #[test]
     fn answered_before_waits_for_every_earlier_response() {
         let mut c = conn();
         c.on_bytes(&[msg(b"a"), msg(b"b"), msg(b"c")].concat())
@@ -599,9 +698,9 @@ mod tests {
         assert!(c.answered_before(0), "nothing precedes the first request");
         assert!(!c.answered_before(1));
         // An answer parked behind an unanswered predecessor does not count.
-        c.push_response(1, msg(b"RB"));
+        c.push_response(1, msg(b"RB"), 1);
         assert!(!c.answered_before(2));
-        c.push_response(0, msg(b"RA"));
+        c.push_response(0, msg(b"RA"), 0);
         assert!(c.answered_before(2));
         // Released to the outbox is enough; the socket need not drain.
         assert!(c.next_chunk().is_some());
@@ -611,10 +710,10 @@ mod tests {
     fn gap_blocks_later_responses_until_filled() {
         let mut c = conn();
         c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
-        c.push_response(1, msg(b"second"));
+        c.push_response(1, msg(b"second"), 1);
         assert!(c.next_chunk().is_none());
         assert_eq!(c.queued_bytes(), 0, "parked responses are not queued yet");
-        c.push_response(0, msg(b"first"));
+        c.push_response(0, msg(b"first"), 0);
         assert_eq!(c.queued_bytes(), msg(b"first").len() + msg(b"second").len());
     }
 
@@ -623,7 +722,7 @@ mod tests {
         let mut c = conn();
         c.on_bytes(&msg(b"q")).unwrap();
         let resp = msg(b"a-long-response");
-        c.push_response(0, resp.clone());
+        c.push_response(0, resp.clone(), 0);
         assert_eq!(c.queued_bytes(), resp.len());
         let first = c.next_chunk().unwrap().to_vec();
         assert_eq!(first, resp);
@@ -639,13 +738,13 @@ mod tests {
 
     #[test]
     fn backpressure_pauses_reads_until_drained() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             write_budget: 10,
             ..ConnConfig::default()
         });
         c.on_bytes(&msg(b"q")).unwrap();
         assert!(c.wants_read());
-        c.push_response(0, msg(b"12345678901234567890"));
+        c.push_response(0, msg(b"12345678901234567890"), 0);
         assert!(!c.wants_read(), "over budget: reads pause");
         assert!(c.wants_write());
         let n = c.next_chunk().unwrap().len();
@@ -655,14 +754,14 @@ mod tests {
 
     #[test]
     fn max_pipeline_pauses_reads_until_responses_complete() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_pipeline: 2,
             ..ConnConfig::default()
         });
         c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
         assert_eq!(c.in_flight(), 2);
         assert!(!c.wants_read(), "pipeline full");
-        c.push_response(0, msg(b"ra"));
+        c.push_response(0, msg(b"ra"), 0);
         assert_eq!(c.in_flight(), 1);
         assert!(c.wants_read(), "a completion frees a slot");
     }
@@ -673,7 +772,7 @@ mod tests {
         // is answered at once. Parked answers must keep counting against
         // `max_pipeline`, or the connection parses (and parks) without
         // bound, then releases it all into the outbox at once.
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_pipeline: 2,
             write_budget: 10,
             ..ConnConfig::default()
@@ -682,7 +781,7 @@ mod tests {
         let mut ready = c.on_bytes(&wire).unwrap();
         while !ready.is_empty() {
             for inbound in ready.iter().filter(|i| i.seq != 0) {
-                c.push_response(inbound.seq, msg(b"answer"));
+                c.push_response(inbound.seq, msg(b"answer"), inbound.seq);
             }
             ready = c.take_ready().unwrap();
         }
@@ -692,7 +791,7 @@ mod tests {
         assert_eq!(c.queued_bytes(), 0, "nothing is releasable yet");
         assert_eq!(c.buffered_requests(), 48);
         // The head completes: exactly the capped responses land.
-        c.push_response(0, msg(b"answer"));
+        c.push_response(0, msg(b"answer"), 0);
         assert_eq!(c.in_flight(), 0);
         assert_eq!(c.queued_bytes(), 2 * msg(b"answer").len());
     }
@@ -701,11 +800,11 @@ mod tests {
     fn close_after_flush_waits_for_parked_and_queued() {
         let mut c = conn();
         c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
-        c.push_response(1, msg(b"rb"));
+        c.push_response(1, msg(b"rb"), 1);
         c.close_after_flush();
         assert!(c.closing());
         assert!(!c.closable(), "seq 0 still owed");
-        c.push_response(0, msg(b"ra"));
+        c.push_response(0, msg(b"ra"), 0);
         assert!(!c.closable(), "outbox not drained");
         while let Some(chunk) = c.next_chunk() {
             let n = chunk.len();
@@ -718,7 +817,7 @@ mod tests {
     fn abort_with_nothing_written_is_immediately_closable() {
         let mut c = conn();
         c.on_bytes(&msg(b"q")).unwrap();
-        c.push_response(0, msg(b"never-sent"));
+        c.push_response(0, msg(b"never-sent"), 0);
         c.abort_at_boundary();
         assert!(c.closable(), "no bytes on the wire: drop everything");
         assert_eq!(c.queued_bytes(), 0);
@@ -730,8 +829,8 @@ mod tests {
         let mut c = conn();
         c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
         let r0 = msg(b"response-zero");
-        c.push_response(0, r0.clone());
-        c.push_response(1, msg(b"response-one"));
+        c.push_response(0, r0.clone(), 0);
+        c.push_response(1, msg(b"response-one"), 1);
         c.advance(5); // half of r0 is on the wire
         c.abort_at_boundary();
         assert!(!c.closable(), "must finish the torn frame first");
@@ -747,11 +846,11 @@ mod tests {
     fn abort_drops_parked_responses() {
         let mut c = conn();
         c.on_bytes(&[msg(b"a"), msg(b"b")].concat()).unwrap();
-        c.push_response(1, msg(b"parked"));
+        c.push_response(1, msg(b"parked"), 1);
         c.abort_at_boundary();
         assert!(c.closable());
         // A straggler completion after abort is ignored, not queued.
-        c.push_response(0, msg(b"late"));
+        c.push_response(0, msg(b"late"), 0);
         assert!(c.next_chunk().is_none());
         assert!(c.closable());
     }
@@ -761,7 +860,7 @@ mod tests {
         let mut c = conn();
         c.on_bytes(&msg(b"a")).unwrap();
         let r = msg(b"0123456789");
-        c.push_response(0, r.clone());
+        c.push_response(0, r.clone(), 0);
         c.close_after_flush();
         c.advance(4);
         c.abort_at_boundary();
@@ -777,7 +876,7 @@ mod tests {
         assert!(!c.idle(), "partial frame pending");
         c.on_bytes(&[0, 0, 9]).unwrap();
         assert!(!c.idle(), "request in flight");
-        c.push_response(0, msg(b"r"));
+        c.push_response(0, msg(b"r"), 0);
         assert!(!c.idle(), "response queued");
         let n = c.next_chunk().unwrap().len();
         c.advance(n);
@@ -796,13 +895,13 @@ mod tests {
     fn poison_discards_everything() {
         let mut c = conn();
         c.on_bytes(&msg(b"a")).unwrap();
-        c.push_response(0, msg(b"r"));
+        c.push_response(0, msg(b"r"), 0);
         c.advance(2);
         c.poison();
         assert!(c.closable());
         assert!(!c.wants_write());
         assert_eq!(c.queued_bytes(), 0);
-        c.push_response(0, msg(b"late"));
+        c.push_response(0, msg(b"late"), 0);
         assert!(c.next_chunk().is_none());
     }
 
@@ -830,7 +929,7 @@ mod tests {
         c.on_bytes(&msg(b"q")).unwrap();
         c.close_after_flush();
         assert!(!c.closable(), "request still in flight");
-        c.push_response(0, msg(b"r"));
+        c.push_response(0, msg(b"r"), 0);
         assert!(!c.closable(), "response not yet written");
         let n = c.next_chunk().unwrap().len();
         c.advance(n);
@@ -854,7 +953,7 @@ mod tests {
 
     #[test]
     fn parsing_parks_at_the_pipeline_cap_and_resumes() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_pipeline: 2,
             ..ConnConfig::default()
         });
@@ -865,7 +964,7 @@ mod tests {
         assert_eq!(c.buffered_requests(), 3);
         assert!(!c.has_partial_frame(), "parked messages are not a partial");
         // A completed response frees one slot; exactly one parks out.
-        c.push_response(0, msg(b"ra"));
+        c.push_response(0, msg(b"ra"), 0);
         let more = c.take_ready().unwrap();
         assert_eq!(more.len(), 1);
         assert_eq!(more[0].seq, 2);
@@ -875,12 +974,12 @@ mod tests {
 
     #[test]
     fn parsing_parks_while_over_the_write_budget() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             write_budget: 10,
             ..ConnConfig::default()
         });
         c.on_bytes(&msg(b"q")).unwrap();
-        c.push_response(0, msg(b"a-response-past-the-budget"));
+        c.push_response(0, msg(b"a-response-past-the-budget"), 0);
         assert!(c.queued_bytes() > 10);
         // New arrivals park rather than inflate the outbox further.
         let got = c.on_bytes(&[msg(b"x"), msg(b"y")].concat()).unwrap();
@@ -895,7 +994,7 @@ mod tests {
 
     #[test]
     fn partial_tail_is_seen_through_parked_messages() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_pipeline: 1,
             ..ConnConfig::default()
         });
@@ -911,7 +1010,7 @@ mod tests {
     fn draining_waits_for_parked_messages() {
         // A shutdown request with pipelined requests parked behind it:
         // they are owed answers before the connection may close.
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_pipeline: 1,
             ..ConnConfig::default()
         });
@@ -920,13 +1019,13 @@ mod tests {
             1
         );
         c.close_after_flush();
-        c.push_response(0, msg(b"ra"));
+        c.push_response(0, msg(b"ra"), 0);
         let n = c.next_chunk().unwrap().len();
         c.advance(n);
         assert!(!c.closable(), "a parked request is still owed an answer");
         let rest = c.take_ready().unwrap();
         assert_eq!(rest.len(), 1);
-        c.push_response(1, msg(b"rb"));
+        c.push_response(1, msg(b"rb"), 1);
         let n = c.next_chunk().unwrap().len();
         c.advance(n);
         assert!(c.closable());
@@ -934,7 +1033,7 @@ mod tests {
 
     #[test]
     fn take_ready_yields_nothing_after_abort_or_poison() {
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             max_pipeline: 1,
             ..ConnConfig::default()
         });
@@ -950,12 +1049,12 @@ mod tests {
     #[test]
     fn exact_budget_boundary_still_reads() {
         // The budget is inclusive: pausing starts strictly above it.
-        let mut c = Conn::new(ConnConfig {
+        let mut c = conn_with(ConnConfig {
             write_budget: 9,
             ..ConnConfig::default()
         });
         c.on_bytes(&msg(b"q")).unwrap();
-        c.push_response(0, msg(b"12345")); // 4 + 5 = 9 bytes queued
+        c.push_response(0, msg(b"12345"), 0); // 4 + 5 = 9 bytes queued
         assert_eq!(c.queued_bytes(), 9);
         assert!(c.wants_read());
     }

@@ -13,8 +13,11 @@
 //!
 //! Records are concatenated with nothing between them. Reading stops at
 //! the first record that is incomplete or fails its checksum — the torn
-//! tail of an append a crash interrupted, which was never acknowledged.
-//! A checksummed record that does not decode is corruption and an error.
+//! tail of an append a crash interrupted, which was never acknowledged —
+//! provided no whole record follows it. There is one appender and it syncs
+//! before acknowledging, so a crash tears only the last append: a whole
+//! record after a bad one proves the bad one damaged, not torn, and that
+//! is an error, as is a checksummed record that does not decode.
 //! What counts a record as live or dead is the store's rule
 //! ([`crate::Store::open`]); this module only frames, appends, reads and
 //! rewrites.
@@ -197,8 +200,7 @@ impl LogReader {
         // The declared length is trusted only as far as the file reaches,
         // so a torn header can never drive a large allocation.
         let Some(total) = total.filter(|&t| header[..4] == MAGIC && t <= rest) else {
-            self.input = None;
-            return Ok(None);
+            return self.end("bad magic or length");
         };
         let mut bytes = vec![0u8; total as usize];
         bytes[..HEADER_LEN].copy_from_slice(&header);
@@ -210,13 +212,64 @@ impl LogReader {
                 self.valid += total;
                 Ok(Some(record))
             }
-            Err(CodecError::ChecksumMismatch) => {
-                self.input = None;
-                Ok(None)
-            }
+            Err(CodecError::ChecksumMismatch) => self.end("checksum mismatch"),
             Err(e) => Err(LogError::Corrupt(self.valid, e)),
         }
     }
+
+    /// Ends the log at the record at `valid_len`, which failed for `why`:
+    /// a torn tail when no whole record follows it, corruption otherwise.
+    fn end(&mut self, why: &str) -> Result<Option<LogRecord>, LogError> {
+        let Some(input) = self.input.take() else {
+            return Ok(None);
+        };
+        match record_after(input.get_ref(), self.valid + 1, self.len).map_err(LogError::Io)? {
+            None => Ok(None),
+            Some(next) => Err(LogError::Corrupt(
+                self.valid,
+                CodecError::Invalid(format!("{why}, but a whole record follows at byte {next}")),
+            )),
+        }
+    }
+}
+
+/// The offset of the first whole log record (magic, length, checksum and
+/// tag [`proto::TAG_LOG_RECORD`]) that starts in `file` at or after `from`
+/// and ends by `len`. A torn record can hold a complete batch frame, whose
+/// tag differs, so that never counts. Streams the file in chunks, so a
+/// scan over a long log holds no more than one chunk and one candidate.
+fn record_after(file: &File, from: u64, len: u64) -> io::Result<Option<u64>> {
+    const CHUNK: usize = 64 * 1024;
+    let min = (HEADER_LEN + TRAILER_LEN) as u64;
+    let mut chunk = vec![0u8; CHUNK];
+    let mut at = from;
+    while at + min <= len {
+        let n = usize::try_from(len - at).map_or(CHUNK, |rest| rest.min(CHUNK));
+        file.read_exact_at(&mut chunk[..n], at)?;
+        for i in (0..n + 1 - MAGIC.len()).filter(|&i| chunk[i..i + MAGIC.len()] == MAGIC) {
+            let start = at + i as u64;
+            if start + min > len {
+                return Ok(None);
+            }
+            let mut header = [0u8; HEADER_LEN];
+            file.read_exact_at(&mut header, start)?;
+            let tag = u16::from_le_bytes([header[6], header[7]]);
+            let body = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+            let fits = body.checked_add(min).filter(|&t| t <= len - start);
+            let Some(total) = fits.filter(|_| tag == proto::TAG_LOG_RECORD) else {
+                continue;
+            };
+            let mut bytes = vec![0u8; total as usize];
+            file.read_exact_at(&mut bytes, start)?;
+            if open_frame(&bytes).is_ok_and(|f| f.kind == proto::TAG_LOG_RECORD) {
+                return Ok(Some(start));
+            }
+        }
+        // Overlap by all but one magic byte, so a magic split across two
+        // chunks is still seen, and none is seen twice.
+        at += (n + 1 - MAGIC.len()) as u64;
+    }
+    Ok(None)
 }
 
 /// Why a log could not be read.
@@ -224,7 +277,9 @@ impl LogReader {
 pub enum LogError {
     /// The file could not be read.
     Io(io::Error),
-    /// A checksummed record at this offset does not decode.
+    /// The record at this offset is damaged: it passes its checksum but
+    /// does not decode, or it fails its checksum (or framing) and a whole
+    /// record follows it, so it cannot be a torn tail.
     Corrupt(u64, CodecError),
 }
 

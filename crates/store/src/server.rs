@@ -37,6 +37,16 @@
 //! order, and the connection's outbox releases responses strictly in
 //! sequence order.
 //!
+//! ## One record per request
+//!
+//! Dispatch builds one record per request (`ReqTrace`: its sequence
+//! number, tag, admission charge, slow-log metadata, and stage clock). The
+//! record moves, never copied, with the request: to a worker and back in
+//! the job and its completion, then into the connection's outbox beside
+//! the response's bytes, where the flush that writes the last byte
+//! finishes it into the per-tag stage histograms. Watch evaluations and
+//! lifecycle passes answer no request and carry no record.
+//!
 //! ## Backpressure, shedding, admission
 //!
 //! * A connection whose unwritten responses exceed `write_budget` stops
@@ -83,7 +93,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -123,9 +133,10 @@ pub struct ServerConfig {
     /// Per-dataset cap on in-flight requests across all connections
     /// (`0`: unlimited). Excess requests are answered `BUSY`.
     pub dataset_inflight: usize,
-    /// Log (at `warn`) any request whose end-to-end time — first byte read
-    /// to last byte flushed — reaches this threshold, with its per-stage
-    /// breakdown, dataset, and canonical query bytes (`None`: disabled).
+    /// Log (at `warn`) any request whose end-to-end time — the sum of its
+    /// stages, from parsing to the last byte flushed — reaches this
+    /// threshold, with its per-stage breakdown, dataset, and canonical
+    /// query bytes (`None`: disabled).
     pub slow_query: Option<Duration>,
     /// Per-connection cap on live watch subscriptions; registrations
     /// beyond it are answered with an error.
@@ -231,10 +242,20 @@ impl MetricCells {
 }
 
 /// Stage names of the per-request clock, in pipeline order. Every request
-/// is timed through all six; inline answers (ping, protocol errors) simply
+/// is timed through all five; inline answers (ping, protocol errors) simply
 /// record zero for `queue` and `work`, and a cache hit answered on the loop
 /// records zero `queue` and its probe (plus encoding) as `work`.
-const STAGES: [&str; 6] = ["read", "parse", "queue", "work", "queued", "flush"];
+const STAGES: [&str; 5] = ["parse", "queue", "work", "queued", "flush"];
+/// Decoding the frame, on the loop.
+const PARSE: usize = 0;
+/// Waiting in the job channel for a worker.
+const QUEUE: usize = 1;
+/// Answering on the worker (or the loop, for a cache hit).
+const WORK: usize = 2;
+/// In the outbox, until the response's first byte reaches the socket.
+const QUEUED: usize = 3;
+/// From the first byte written to the last.
+const FLUSH: usize = 4;
 
 /// Request tags used as metric labels. `invalid` is undecodable frames.
 const TAGS: [&str; 13] = [
@@ -270,17 +291,13 @@ fn request_tag(req: &Request) -> &'static str {
     }
 }
 
-fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// Pre-resolved per-tag request metrics: one completion counter, one
 /// end-to-end histogram, and one histogram per stage. Resolved once at
 /// startup so the hot path never touches the registry lock.
 struct TagCells {
     completed: Arc<ObsCounter>,
     total_ns: Arc<ObsHistogram>,
-    stage_ns: [Arc<ObsHistogram>; 6],
+    stage_ns: [Arc<ObsHistogram>; STAGES.len()],
 }
 
 struct RequestObs {
@@ -347,34 +364,42 @@ impl SlowMeta {
     }
 }
 
-/// One request's stage clock, parked in its connection until the response
-/// is fully flushed. The end-to-end time is **defined** as the sum of the
-/// six stages — no `Instant` subtraction across threads.
+/// One request's record, from dispatch to the flush of its last byte (see
+/// the module docs). The end-to-end time is **defined** as the sum of the
+/// five stages — no `Instant` subtraction across threads.
 struct ReqTrace {
+    /// The connection-local sequence number the response answers.
+    seq: u64,
     tag: &'static str,
-    read_ns: u64,
-    parse_ns: u64,
-    queue_ns: u64,
-    work_ns: u64,
-    /// When the response entered the outbox (starts the `queued` stage).
-    t_queued: Instant,
-    /// When its first byte reached the socket (starts the `flush` stage).
-    t_first_write: Option<Instant>,
+    /// The dataset charged for admission control: `None` unless
+    /// `dataset_inflight` is on and the request names a dataset.
+    dataset: Option<String>,
+    /// Stage times so far, in [`STAGES`] order (0 for a stage not run).
+    stage_ns: [u64; STAGES.len()],
+    /// When the running stage started.
+    since: Instant,
     slow: Option<SlowMeta>,
 }
 
 impl ReqTrace {
-    fn inline(tag: &'static str, read_ns: u64, parse_ns: u64) -> ReqTrace {
+    /// The record of request `seq`, whose `parse` stage starts now. The
+    /// tag stays `invalid` until the frame decodes.
+    fn start(seq: u64) -> ReqTrace {
         ReqTrace {
-            tag,
-            read_ns,
-            parse_ns,
-            queue_ns: 0,
-            work_ns: 0,
-            t_queued: Instant::now(),
-            t_first_write: None,
+            seq,
+            tag: "invalid",
+            dataset: None,
+            stage_ns: [0; STAGES.len()],
+            since: Instant::now(),
             slow: None,
         }
+    }
+
+    /// Ends `stage` at `now`; the next stage starts.
+    fn lap(&mut self, stage: usize, now: Instant) {
+        let ns = now.saturating_duration_since(self.since).as_nanos();
+        self.stage_ns[stage] = u64::try_from(ns).unwrap_or(u64::MAX);
+        self.since = now;
     }
 }
 
@@ -405,22 +430,28 @@ enum Work {
 /// What the event loop hands a worker.
 struct Job {
     token: u64,
-    seq: u64,
-    dataset: Option<String>,
     work: Work,
-    tag: &'static str,
-    read_ns: u64,
-    parse_ns: u64,
-    /// When the loop queued the job (starts the `queue` stage).
-    t_dispatched: Instant,
+    /// The record of the request the job answers, its `queue` stage
+    /// running: `Some` for [`Work::Req`] and [`Work::WatchRegister`], `None`
+    /// for the jobs that answer no request.
+    trace: Option<ReqTrace>,
 }
 
-/// How a completion's message (if any) reaches the peer.
+/// What a job produced, and how it reaches the peer.
 enum Delivery {
-    /// Sequenced response through the connection's ordered outbox.
-    Response { seq: u64 },
-    /// Unsolicited push for a watch, injected if it is still registered.
-    Push { watch_id: u64 },
+    /// The response to the completion's request, through the connection's
+    /// ordered outbox.
+    Response(Vec<u8>),
+    /// The response to a watch registration (same path), and the watch to
+    /// install when it validated. Either way the registration stops
+    /// counting as pending.
+    WatchRegistered(Vec<u8>, Option<(u64, Arc<WatchSpec>)>),
+    /// Unsolicited push for a watch, injected if it is still registered
+    /// (`None`: the evaluation failed; nothing to send).
+    Push {
+        watch_id: u64,
+        message: Option<Vec<u8>>,
+    },
     /// No peer at all: a lifecycle pass finished.
     Lifecycle,
 }
@@ -429,20 +460,11 @@ enum Delivery {
 struct Completion {
     token: u64,
     delivery: Delivery,
-    dataset: Option<String>,
-    /// `None`: nothing to write (lifecycle, or a watch eval that errored).
-    message: Option<Vec<u8>>,
-    tag: &'static str,
-    read_ns: u64,
-    parse_ns: u64,
-    queue_ns: u64,
-    work_ns: u64,
-    slow: Option<SlowMeta>,
+    /// The job's record, its `queue` and `work` stages stamped.
+    trace: Option<ReqTrace>,
     /// A successful ingest sealed into this `(dataset, kind tag)` series —
     /// the loop re-evaluates matching watches.
     ingested: Option<(String, u16)>,
-    /// A validated watch registration for the loop to install.
-    register_watch: Option<(u64, Arc<WatchSpec>)>,
 }
 
 /// The canonical query bytes of a request, hex-encoded for the slow-query
@@ -547,29 +569,22 @@ impl Server {
                         let job = job_rx.lock().expect("worker queue lock").recv();
                         let Ok(Job {
                             token,
-                            seq,
-                            dataset,
                             work,
-                            tag,
-                            read_ns,
-                            parse_ns,
-                            t_dispatched,
+                            mut trace,
                         }) = job
                         else {
                             return; // loop gone, queue drained
                         };
-                        let work_started = Instant::now();
-                        let queue_ns = u64::try_from((work_started - t_dispatched).as_nanos())
-                            .unwrap_or(u64::MAX);
-                        let mut slow = None;
+                        if let Some(trace) = &mut trace {
+                            trace.lap(QUEUE, Instant::now());
+                        }
                         let mut ingested = None;
-                        let mut register_watch = None;
-                        let (delivery, message) = match work {
+                        let delivery = match work {
                             Work::Req(req) => {
                                 // Slow-log metadata is captured up front:
                                 // whether the request turns out slow is only
                                 // known after the flush, when `req` is gone.
-                                slow = slow_enabled.then(|| SlowMeta::of(&req));
+                                let mut slow = slow_enabled.then(|| SlowMeta::of(&req));
                                 let response = match req {
                                     Request::Ingest { dataset, ts, frame } => {
                                         let (response, series) =
@@ -582,10 +597,10 @@ impl Server {
                                 if let Some(meta) = &mut slow {
                                     meta.answered(&response);
                                 }
-                                (
-                                    Delivery::Response { seq },
-                                    Some(to_message(&encode_response(&response))),
-                                )
+                                if let Some(trace) = &mut trace {
+                                    trace.slow = slow;
+                                }
+                                Delivery::Response(to_message(&encode_response(&response)))
                             }
                             Work::WatchRegister { watch_id, spec } => {
                                 // Validate by answering once: a query the
@@ -595,26 +610,26 @@ impl Server {
                                 // empty dataset is fine — data may arrive —
                                 // but an *invalid* name never can, since
                                 // ingest would have refused it.
-                                let response = match crate::window::check_dataset(&spec.dataset)
-                                    .map_err(crate::StoreError::BadRequest)
-                                    .and_then(|()| {
-                                        store.estimate_with_coverage(
-                                            &spec.dataset,
-                                            spec.kind,
-                                            &spec.query,
-                                            spec.confidence,
-                                            spec.time,
-                                        )
-                                    }) {
-                                    Err(e) => Response::Err(e.to_string()),
-                                    Ok(_) => {
-                                        register_watch = Some((watch_id, spec));
-                                        Response::Watch { watch_id }
-                                    }
-                                };
-                                (
-                                    Delivery::Response { seq },
-                                    Some(to_message(&encode_response(&response))),
+                                let (response, watch) =
+                                    match crate::window::check_dataset(&spec.dataset)
+                                        .map_err(crate::StoreError::BadRequest)
+                                        .and_then(|()| {
+                                            store.estimate_with_coverage(
+                                                &spec.dataset,
+                                                spec.kind,
+                                                &spec.query,
+                                                spec.confidence,
+                                                spec.time,
+                                            )
+                                        }) {
+                                        Err(e) => (Response::Err(e.to_string()), None),
+                                        Ok(_) => {
+                                            (Response::Watch { watch_id }, Some((watch_id, spec)))
+                                        }
+                                    };
+                                Delivery::WatchRegistered(
+                                    to_message(&encode_response(&response)),
+                                    watch,
                                 )
                             }
                             Work::WatchEval { watch_id, spec } => {
@@ -639,30 +654,24 @@ impl Server {
                                         })))
                                     }
                                 };
-                                (Delivery::Push { watch_id }, message)
+                                Delivery::Push { watch_id, message }
                             }
                             Work::Lifecycle => {
                                 if let Err(e) = store.lifecycle_tick() {
                                     slog!(LogLevel::Warn, "lifecycle_tick_failed", err = e);
                                 }
-                                (Delivery::Lifecycle, None)
+                                Delivery::Lifecycle
                             }
                         };
-                        let work_ns = elapsed_ns(work_started);
+                        if let Some(trace) = &mut trace {
+                            trace.lap(WORK, Instant::now());
+                        }
                         if done_tx
                             .send(Completion {
                                 token,
                                 delivery,
-                                dataset,
-                                message,
-                                tag,
-                                read_ns,
-                                parse_ns,
-                                queue_ns,
-                                work_ns,
-                                slow,
+                                trace,
                                 ingested,
-                                register_watch,
                             })
                             .is_err()
                         {
@@ -807,7 +816,8 @@ struct WatchState {
 /// One served connection inside the loop.
 struct ConnEntry {
     stream: TcpStream,
-    conn: Conn,
+    /// Each sequenced response travels with its request's record.
+    conn: Conn<ReqTrace>,
     /// When the currently incomplete inbound message started (read
     /// timeout anchor).
     frame_started: Option<Instant>,
@@ -815,9 +825,6 @@ struct ConnEntry {
     last_activity: Instant,
     /// The peer half-closed its write side; no more requests will arrive.
     peer_done: bool,
-    /// Stage clocks of requests whose responses are not yet fully
-    /// flushed, by sequence number. Bounded by `max_pipeline`.
-    traces: HashMap<u64, ReqTrace>,
     /// Live watch subscriptions. A non-empty list exempts the connection
     /// from the idle timeout. Bounded by `max_watches_per_conn`.
     watches: Vec<WatchState>,
@@ -827,14 +834,13 @@ struct ConnEntry {
 }
 
 impl ConnEntry {
-    fn new(stream: TcpStream, conn: Conn, peer_done: bool) -> ConnEntry {
+    fn new(stream: TcpStream, conn: Conn<ReqTrace>, peer_done: bool) -> ConnEntry {
         ConnEntry {
             stream,
             conn,
             frame_started: None,
             last_activity: Instant::now(),
             peer_done,
-            traces: HashMap::new(),
             watches: Vec::new(),
             pending_watches: 0,
         }
@@ -1058,13 +1064,8 @@ impl EventLoop {
         }
         let job = Job {
             token: LISTENER_TOKEN, // no connection
-            seq: 0,
-            dataset: None,
             work: Work::Lifecycle,
-            tag: "invalid", // never recorded: lifecycle has no trace
-            read_ns: 0,
-            parse_ns: 0,
-            t_dispatched: Instant::now(),
+            trace: None,
         };
         if self.job_tx.send(job).is_ok() {
             self.lifecycle_inflight = true;
@@ -1186,7 +1187,7 @@ impl EventLoop {
         }
         let mut frames = Vec::new();
         // Scoped so the `conns` borrow ends before drop_conn/dispatch.
-        let (fate, read_anchor) = {
+        let fate = {
             let Some(entry) = self.conns.get_mut(&token) else {
                 return;
             };
@@ -1199,10 +1200,6 @@ impl EventLoop {
                 self.lobs.backpressure_stalls.inc();
                 return;
             }
-            // Anchor for the `read` stage: if a partial message was
-            // already pending, the first frame completed by this pass has
-            // been arriving since then. Later frames rode the same burst.
-            let read_anchor = entry.frame_started;
             let mut total = 0usize;
             let mut eof = false;
             let mut fate = Fate::Keep;
@@ -1264,7 +1261,7 @@ impl EventLoop {
                     entry.conn.close_after_flush();
                 }
             }
-            (fate, read_anchor)
+            fate
         };
         match fate {
             Fate::Protocol => {
@@ -1278,10 +1275,8 @@ impl EventLoop {
             }
             Fate::Keep => {}
         }
-        let mut read_ns = read_anchor.map_or(0, elapsed_ns);
         for inbound in frames {
-            self.dispatch(token, inbound.seq, &inbound.frame, read_ns);
-            read_ns = 0;
+            self.dispatch(token, inbound.seq, &inbound.frame);
         }
         self.pump(token);
         self.flush_conn(token);
@@ -1311,154 +1306,126 @@ impl EventLoop {
                 return;
             }
             for inbound in ready {
-                // Parked frames were fully buffered long ago; their read
-                // time is indistinguishable from the park, charge zero.
-                self.dispatch(token, inbound.seq, &inbound.frame, 0);
+                self.dispatch(token, inbound.seq, &inbound.frame);
             }
         }
     }
 
-    /// Routes one decoded request: inline answers (cache hits included) on
-    /// the loop, store work to the pool, BUSY under admission control.
-    /// `read_ns` is the time the request's bytes spent arriving (zero when
-    /// it rode a burst).
-    fn dispatch(&mut self, token: u64, seq: u64, frame: &[u8], read_ns: u64) {
-        let parse_started = Instant::now();
+    /// Routes one request: inline answers (cache hits included) on the
+    /// loop, store work to the pool, BUSY under admission control. The
+    /// request's record starts here and travels with it to its flush.
+    fn dispatch(&mut self, token: u64, seq: u64, frame: &[u8]) {
+        let mut trace = ReqTrace::start(seq);
         let decoded = decode_request(frame);
-        let parse_ns = elapsed_ns(parse_started);
-        // Inline answers start their stage clock here: queue and work are
-        // zero by definition (no worker involved).
-        let respond_inline =
-            |loop_: &mut Self, token: u64, seq: u64, tag: &'static str, resp: &Response| {
-                if let Some(entry) = loop_.conns.get_mut(&token) {
-                    entry
-                        .conn
-                        .push_response(seq, to_message(&encode_response(resp)));
-                    entry
-                        .traces
-                        .insert(seq, ReqTrace::inline(tag, read_ns, parse_ns));
-                }
-            };
-        match decoded {
+        trace.lap(PARSE, Instant::now());
+        let req = match decoded {
+            Ok(req) => req,
             Err(e) => {
                 // Bad frame, sound framing: answer and keep the
                 // connection (matches the blocking server's contract).
-                respond_inline(
-                    self,
-                    token,
-                    seq,
-                    "invalid",
-                    &Response::Err(format!("bad request: {e}")),
-                );
+                let resp = Response::Err(format!("bad request: {e}"));
+                return self.respond_inline(token, trace, &resp);
             }
-            Ok(Request::Ping) => {
-                respond_inline(self, token, seq, "ping", &Response::Pong);
-            }
-            Ok(Request::Shutdown) => {
-                respond_inline(self, token, seq, "shutdown", &Response::Shutdown);
+        };
+        trace.tag = request_tag(&req);
+        match req {
+            Request::Ping => return self.respond_inline(token, trace, &Response::Pong),
+            Request::Shutdown => {
+                self.respond_inline(token, trace, &Response::Shutdown);
                 if let Some(entry) = self.conns.get_mut(&token) {
                     entry.conn.close_after_flush();
                 }
-                self.shared.begin_shutdown();
+                return self.shared.begin_shutdown();
             }
-            Ok(req) => {
-                // Before admission control: a hit never occupies a worker,
-                // so it is never shed.
-                if self.answer_cached(token, seq, frame, &req, read_ns, parse_ns) {
-                    return;
-                }
-                let tag = request_tag(&req);
-                let dataset = request_dataset(&req).map(str::to_string);
-                if let (Some(ds), cap @ 1..) = (&dataset, self.config.dataset_inflight) {
-                    let inflight = self.dataset_inflight.get(ds).copied().unwrap_or(0);
-                    if inflight >= cap {
-                        self.shared.metrics.shed_requests.inc();
-                        respond_inline(
-                            self,
-                            token,
-                            seq,
-                            tag,
-                            &Response::Busy(format!(
-                                "dataset '{ds}' at its admission limit ({cap} in flight)"
-                            )),
-                        );
-                        return;
-                    }
-                }
-                // Watch registrations turn into connection state; the cap
-                // is checked here, on the loop, counting registrations
-                // still in flight so a pipelined burst cannot overshoot.
-                let work = if let Request::Watch {
+            _ => {}
+        }
+        // Before admission control: a hit never occupies a worker, so it is
+        // never shed.
+        if let Some(message) = self.answer_cached(token, frame, &req, &mut trace) {
+            return self.respond(token, message, trace);
+        }
+        let cap = self.config.dataset_inflight;
+        if let (Some(ds), 1..) = (request_dataset(&req), cap) {
+            if self.dataset_inflight.get(ds).copied().unwrap_or(0) >= cap {
+                self.shared.metrics.shed_requests.inc();
+                let resp = Response::Busy(format!(
+                    "dataset '{ds}' at its admission limit ({cap} in flight)"
+                ));
+                return self.respond_inline(token, trace, &resp);
+            }
+            trace.dataset = Some(ds.to_string());
+        }
+        // Watch registrations turn into connection state; the cap is
+        // checked here, on the loop, counting registrations still in
+        // flight so a pipelined burst cannot overshoot.
+        let work = if let Request::Watch {
+            dataset: ds,
+            kind,
+            query,
+            confidence,
+            time,
+        } = req
+        {
+            let cap = self.config.max_watches_per_conn;
+            let over = self
+                .conns
+                .get(&token)
+                .map(|e| e.watches.len() + e.pending_watches >= cap)
+                .unwrap_or(true);
+            if over {
+                let resp = Response::Err(format!("watch limit reached ({cap} per connection)"));
+                return self.respond_inline(token, trace, &resp);
+            }
+            let watch_id = self.next_watch_id;
+            self.next_watch_id += 1;
+            if let Some(entry) = self.conns.get_mut(&token) {
+                entry.pending_watches += 1;
+            }
+            Work::WatchRegister {
+                watch_id,
+                spec: Arc::new(WatchSpec {
                     dataset: ds,
                     kind,
                     query,
                     confidence,
                     time,
-                } = req
-                {
-                    let cap = self.config.max_watches_per_conn;
-                    let over = self
-                        .conns
-                        .get(&token)
-                        .map(|e| e.watches.len() + e.pending_watches >= cap)
-                        .unwrap_or(true);
-                    if over {
-                        respond_inline(
-                            self,
-                            token,
-                            seq,
-                            tag,
-                            &Response::Err(format!("watch limit reached ({cap} per connection)")),
-                        );
-                        return;
-                    }
-                    let watch_id = self.next_watch_id;
-                    self.next_watch_id += 1;
-                    if let Some(entry) = self.conns.get_mut(&token) {
-                        entry.pending_watches += 1;
-                    }
-                    Work::WatchRegister {
-                        watch_id,
-                        spec: Arc::new(WatchSpec {
-                            dataset: ds,
-                            kind,
-                            query,
-                            confidence,
-                            time,
-                        }),
-                    }
-                } else {
-                    Work::Req(req)
-                };
-                if let Some(ds) = &dataset {
-                    *self.dataset_inflight.entry(ds.clone()).or_insert(0) += 1;
-                }
-                self.shared.metrics.requests.inc();
-                if self
-                    .job_tx
-                    .send(Job {
-                        token,
-                        seq,
-                        dataset,
-                        work,
-                        tag,
-                        read_ns,
-                        parse_ns,
-                        t_dispatched: Instant::now(),
-                    })
-                    .is_err()
-                {
-                    // Workers gone (shutdown race): answer what we can.
-                    respond_inline(
-                        self,
-                        token,
-                        seq,
-                        tag,
-                        &Response::Err("server stopping".into()),
-                    );
-                }
+                }),
             }
+        } else {
+            Work::Req(req)
+        };
+        if let Some(ds) = &trace.dataset {
+            *self.dataset_inflight.entry(ds.clone()).or_insert(0) += 1;
         }
+        self.shared.metrics.requests.inc();
+        trace.since = Instant::now(); // the `queue` stage starts
+        let job = Job {
+            token,
+            work,
+            trace: Some(trace),
+        };
+        if let Err(SendError(Job {
+            trace: Some(trace), ..
+        })) = self.job_tx.send(job)
+        {
+            // Workers gone (shutdown race): answer what we can.
+            self.respond_inline(token, trace, &Response::Err("server stopping".into()));
+        }
+    }
+
+    /// Queues `message` as the response to the request `trace` records;
+    /// its `queued` stage starts now.
+    fn respond(&mut self, token: u64, message: Vec<u8>, mut trace: ReqTrace) {
+        if let Some(entry) = self.conns.get_mut(&token) {
+            trace.since = Instant::now();
+            entry.conn.push_response(trace.seq, message, trace);
+        }
+    }
+
+    /// Answers the request `trace` records right here on the loop: its
+    /// `queue` and `work` stages stay zero.
+    fn respond_inline(&mut self, token: u64, trace: ReqTrace, resp: &Response) {
+        self.respond(token, to_message(&encode_response(resp)), trace);
     }
 
     /// Answers a `REQ_ESTIMATE` or `REQ_QUERY` whose answer is cached,
@@ -1466,56 +1433,40 @@ impl EventLoop {
     /// through [`estimate_response`]). Probes only when every earlier
     /// request on the connection has been answered, so the hit cannot
     /// overtake an ingest pipelined ahead of it, and only for a frame
-    /// seen before (see [`SeenFrames`]). Returns whether the request was
-    /// answered; a miss, or any other request, is left for the worker
-    /// pool.
+    /// seen before (see [`SeenFrames`]). Returns the response message, the
+    /// probe timed as `trace`'s `work` stage; a miss, or any other
+    /// request, returns `None` and is left for the worker pool.
     fn answer_cached(
         &mut self,
         token: u64,
-        seq: u64,
         frame: &[u8],
         req: &Request,
-        read_ns: u64,
-        parse_ns: u64,
-    ) -> bool {
+        trace: &mut ReqTrace,
+    ) -> Option<Vec<u8>> {
         if !matches!(req, Request::Query { .. } | Request::Estimate { .. }) {
-            return false;
+            return None;
         }
-        let Some(entry) = self.conns.get_mut(&token) else {
-            return false;
-        };
-        if !entry.conn.answered_before(seq) {
-            return false;
+        if !self.conns.get(&token)?.conn.answered_before(trace.seq) {
+            return None;
         }
-        let started = Instant::now();
+        trace.since = Instant::now();
         if !self.seen_frames.saw(frame) {
-            return false;
+            return None;
         }
         let store = &self.store;
-        let Some(response) = estimate_response(req, |dataset, kind, query, confidence, time| {
+        let response = estimate_response(req, |dataset, kind, query, confidence, time| {
             store
                 .cached_estimate(dataset, kind, query, confidence, time)
                 .map(Ok)
-        }) else {
-            return false;
-        };
+        })?;
         let message = to_message(&encode_response(&response));
-        let work_ns = elapsed_ns(started);
-        let slow = self.config.slow_query.is_some().then(|| {
+        trace.lap(WORK, Instant::now());
+        if self.config.slow_query.is_some() {
             let mut meta = SlowMeta::of(req);
             meta.answered(&response);
-            meta
-        });
-        entry.conn.push_response(seq, message);
-        entry.traces.insert(
-            seq,
-            ReqTrace {
-                work_ns,
-                slow,
-                ..ReqTrace::inline(request_tag(req), read_ns, parse_ns)
-            },
-        );
-        true
+            trace.slow = Some(meta);
+        }
+        Some(message)
     }
 
     fn drain_completions(&mut self) {
@@ -1523,7 +1474,7 @@ impl EventLoop {
             match self.done_rx.try_recv() {
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return,
                 Ok(done) => {
-                    if let Some(ds) = &done.dataset {
+                    if let Some(ds) = done.trace.as_ref().and_then(|t| t.dataset.as_deref()) {
                         if let Some(n) = self.dataset_inflight.get_mut(ds) {
                             *n -= 1;
                             if *n == 0 {
@@ -1538,15 +1489,16 @@ impl EventLoop {
                             self.lifecycle_inflight = false;
                             self.last_lifecycle = Instant::now();
                         }
-                        Delivery::Push { watch_id } => {
-                            self.deliver_push(done.token, watch_id, done.message);
+                        Delivery::Push { watch_id, message } => {
+                            self.deliver_push(done.token, watch_id, message);
                         }
-                        Delivery::Response { seq } => {
+                        Delivery::Response(message) => {
+                            self.deliver_response(done.token, message, done.trace);
+                        }
+                        Delivery::WatchRegistered(message, watch) => {
                             if let Some(entry) = self.conns.get_mut(&done.token) {
-                                if done.tag == "watch" {
-                                    entry.pending_watches = entry.pending_watches.saturating_sub(1);
-                                }
-                                if let Some((id, spec)) = done.register_watch {
+                                entry.pending_watches = entry.pending_watches.saturating_sub(1);
+                                if let Some((id, spec)) = watch {
                                     entry.watches.push(WatchState {
                                         id,
                                         spec,
@@ -1554,30 +1506,8 @@ impl EventLoop {
                                         dirty: false,
                                     });
                                 }
-                                if let Some(message) = done.message {
-                                    entry.conn.push_response(seq, message);
-                                }
-                                entry.traces.insert(
-                                    seq,
-                                    ReqTrace {
-                                        tag: done.tag,
-                                        read_ns: done.read_ns,
-                                        parse_ns: done.parse_ns,
-                                        queue_ns: done.queue_ns,
-                                        work_ns: done.work_ns,
-                                        t_queued: Instant::now(),
-                                        t_first_write: None,
-                                        slow: done.slow,
-                                    },
-                                );
                             }
-                            // The completion freed a pipeline slot (and
-                            // flushing may free budget): release parked
-                            // messages.
-                            self.pump(done.token);
-                            self.flush_conn(done.token);
-                            self.pump(done.token);
-                            self.maybe_close(done.token);
+                            self.deliver_response(done.token, message, done.trace);
                         }
                     }
                     // A sealed ingest re-evaluates every watch on its
@@ -1589,6 +1519,19 @@ impl EventLoop {
                 }
             }
         }
+    }
+
+    /// Queues a worker's response with its request's record, then
+    /// releases what the completion freed: a pipeline slot, and (once
+    /// flushed) write budget, both of which let parked messages out.
+    fn deliver_response(&mut self, token: u64, message: Vec<u8>, trace: Option<ReqTrace>) {
+        if let Some(trace) = trace {
+            self.respond(token, message, trace);
+        }
+        self.pump(token);
+        self.flush_conn(token);
+        self.pump(token);
+        self.maybe_close(token);
     }
 
     /// Lands one watch evaluation: inject the push if the subscription
@@ -1639,13 +1582,8 @@ impl EventLoop {
             .job_tx
             .send(Job {
                 token,
-                seq: 0,
-                dataset: None, // pushes bypass per-dataset admission
                 work: Work::WatchEval { watch_id, spec },
-                tag: "watch",
-                read_ns: 0,
-                parse_ns: 0,
-                t_dispatched: Instant::now(),
+                trace: None, // no request, and no per-dataset admission
             })
             .is_ok();
         if sent {
@@ -1681,8 +1619,9 @@ impl EventLoop {
         }
     }
 
-    /// Writes as much of the outbox as the socket accepts. Completed
-    /// messages close their request's stage clock (the `flushed` stamp).
+    /// Writes as much of the outbox as the socket accepts. A response's
+    /// first write ends its record's `queued` stage; the write of its last
+    /// byte hands the record back to be finished.
     fn flush_conn(&mut self, token: u64) {
         let mut finished: Vec<ReqTrace> = Vec::new();
         let dead = {
@@ -1691,7 +1630,7 @@ impl EventLoop {
             };
             let mut dead = false;
             while let Some(chunk) = entry.conn.next_chunk() {
-                let front = entry.conn.front_seq();
+                let first_write = !entry.conn.mid_frame();
                 match entry.stream.write(chunk) {
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1702,15 +1641,11 @@ impl EventLoop {
                     Ok(0) => break,
                     Ok(n) => {
                         let now = Instant::now();
-                        if let Some(trace) = front.and_then(|s| entry.traces.get_mut(&s)) {
-                            trace.t_first_write.get_or_insert(now);
+                        if let (true, Some(trace)) = (first_write, entry.conn.front_mut()) {
+                            trace.lap(QUEUED, now);
                         }
-                        if let Some(seq) = entry.conn.advance(n) {
-                            if let Some(trace) = entry.traces.remove(&seq) {
-                                finished.push(trace);
-                            }
-                        }
-                        entry.last_activity = Instant::now();
+                        finished.extend(entry.conn.advance(n));
+                        entry.last_activity = now;
                     }
                 }
             }
@@ -1728,26 +1663,16 @@ impl EventLoop {
         }
     }
 
-    /// Records a fully flushed request into the per-tag stage and total
-    /// histograms, and emits the slow-query record when it qualifies.
-    fn finish_trace(&self, trace: ReqTrace, flushed_at: Instant) {
-        let first_write = trace.t_first_write.unwrap_or(flushed_at);
-        let queued_ns =
-            u64::try_from((first_write - trace.t_queued).as_nanos()).unwrap_or(u64::MAX);
-        let flush_ns = u64::try_from((flushed_at - first_write).as_nanos()).unwrap_or(u64::MAX);
-        let stages = [
-            trace.read_ns,
-            trace.parse_ns,
-            trace.queue_ns,
-            trace.work_ns,
-            queued_ns,
-            flush_ns,
-        ];
-        let total_ns: u64 = stages.iter().sum();
+    /// Ends a fully flushed request's `flush` stage at `flushed_at`,
+    /// records it into the per-tag stage and total histograms, and emits
+    /// the slow-query record when it qualifies.
+    fn finish_trace(&self, mut trace: ReqTrace, flushed_at: Instant) {
+        trace.lap(FLUSH, flushed_at);
+        let total_ns: u64 = trace.stage_ns.iter().sum();
         let cells = self.robs.cells(trace.tag);
         cells.completed.inc();
         cells.total_ns.record(total_ns);
-        for (hist, ns) in cells.stage_ns.iter().zip(stages) {
+        for (hist, ns) in cells.stage_ns.iter().zip(trace.stage_ns) {
             hist.record(ns);
         }
         if let Some(threshold) = self.config.slow_query {
@@ -1756,6 +1681,7 @@ impl EventLoop {
                     Some(m) => (m.dataset.as_str(), m.query.as_str(), m.windows),
                     None => ("-", "-", 0),
                 };
+                let [parse_ns, queue_ns, work_ns, queued_ns, flush_ns] = trace.stage_ns;
                 slog!(
                     LogLevel::Warn,
                     "slow_query",
@@ -1764,10 +1690,9 @@ impl EventLoop {
                     query = query,
                     windows = windows,
                     total_us = total_ns / 1_000,
-                    read_us = trace.read_ns / 1_000,
-                    parse_us = trace.parse_ns / 1_000,
-                    queue_us = trace.queue_ns / 1_000,
-                    work_us = trace.work_ns / 1_000,
+                    parse_us = parse_ns / 1_000,
+                    queue_us = queue_ns / 1_000,
+                    work_us = work_ns / 1_000,
                     queued_us = queued_ns / 1_000,
                     flush_us = flush_ns / 1_000
                 );

@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use sas_core::WeightedKey;
 use sas_store::client::{Client, ClientError};
+use sas_store::manifest::Manifest;
 use sas_store::policy::Policy;
 use sas_store::server::{handle_request, Server};
 use sas_store::window::{Level, WindowKey};
@@ -1530,6 +1531,86 @@ fn a_log_truncated_anywhere_recovers_exactly_the_acknowledged_prefix() {
             "cut at byte {cut}"
         );
     }
+}
+
+/// Ingests `records` batches of `keys` keys into one window of a store in
+/// `dir`, one log record each, and returns each record's end offset in
+/// the log.
+fn logged(dir: &Path, records: u64, keys: u64) -> Vec<u64> {
+    let store = Store::open(dir, StoreConfig::default()).unwrap();
+    let log = dir.join(sas_store::LOG_FILE);
+    (0..records)
+        .map(|i| {
+            store
+                .ingest("web", 5 + i, batch(i * keys, keys, i))
+                .unwrap();
+            fs::metadata(&log).unwrap().len()
+        })
+        .collect()
+}
+
+/// A store in `dir` whose log is damaged at byte `at`, with whole records
+/// after the damage, neither opens nor scans (`sas info`): both errors
+/// name the damaged record's offset, and no file changes.
+fn assert_refused(dir: &Path, at: u64) {
+    let files = read_files(dir);
+    let named = format!("at byte {at}:");
+    let Err(err) = Store::open(dir, StoreConfig::default()) else {
+        panic!("a log damaged at byte {at} opened");
+    };
+    assert!(err.to_string().contains(&named), "{err}");
+    let manifest = fs::read(dir.join(sas_store::MANIFEST_FILE))
+        .map(|bytes| Manifest::decode(&bytes).unwrap())
+        .unwrap_or_default();
+    let err = sas_store::scan_log(dir, &manifest).unwrap_err();
+    assert!(err.to_string().contains(&named), "{err}");
+    assert_eq!(read_files(dir), files, "the damaged store was changed");
+}
+
+/// One flipped bit in the middle record of five is damage, not a torn
+/// tail: records 4 and 5 were acknowledged, so the store refuses to open
+/// rather than cut them off. Each position is flipped on its own: the
+/// magic, the tag, the length, the body and the checksum.
+#[test]
+fn a_flipped_bit_mid_log_refuses_to_open_and_keeps_the_log() {
+    let dir = TempDir::new("flipped-bit");
+    let ends = logged(dir.path(), 5, 40);
+    let log = dir.path().join(sas_store::LOG_FILE);
+    let clean = fs::read(&log).unwrap();
+    let (start, end) = (ends[1], ends[2]);
+    for byte in [start, start + 6, start + 9, (start + end) / 2, end - 1] {
+        let mut damaged = clean.clone();
+        damaged[byte as usize] ^= 0x10;
+        fs::write(&log, &damaged).unwrap();
+        assert_refused(dir.path(), start);
+    }
+    fs::write(&log, &clean).unwrap();
+    Store::open(dir.path(), StoreConfig::default()).unwrap();
+}
+
+/// A zeroed 4 KiB page in the middle of the log is damage too: the error
+/// names the first record the page reaches into.
+#[test]
+fn a_zeroed_page_mid_log_refuses_to_open_and_keeps_the_log() {
+    let dir = TempDir::new("zeroed-page");
+    let ends = logged(dir.path(), 16, 60);
+    let log = dir.path().join(sas_store::LOG_FILE);
+    let mut bytes = fs::read(&log).unwrap();
+    let mid = bytes.len() / 2;
+    let page = mid - 2048..mid + 2048;
+    assert!(
+        (page.end as u64) < ends[ends.len() - 2],
+        "whole records follow the page"
+    );
+    bytes[page.clone()].fill(0);
+    fs::write(&log, &bytes).unwrap();
+    let damaged = ends
+        .iter()
+        .copied()
+        .filter(|&end| end <= page.start as u64)
+        .max()
+        .unwrap_or(0);
+    assert_refused(dir.path(), damaged);
 }
 
 /// A per-kind budget changed between two logged ingests into one window
