@@ -1,10 +1,11 @@
 //! LRU cache for query answers — the daemon's only answer cache. Every
 //! query tag (`REQ_QUERY`, `REQ_ESTIMATE`, `REQ_ESTIMATE_COV`, watch
-//! evaluations) reads and fills it through [`crate::Store::estimate`];
-//! the legacy value-only tag is a box estimate at confidence 0.95, so it
-//! shares a line with a `REQ_ESTIMATE` of the same box at 0.95. The
-//! daemon's event loop also reads it, never waiting for the lock, through
-//! [`crate::Store::cached_estimate`]; only `Store::estimate` fills it.
+//! evaluations) reads and fills it through [`crate::Store::answer`], keyed
+//! once per estimate by [`crate::Store::lookup`]; the legacy value-only tag
+//! is a box estimate at confidence 0.95, so it shares a line with a
+//! `REQ_ESTIMATE` of the same box at 0.95. The daemon's event loop also
+//! reads it, never waiting for the lock, through
+//! [`crate::Store::cached_estimate`]; only `Store::answer` fills it.
 //!
 //! Keys embed the **series stamp** of the `(dataset, kind)` series they
 //! read ([`crate::Snapshot::series_version`]): the global snapshot version

@@ -342,6 +342,20 @@ pub struct EstimateAnswer {
     pub version: u64,
 }
 
+/// An estimate started by [`Store::lookup`]: the snapshot it reads and
+/// the query's cache key (or the reason the query cannot have one),
+/// built once. [`Store::cached_estimate`] probes the cache with it and
+/// [`Store::answer`] finishes it, on whichever thread holds it.
+#[derive(Debug)]
+pub struct Lookup {
+    snap: Arc<Snapshot>,
+    pub(crate) dataset: String,
+    kind: SummaryKind,
+    query: Query,
+    /// Holds the confidence and time filter too.
+    pub(crate) key: Result<CacheKey, QueryError>,
+}
+
 /// Per-series mutable writer state (watermarks drive compaction sealing,
 /// floors reject writes into already-compacted history) and the batch log.
 #[derive(Debug)]
@@ -751,12 +765,10 @@ impl Store {
     }
 
     /// Answers a query with error bounds from the current snapshot,
-    /// through the LRU cache. The cache key is the query's **canonical**
-    /// form, so equivalent spellings share one entry. This is the single
-    /// answer path: every daemon query tag, the legacy value-only
-    /// `REQ_QUERY` included, comes through here, except the cache hits the
-    /// event loop serves through [`Store::cached_estimate`] (same key, same
-    /// answer).
+    /// through the LRU cache: [`Store::lookup`], then [`Store::answer`],
+    /// the two steps every daemon query tag is answered by. The cache key
+    /// is the query's **canonical** form, so equivalent spellings share
+    /// one entry.
     pub fn estimate(
         &self,
         dataset: &str,
@@ -765,7 +777,7 @@ impl Store {
         confidence: f64,
         time: Option<(u64, u64)>,
     ) -> Result<EstimateAnswer, StoreError> {
-        self.estimate_on(&self.snapshot(), dataset, kind, query, confidence, time)
+        self.answer(self.lookup(dataset.to_string(), kind, query.clone(), confidence, time))
     }
 
     /// [`Store::estimate`] plus a gap report, both computed against the
@@ -781,78 +793,93 @@ impl Store {
         confidence: f64,
         time: Option<(u64, u64)>,
     ) -> Result<(EstimateAnswer, Coverage), StoreError> {
-        let snap = self.snapshot();
-        let answer = self.estimate_on(&snap, dataset, kind, query, confidence, time)?;
-        Ok((answer, snap.coverage(dataset, kind, time)))
+        let lookup = self.lookup(dataset.to_string(), kind, query.clone(), confidence, time);
+        let coverage = lookup.snap.coverage(dataset, kind, time);
+        Ok((self.answer(lookup)?, coverage))
     }
 
-    /// Answers a query from the LRU cache alone, without waiting: `None`
-    /// on a miss, for a malformed query, or while the cache lock is held
-    /// elsewhere. A hit is bit-identical to [`Store::estimate`]'s answer
-    /// against the same snapshot, and is counted; a miss is not, because
-    /// the caller falls back to [`Store::estimate`], whose own probe
-    /// counts it — so each query is counted exactly once. The daemon's
-    /// event loop answers cache hits through this.
-    pub fn cached_estimate(
+    /// Starts an estimate: pins the current snapshot and builds the
+    /// query's cache key against it, once. A malformed query keeps its
+    /// error instead; [`Store::answer`] reports it. Nothing is counted
+    /// until the lookup is answered.
+    pub fn lookup(
         &self,
-        dataset: &str,
+        dataset: String,
         kind: SummaryKind,
-        query: &Query,
+        query: Query,
         confidence: f64,
         time: Option<(u64, u64)>,
-    ) -> Option<EstimateAnswer> {
+    ) -> Lookup {
         let snap = self.snapshot();
-        let key = cache_key(&snap, dataset, kind, query, confidence, time).ok()?;
-        let hit = self.cache.try_get(&key)?;
-        Some(self.cache_hit(&snap, dataset, hit))
-    }
-
-    /// Counts a cache hit and frames it as an answer against `snap`.
-    fn cache_hit(
-        &self,
-        snap: &Snapshot,
-        dataset: &str,
-        (estimate, windows): (Estimate, u64),
-    ) -> EstimateAnswer {
-        self.cache_cells(dataset).hits.inc();
-        EstimateAnswer {
-            estimate,
-            windows,
-            cached: true,
-            version: snap.version,
+        let key = query.canonical_bytes().map(|query| CacheKey {
+            series_version: snap.series_version(&dataset, kind),
+            dataset: dataset.clone(),
+            kind_tag: kind.tag(),
+            query,
+            confidence_bits: confidence.to_bits(),
+            time,
+        });
+        Lookup {
+            snap,
+            dataset,
+            kind,
+            query,
+            key,
         }
     }
 
-    /// The shared estimate path: cache lookup, snapshot answer, cache
-    /// fill — against the snapshot the caller pinned.
-    fn estimate_on(
-        &self,
-        snap: &Snapshot,
-        dataset: &str,
-        kind: SummaryKind,
-        query: &Query,
-        confidence: f64,
-        time: Option<(u64, u64)>,
-    ) -> Result<EstimateAnswer, StoreError> {
-        let bad = |e: QueryError| StoreError::BadRequest(e.to_string());
-        let cache_key = cache_key(snap, dataset, kind, query, confidence, time);
-        if let Some(hit) = cache_key.as_ref().ok().and_then(|k| self.cache.get(k)) {
-            return Ok(self.cache_hit(snap, dataset, hit));
+    /// Answers `lookup` from the LRU cache alone, without waiting: `None`
+    /// on a miss, for a malformed query, or while the cache lock is held
+    /// elsewhere. Only a hit is counted: the caller hands a miss to
+    /// [`Store::answer`], which counts it, so each query counts once. The
+    /// daemon's event loop answers cache hits through this.
+    pub fn cached_estimate(&self, lookup: &Lookup) -> Option<EstimateAnswer> {
+        let hit = self.cache.try_get(lookup.key.as_ref().ok()?)?;
+        Some(self.cache_hit(lookup, hit))
+    }
+
+    /// Finishes an estimate against the snapshot its lookup pinned: a
+    /// cache hit, or else a counted miss answered from that snapshot and
+    /// cached. A lookup taken before an ingest into its series answers
+    /// as of before the ingest.
+    pub fn answer(&self, lookup: Lookup) -> Result<EstimateAnswer, StoreError> {
+        if let Some(hit) = lookup.key.as_ref().ok().and_then(|k| self.cache.get(k)) {
+            return Ok(self.cache_hit(&lookup, hit));
         }
         // Every query is a hit or a miss — a malformed one, rejected just
         // below, included — so `queries` in [`Store::stats`] is their sum.
-        self.cache_cells(dataset).misses.inc();
-        let cache_key = cache_key.map_err(bad)?;
+        self.cache_cells(&lookup.dataset).misses.inc();
+        let bad = |e: QueryError| StoreError::BadRequest(e.to_string());
+        let key = lookup.key.map_err(bad)?;
+        let (snap, confidence) = (&lookup.snap, f64::from_bits(key.confidence_bits));
         let (estimate, windows) = snap
-            .estimate(dataset, kind, query, confidence, time)
+            .estimate(
+                &key.dataset,
+                lookup.kind,
+                &lookup.query,
+                confidence,
+                key.time,
+            )
             .map_err(bad)?;
-        self.cache.put(cache_key, (estimate, windows));
+        self.cache.put(key, (estimate, windows));
         Ok(EstimateAnswer {
             estimate,
             windows,
             cached: false,
             version: snap.version,
         })
+    }
+
+    /// Counts a cache hit and frames it as an answer against the
+    /// lookup's snapshot.
+    fn cache_hit(&self, lookup: &Lookup, (estimate, windows): (Estimate, u64)) -> EstimateAnswer {
+        self.cache_cells(&lookup.dataset).hits.inc();
+        EstimateAnswer {
+            estimate,
+            windows,
+            cached: true,
+            version: lookup.snap.version,
+        }
     }
 
     /// Lists the catalog's windows in key order.
@@ -1352,28 +1379,6 @@ pub fn rebuild_parent(
 ) -> Result<Box<dyn Summary>, StoreError> {
     let mut rng = StdRng::seed_from_u64(window_seed(parent));
     Ok(merge_tree(children, budget, &mut rng)?)
-}
-
-/// The cache line a query reads against `snap`: its series stamp plus the
-/// query's canonical bytes and coordinates. Both [`Store::estimate`] and
-/// [`Store::cached_estimate`] key through this, so they address the same
-/// line.
-fn cache_key(
-    snap: &Snapshot,
-    dataset: &str,
-    kind: SummaryKind,
-    query: &Query,
-    confidence: f64,
-    time: Option<(u64, u64)>,
-) -> Result<CacheKey, QueryError> {
-    Ok(CacheKey {
-        series_version: snap.series_version(dataset, kind),
-        dataset: dataset.to_string(),
-        kind_tag: kind.tag(),
-        query: query.canonical_bytes()?,
-        confidence_bits: confidence.to_bits(),
-        time,
-    })
 }
 
 /// On-disk location of a window's generation-0 frame: the name every

@@ -22,13 +22,17 @@
 //! A cached answer costs about a microsecond, the worker round trip (job
 //! hand-off, worker wake, completion channel, loop wake) several times
 //! that. So the loop answers a `REQ_ESTIMATE` or legacy `REQ_QUERY` hit
-//! itself ([`Store::cached_estimate`], which never waits for the cache
-//! lock), with the bytes a worker would send. It probes only when every
-//! earlier request on the connection has been answered, so a hit never
-//! overtakes an ingest pipelined ahead of it, and only for a frame it has
-//! seen before (`SeenFrames`), so distinct queries skip the probe.
-//! Misses, `REQ_ESTIMATE_COV` (its coverage walks the series) and watches
-//! go to the pool.
+//! itself, with the bytes a worker would send. It takes up an estimate
+//! only when every earlier request on the connection has been answered,
+//! so a hit never overtakes an ingest pipelined ahead of it. Such an
+//! estimate is looked up once, inside its `parse` stage
+//! ([`Store::lookup`]: the snapshot pinned and the cache key built), and
+//! probed ([`Store::cached_estimate`], which never waits for the cache
+//! lock). On a miss the lookup itself travels to a worker, which finishes
+//! it ([`Store::answer`]) against the snapshot pinned at dispatch, without
+//! building the key again. Estimates behind an unanswered request,
+//! `REQ_ESTIMATE_COV` (its coverage walks the series) and watches go to
+//! the pool whole.
 //!
 //! ## Pipelining & ordering
 //!
@@ -86,9 +90,7 @@
 //! lifecycle job (retention, then compaction) on that cadence, or sooner
 //! once [`LIFECYCLE_INGESTS`] ingests have landed since the last one.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -109,7 +111,7 @@ use sas_summaries::{Query, SummaryKind};
 use crate::conn::{Conn, ConnConfig};
 use crate::poller::{Event, Interest, InterestCache, Poller, WakeHandle, Waker};
 use crate::wire::{decode_request, encode_push, encode_response, Request, Response, WatchUpdate};
-use crate::{EstimateAnswer, Store, StoreError};
+use crate::{EstimateAnswer, Lookup, Store, StoreError};
 
 /// Tuning knobs for [`Server::start_with`]. [`Default`] matches the CLI
 /// defaults.
@@ -246,7 +248,8 @@ impl MetricCells {
 /// record zero for `queue` and `work`, and a cache hit answered on the loop
 /// records zero `queue` and its probe (plus encoding) as `work`.
 const STAGES: [&str; 5] = ["parse", "queue", "work", "queued", "flush"];
-/// Decoding the frame, on the loop.
+/// Decoding the frame, on the loop, and looking up an estimate the loop
+/// may answer.
 const PARSE: usize = 0;
 /// Waiting in the job channel for a worker.
 const QUEUE: usize = 1;
@@ -344,23 +347,47 @@ struct SlowMeta {
 }
 
 impl SlowMeta {
-    /// The request's coordinates, before it is answered.
-    fn of(req: &Request) -> SlowMeta {
+    /// A request's coordinates, before it is answered: its dataset and
+    /// canonical query bytes, if it has them.
+    fn new(dataset: Option<&str>, query: Option<&[u8]>) -> SlowMeta {
         SlowMeta {
-            dataset: request_dataset(req).unwrap_or("-").to_string(),
-            query: canonical_query_hex(req),
+            dataset: dataset.unwrap_or("-").to_string(),
+            query: match query {
+                None => "-".into(),
+                Some(b) => b.iter().map(|x| format!("{x:02x}")).collect(),
+            },
             windows: 0,
         }
     }
 
+    /// A request's coordinates, the query canonicalized anew.
+    fn of(req: &Request) -> SlowMeta {
+        let query = match req {
+            Request::Query { range, .. } => Query::BoxRange(range.clone()).canonical_bytes().ok(),
+            Request::Estimate { query, .. }
+            | Request::EstimateCov { query, .. }
+            | Request::Watch { query, .. } => query.canonical_bytes().ok(),
+            _ => None,
+        };
+        SlowMeta::new(request_dataset(req), query.as_deref())
+    }
+
+    /// A looked-up estimate's coordinates, the canonical bytes read off
+    /// its cache key.
+    fn looked_up(lookup: &Lookup) -> SlowMeta {
+        let key = lookup.key.as_ref().ok();
+        SlowMeta::new(Some(&lookup.dataset), key.map(|k| k.query.as_slice()))
+    }
+
     /// Records the windows `response` consulted (0 for a non-answer).
-    fn answered(&mut self, response: &Response) {
+    fn answered(mut self, response: &Response) -> SlowMeta {
         self.windows = match response {
             Response::Query { windows, .. }
             | Response::Estimate { windows, .. }
             | Response::EstimateCov { windows, .. } => *windows,
             _ => 0,
         };
+        self
     }
 }
 
@@ -419,6 +446,9 @@ struct WatchSpec {
 enum Work {
     /// Answer a client request (the classic path).
     Req(Request),
+    /// Finish an estimate the loop looked up but found no cached answer
+    /// for.
+    Estimate(Reply, Lookup),
     /// Validate a watch registration by answering its query once.
     WatchRegister { watch_id: u64, spec: Arc<WatchSpec> },
     /// Re-answer a registered watch after an ingest into its series.
@@ -465,22 +495,6 @@ struct Completion {
     /// A successful ingest sealed into this `(dataset, kind tag)` series —
     /// the loop re-evaluates matching watches.
     ingested: Option<(String, u16)>,
-}
-
-/// The canonical query bytes of a request, hex-encoded for the slow-query
-/// log (`-` when the request has none or it cannot be canonicalized).
-fn canonical_query_hex(req: &Request) -> String {
-    let bytes = match req {
-        Request::Query { range, .. } => Query::BoxRange(range.clone()).canonical_bytes().ok(),
-        Request::Estimate { query, .. }
-        | Request::EstimateCov { query, .. }
-        | Request::Watch { query, .. } => query.canonical_bytes().ok(),
-        _ => None,
-    };
-    match bytes {
-        None => "-".into(),
-        Some(b) => b.iter().map(|x| format!("{x:02x}")).collect(),
-    }
 }
 
 /// State shared between the public handle, the loop, and the workers.
@@ -584,7 +598,7 @@ impl Server {
                                 // Slow-log metadata is captured up front:
                                 // whether the request turns out slow is only
                                 // known after the flush, when `req` is gone.
-                                let mut slow = slow_enabled.then(|| SlowMeta::of(&req));
+                                let slow = slow_enabled.then(|| SlowMeta::of(&req));
                                 let response = match req {
                                     Request::Ingest { dataset, ts, frame } => {
                                         let (response, series) =
@@ -594,11 +608,16 @@ impl Server {
                                     }
                                     req => handle_request(&store, req),
                                 };
-                                if let Some(meta) = &mut slow {
-                                    meta.answered(&response);
-                                }
                                 if let Some(trace) = &mut trace {
-                                    trace.slow = slow;
+                                    trace.slow = slow.map(|meta| meta.answered(&response));
+                                }
+                                Delivery::Response(to_message(&encode_response(&response)))
+                            }
+                            Work::Estimate(reply, lookup) => {
+                                let slow = slow_enabled.then(|| SlowMeta::looked_up(&lookup));
+                                let response = reply.frame(store.answer(lookup));
+                                if let Some(trace) = &mut trace {
+                                    trace.slow = slow.map(|meta| meta.answered(&response));
                                 }
                                 Delivery::Response(to_message(&encode_response(&response)))
                             }
@@ -751,45 +770,6 @@ pub const LIFECYCLE_INGESTS: u64 = 64;
 /// before force-closing.
 pub const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
-/// Fingerprints the loop's [`SeenFrames`] table holds.
-const SEEN_FRAMES: usize = 4096;
-
-/// Fingerprints per set of [`SeenFrames`] (64 bytes, scanned linearly).
-const SEEN_WAYS: usize = 8;
-
-/// The event loop's memory of recent `REQ_ESTIMATE`/`REQ_QUERY` frames:
-/// it probes the answer cache only for a frame it has seen before. A
-/// query's first instance is nearly always a miss (answering it is what
-/// fills its line), and a missed probe is not free, since building the
-/// cache key canonicalizes the query; on a stream of distinct 16-range
-/// estimates, probing every frame raised daemon CPU per request by 4%.
-/// Repeated queries still hit on the loop from their second instance on.
-/// Frame fingerprints live in [`SEEN_FRAMES`] / [`SEEN_WAYS`] sets, each
-/// kept most recent first; a frame evicted from its set only sends its
-/// next repeat to a worker, which answers it the same.
-struct SeenFrames(Vec<u64>);
-
-impl SeenFrames {
-    fn new() -> SeenFrames {
-        SeenFrames(vec![0; SEEN_FRAMES])
-    }
-
-    /// Whether `frame` was seen before; either way, it is now the most
-    /// recent frame of its set.
-    fn saw(&mut self, frame: &[u8]) -> bool {
-        let mut hasher = DefaultHasher::new();
-        frame.hash(&mut hasher);
-        let fingerprint = hasher.finish();
-        let start = (fingerprint % (SEEN_FRAMES / SEEN_WAYS) as u64) as usize * SEEN_WAYS;
-        let set = &mut self.0[start..start + SEEN_WAYS];
-        let at = set.iter().position(|&f| f == fingerprint);
-        // Move the frame to the front, or evict the least recent for it.
-        set[..=at.unwrap_or(SEEN_WAYS - 1)].rotate_right(1);
-        set[0] = fingerprint;
-        at.is_some()
-    }
-}
-
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -890,11 +870,10 @@ struct EventLoop {
     waker: Waker,
     shared: Arc<Shared>,
     config: ServerConfig,
-    /// Read only through [`Store::cached_estimate`]: everything that may
+    /// Used only to look up estimates and probe the cache
+    /// ([`Store::lookup`], [`Store::cached_estimate`]): everything that may
     /// wait on the store runs on a worker.
     store: Arc<Store>,
-    /// Estimate frames the loop has seen: it probes only these.
-    seen_frames: SeenFrames,
     job_tx: Sender<Job>,
     done_rx: Receiver<Completion>,
     poller: Poller,
@@ -946,7 +925,6 @@ impl EventLoop {
             shared,
             config,
             store,
-            seen_frames: SeenFrames::new(),
             job_tx,
             done_rx,
             poller,
@@ -1316,11 +1294,10 @@ impl EventLoop {
     /// request's record starts here and travels with it to its flush.
     fn dispatch(&mut self, token: u64, seq: u64, frame: &[u8]) {
         let mut trace = ReqTrace::start(seq);
-        let decoded = decode_request(frame);
-        trace.lap(PARSE, Instant::now());
-        let req = match decoded {
+        let req = match decode_request(frame) {
             Ok(req) => req,
             Err(e) => {
+                trace.lap(PARSE, Instant::now());
                 // Bad frame, sound framing: answer and keep the
                 // connection (matches the blocking server's contract).
                 let resp = Response::Err(format!("bad request: {e}"));
@@ -1328,24 +1305,46 @@ impl EventLoop {
             }
         };
         trace.tag = request_tag(&req);
-        match req {
-            Request::Ping => return self.respond_inline(token, trace, &Response::Pong),
-            Request::Shutdown => {
+        // An estimate that nothing earlier on its connection still waits
+        // for may be answered here: it is looked up once, inside `parse`.
+        let work = match req {
+            req @ (Request::Query { .. } | Request::Estimate { .. })
+                if self
+                    .conns
+                    .get(&token)
+                    .is_some_and(|e| e.conn.answered_before(seq)) =>
+            {
+                let (reply, lookup) = estimate_lookup(&self.store, req);
+                Work::Estimate(reply, lookup)
+            }
+            req => Work::Req(req),
+        };
+        trace.lap(PARSE, Instant::now());
+        match &work {
+            Work::Req(Request::Ping) => return self.respond_inline(token, trace, &Response::Pong),
+            Work::Req(Request::Shutdown) => {
                 self.respond_inline(token, trace, &Response::Shutdown);
                 if let Some(entry) = self.conns.get_mut(&token) {
                     entry.conn.close_after_flush();
                 }
                 return self.shared.begin_shutdown();
             }
+            // Before admission control: a hit never occupies a worker, so
+            // it is never shed.
+            Work::Estimate(reply, lookup) => {
+                if let Some(message) = self.answer_cached(*reply, lookup, &mut trace) {
+                    return self.respond(token, message, trace);
+                }
+            }
             _ => {}
         }
-        // Before admission control: a hit never occupies a worker, so it is
-        // never shed.
-        if let Some(message) = self.answer_cached(token, frame, &req, &mut trace) {
-            return self.respond(token, message, trace);
-        }
+        let dataset = match &work {
+            Work::Req(req) => request_dataset(req),
+            Work::Estimate(_, lookup) => Some(lookup.dataset.as_str()),
+            _ => None,
+        };
         let cap = self.config.dataset_inflight;
-        if let (Some(ds), 1..) = (request_dataset(&req), cap) {
+        if let (Some(ds), 1..) = (dataset, cap) {
             if self.dataset_inflight.get(ds).copied().unwrap_or(0) >= cap {
                 self.shared.metrics.shed_requests.inc();
                 let resp = Response::Busy(format!(
@@ -1358,13 +1357,13 @@ impl EventLoop {
         // Watch registrations turn into connection state; the cap is
         // checked here, on the loop, counting registrations still in
         // flight so a pipelined burst cannot overshoot.
-        let work = if let Request::Watch {
+        let work = if let Work::Req(Request::Watch {
             dataset: ds,
             kind,
             query,
             confidence,
             time,
-        } = req
+        }) = work
         {
             let cap = self.config.max_watches_per_conn;
             let over = self
@@ -1392,7 +1391,7 @@ impl EventLoop {
                 }),
             }
         } else {
-            Work::Req(req)
+            work
         };
         if let Some(ds) = &trace.dataset {
             *self.dataset_inflight.entry(ds.clone()).or_insert(0) += 1;
@@ -1428,43 +1427,22 @@ impl EventLoop {
         self.respond(token, to_message(&encode_response(resp)), trace);
     }
 
-    /// Answers a `REQ_ESTIMATE` or `REQ_QUERY` whose answer is cached,
-    /// right here on the loop, with the bytes a worker would send (both go
-    /// through [`estimate_response`]). Probes only when every earlier
-    /// request on the connection has been answered, so the hit cannot
-    /// overtake an ingest pipelined ahead of it, and only for a frame
-    /// seen before (see [`SeenFrames`]). Returns the response message, the
-    /// probe timed as `trace`'s `work` stage; a miss, or any other
-    /// request, returns `None` and is left for the worker pool.
+    /// Answers a looked-up `REQ_ESTIMATE` or `REQ_QUERY` whose answer is
+    /// cached, right here on the loop, with the bytes a worker would send
+    /// (both frame through [`Reply::frame`]). Returns the response
+    /// message, the probe timed as `trace`'s `work` stage; a miss returns
+    /// `None` and leaves the lookup for the worker pool.
     fn answer_cached(
-        &mut self,
-        token: u64,
-        frame: &[u8],
-        req: &Request,
+        &self,
+        reply: Reply,
+        lookup: &Lookup,
         trace: &mut ReqTrace,
     ) -> Option<Vec<u8>> {
-        if !matches!(req, Request::Query { .. } | Request::Estimate { .. }) {
-            return None;
-        }
-        if !self.conns.get(&token)?.conn.answered_before(trace.seq) {
-            return None;
-        }
-        trace.since = Instant::now();
-        if !self.seen_frames.saw(frame) {
-            return None;
-        }
-        let store = &self.store;
-        let response = estimate_response(req, |dataset, kind, query, confidence, time| {
-            store
-                .cached_estimate(dataset, kind, query, confidence, time)
-                .map(Ok)
-        })?;
+        let response = reply.frame(Ok(self.store.cached_estimate(lookup)?));
         let message = to_message(&encode_response(&response));
         trace.lap(WORK, Instant::now());
         if self.config.slow_query.is_some() {
-            let mut meta = SlowMeta::of(req);
-            meta.answered(&response);
-            trace.slow = Some(meta);
+            trace.slow = Some(SlowMeta::looked_up(lookup).answered(&response));
         }
         Some(message)
     }
@@ -1864,58 +1842,63 @@ fn ingest_response(
     }
 }
 
-/// The response to a `REQ_QUERY` or `REQ_ESTIMATE`, from the answer
-/// `estimate` gives for the request's coordinates: [`Store::estimate`] on
-/// a worker, [`Store::cached_estimate`] on the loop. Both paths frame
-/// through here, so a hit answered on the loop is byte-identical to the
-/// worker's answer. `None` for any other request, or when `estimate`
-/// declines (a loop probe that missed).
-fn estimate_response(
-    req: &Request,
-    estimate: impl FnOnce(
-        &str,
-        SummaryKind,
-        &Query,
-        f64,
-        Option<(u64, u64)>,
-    ) -> Option<Result<EstimateAnswer, StoreError>>,
-) -> Option<Response> {
+/// How an estimate's answer is framed.
+#[derive(Debug, Clone, Copy)]
+enum Reply {
+    /// The legacy value-only `REQ_QUERY`.
+    Value,
+    /// `REQ_ESTIMATE`: the estimate with its bounds.
+    Estimate,
+}
+
+impl Reply {
+    /// The response carrying `answer`. The loop's cache hits and the
+    /// workers' answers both frame here, so a hit answered on the loop is
+    /// byte-identical to a worker's answer.
+    fn frame(self, answer: Result<EstimateAnswer, StoreError>) -> Response {
+        match (self, answer) {
+            (_, Err(e)) => Response::Err(e.to_string()),
+            (Reply::Value, Ok(answer)) => Response::Query {
+                value: answer.estimate.value,
+                windows: answer.windows,
+                cached: answer.cached,
+            },
+            (Reply::Estimate, Ok(answer)) => Response::Estimate {
+                estimate: answer.estimate,
+                windows: answer.windows,
+                cached: answer.cached,
+            },
+        }
+    }
+}
+
+/// Looks up a `REQ_QUERY` or `REQ_ESTIMATE` ([`Store::lookup`]), taking the
+/// request apart so its query is never copied, and says how the answer is
+/// framed. The legacy value-only tag is a box estimate at 0.95, the
+/// confidence its values have always been computed at, so it shares cache
+/// lines (and values, bit for bit) with `REQ_ESTIMATE` at 0.95.
+fn estimate_lookup(store: &Store, req: Request) -> (Reply, Lookup) {
     match req {
         Request::Query {
             dataset,
             kind,
             range,
             time,
-        } => {
-            // The legacy value-only tag is a box estimate at 0.95, the
-            // confidence its values have always been computed at, so it
-            // shares cache lines (and values, bit for bit) with
-            // `REQ_ESTIMATE` at 0.95.
-            let query = Query::BoxRange(range.clone());
-            Some(match estimate(dataset, *kind, &query, 0.95, *time)? {
-                Err(e) => Response::Err(e.to_string()),
-                Ok(answer) => Response::Query {
-                    value: answer.estimate.value,
-                    windows: answer.windows,
-                    cached: answer.cached,
-                },
-            })
-        }
+        } => (
+            Reply::Value,
+            store.lookup(dataset, kind, Query::BoxRange(range), 0.95, time),
+        ),
         Request::Estimate {
             dataset,
             kind,
             query,
             confidence,
             time,
-        } => Some(match estimate(dataset, *kind, query, *confidence, *time)? {
-            Err(e) => Response::Err(e.to_string()),
-            Ok(answer) => Response::Estimate {
-                estimate: answer.estimate,
-                windows: answer.windows,
-                cached: answer.cached,
-            },
-        }),
-        _ => None,
+        } => (
+            Reply::Estimate,
+            store.lookup(dataset, kind, query, confidence, time),
+        ),
+        other => unreachable!("{} is not an estimate request", request_tag(&other)),
     }
 }
 
@@ -1923,11 +1906,10 @@ fn estimate_response(
 /// the store itself, so it is directly unit-testable without sockets.
 pub fn handle_request(store: &Store, req: Request) -> Response {
     match req {
+        // What `Store::estimate` does, without copying the query.
         req @ (Request::Query { .. } | Request::Estimate { .. }) => {
-            estimate_response(&req, |dataset, kind, query, confidence, time| {
-                Some(store.estimate(dataset, kind, query, confidence, time))
-            })
-            .expect("an estimate request")
+            let (reply, lookup) = estimate_lookup(store, req);
+            reply.frame(store.answer(lookup))
         }
         Request::EstimateCov {
             dataset,
@@ -1962,53 +1944,5 @@ pub fn handle_request(store: &Store, req: Request) -> Response {
         Request::Metrics => Response::Metrics(store.obs().snapshot()),
         Request::Ping => Response::Pong,
         Request::Shutdown => Response::Shutdown,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn seen_frames_remember_recent_frames_in_bounded_space() {
-        let mut seen = SeenFrames::new();
-        let frame = |i: u64| i.to_le_bytes();
-        assert!(!seen.saw(&frame(7)), "a first sight");
-        assert!(seen.saw(&frame(7)), "a repeat");
-        // Far more distinct frames than the table holds: early ones are
-        // evicted, recent ones stay, and the table never grows.
-        for i in 100..100 + 4 * SEEN_FRAMES as u64 {
-            seen.saw(&frame(i));
-        }
-        assert!(!seen.saw(&frame(7)), "evicted");
-        let last = 100 + 4 * SEEN_FRAMES as u64 - 1;
-        assert!(seen.saw(&frame(last)), "the newest frame stays");
-        assert_eq!(seen.0.len(), SEEN_FRAMES);
-    }
-
-    #[test]
-    fn seen_frames_keep_every_frame_of_a_full_set() {
-        // Eight frames of one set all stay; a ninth evicts the least
-        // recently seen, never one just repeated.
-        let mut seen = SeenFrames::new();
-        let set_of = |i: u64| {
-            let mut hasher = DefaultHasher::new();
-            i.to_le_bytes().as_slice().hash(&mut hasher);
-            hasher.finish() % (SEEN_FRAMES / SEEN_WAYS) as u64
-        };
-        let target = set_of(0);
-        let same_set: Vec<u64> = (0..).filter(|&i| set_of(i) == target).take(9).collect();
-        for &i in &same_set[..8] {
-            assert!(!seen.saw(&i.to_le_bytes()));
-        }
-        for &i in &same_set[..8] {
-            assert!(seen.saw(&i.to_le_bytes()), "frame {i} stays");
-        }
-        // Frame 0 is now the least recent; repeating it saves it, so the
-        // ninth frame evicts the second instead.
-        assert!(seen.saw(&same_set[0].to_le_bytes()));
-        assert!(!seen.saw(&same_set[8].to_le_bytes()));
-        assert!(seen.saw(&same_set[0].to_le_bytes()));
-        assert!(!seen.saw(&same_set[1].to_le_bytes()), "evicted");
     }
 }

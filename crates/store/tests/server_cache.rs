@@ -208,11 +208,11 @@ fn legacy_query_and_estimate_share_one_cache_line() {
 }
 
 #[test]
-fn the_loop_answers_a_frame_from_its_second_sight() {
-    // The event loop probes the cache only for a frame it has seen: a new
-    // spelling of a cached query is answered by a worker (from the
-    // cache), and its repeat by the loop, with the same bytes.
-    let (_dir, store, server) = start("second-sight", ServerConfig::default());
+fn the_loop_answers_a_new_spelling_of_a_cached_query_at_first_sight() {
+    // The event loop looks up every estimate it may answer, keyed by the
+    // canonical query: a new spelling of a cached query hits on the loop
+    // the first time it is seen, with the same bytes as its repeat.
+    let (_dir, store, server) = start("first-sight", ServerConfig::default());
     store.ingest("web", 5, batch(0, 100, 1)).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut ask = |req: &Request| {
@@ -243,10 +243,52 @@ fn the_loop_answers_a_frame_from_its_second_sight() {
     let (_, cached, on_worker) = ask(&point);
     assert!(!cached && on_worker, "the first answer is computed");
     let (first_sight, cached, on_worker) = ask(&degenerate_box);
-    assert!(cached && on_worker, "a new spelling hits on a worker");
-    let (second_sight, cached, on_worker) = ask(&degenerate_box);
-    assert!(cached && !on_worker, "its repeat hits on the loop");
-    assert_eq!(first_sight, second_sight);
+    assert!(cached && !on_worker, "a new spelling hits on the loop");
+    let (repeat, cached, on_worker) = ask(&degenerate_box);
+    assert!(cached && !on_worker, "so does its repeat");
+    assert_eq!(first_sight, repeat);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn every_estimate_the_loop_looks_up_is_counted_once() {
+    // Each estimate is one cache hit or one miss, whether the loop answers
+    // it or hands its lookup to a worker — an unanswerable one included.
+    let (_dir, store, server) = start("counted-once", ServerConfig::default());
+    store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let too_many_axes = Query::BoxRange(vec![(0, 40), (0, 10)]);
+    let queries = [
+        (Query::interval(0, 9), false),
+        (Query::interval(0, 9), true),
+        (Query::Point(vec![3]), false),
+        (Query::interval(3, 3), true),
+        (too_many_axes.clone(), false),
+        (too_many_axes, false),
+        (Query::interval(0, 9), true),
+    ];
+    for (i, (query, hit)) in queries.iter().enumerate() {
+        let req = Request::Estimate {
+            dataset: "web".into(),
+            kind: SummaryKind::Sample,
+            query: query.clone(),
+            confidence: 0.95,
+            time: None,
+        };
+        let before = server.metrics().requests;
+        stream.write_all(&message(&req)).unwrap();
+        match recv_response(&mut stream, sas_codec::proto::REQ_ESTIMATE) {
+            Response::Estimate { cached, .. } => assert_eq!(cached, *hit, "query {i}"),
+            Response::Err(_) => assert!(!hit, "query {i}"),
+            other => panic!("query {i}: {other:?}"),
+        }
+        let on_worker = server.metrics().requests > before;
+        assert_eq!(on_worker, !hit, "query {i}: only misses leave the loop");
+    }
+    let stats = store.stats();
+    let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!((stat("cache_hits"), stat("cache_misses")), (3, 4));
     server.shutdown();
     server.wait();
 }

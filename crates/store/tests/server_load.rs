@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -260,6 +260,7 @@ fn cache_hits_are_answered_while_their_dataset_is_at_its_limit() {
     };
 
     let stop = Arc::new(AtomicBool::new(false));
+    let (first_ingest, first_acked) = mpsc::channel();
     let busy = {
         let stop = stop.clone();
         std::thread::spawn(move || {
@@ -275,10 +276,16 @@ fn cache_hits_are_answered_while_their_dataset_is_at_its_limit() {
                     .ingest("hot", 61, encode_summary(&varopt))
                     .expect("one ingest at a time is admitted");
                 ingests += 1;
+                if ingests == 1 {
+                    first_ingest.send(()).unwrap();
+                }
             }
             ingests
         })
     };
+    // The dataset is busy before the first round, however the threads
+    // are scheduled.
+    first_acked.recv().unwrap();
     const ROUNDS: usize = 20;
     const N: usize = 8;
     for round in 0..ROUNDS {

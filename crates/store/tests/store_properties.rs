@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -354,6 +354,9 @@ fn concurrent_ingest_and_queries_see_consistent_snapshots() {
     let store = Arc::new(Store::open(dir.path(), StoreConfig::default()).unwrap());
     let done = Arc::new(AtomicBool::new(false));
     const BATCHES: u64 = 40;
+    // Every reader has answered one query before any writer starts, so
+    // each reader runs however the threads are scheduled.
+    let start = Arc::new(Barrier::new(2 + 4));
 
     // Two writers on separate datasets ingesting in parallel.
     let writers: Vec<_> = ["web", "api"]
@@ -361,7 +364,9 @@ fn concurrent_ingest_and_queries_see_consistent_snapshots() {
         .enumerate()
         .map(|(w, dataset)| {
             let store = store.clone();
+            let start = start.clone();
             std::thread::spawn(move || {
+                start.wait();
                 for i in 0..BATCHES {
                     let ts = i * 45; // crosses minute windows
                     store
@@ -380,12 +385,13 @@ fn concurrent_ingest_and_queries_see_consistent_snapshots() {
         .map(|r| {
             let store = store.clone();
             let done = done.clone();
+            let start = start.clone();
             std::thread::spawn(move || {
                 let dataset = if r % 2 == 0 { "web" } else { "api" };
                 let mut last_version = 0;
                 let mut last_value = 0.0f64;
                 let mut observed = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                loop {
                     let ans = query(&store, dataset, SummaryKind::Sample, FULL, None);
                     assert!(
                         ans.version >= last_version,
@@ -400,6 +406,11 @@ fn concurrent_ingest_and_queries_see_consistent_snapshots() {
                     last_version = ans.version;
                     last_value = ans.estimate.value;
                     observed += 1;
+                    if observed == 1 {
+                        start.wait();
+                    } else if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 observed
             })
@@ -627,23 +638,24 @@ fn cached_estimate_answers_only_hits_and_counts_each_query_once() {
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     store.ingest("web", 5, batch(0, 50, 1)).unwrap();
     let q = Query::BoxRange(vec![(0, 30)]);
-    let probe = |q: &Query| store.cached_estimate("web", SummaryKind::Sample, q, 0.9, None);
+    let lookup = |q: &Query| store.lookup("web".into(), SummaryKind::Sample, q.clone(), 0.9, None);
     let counts = || {
         let stats = store.stats();
         let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
         (stat("cache_hits"), stat("cache_misses"))
     };
-    // Cold: no answer and nothing counted; the caller's fallback to
-    // `estimate` counts the miss.
-    assert_eq!(probe(&q), None);
+    // Cold: no answer and nothing counted; answering the same lookup
+    // counts the miss.
+    let cold = lookup(&q);
+    assert_eq!(store.cached_estimate(&cold), None);
     assert_eq!(counts(), (0, 0));
-    let computed = store
-        .estimate("web", SummaryKind::Sample, &q, 0.9, None)
-        .unwrap();
+    let computed = store.answer(cold).unwrap();
     assert!(!computed.cached);
     assert_eq!(counts(), (0, 1));
-    // Warm: the worker path's answer, bit for bit, counted as one hit.
-    let hit = probe(&q).expect("a warm cache line");
+    // Warm: the computed answer, bit for bit, counted as one hit.
+    let hit = store
+        .cached_estimate(&lookup(&q))
+        .expect("a warm cache line");
     assert_eq!(
         (estimate_bits(&hit.estimate), hit.windows, hit.version),
         (
@@ -654,13 +666,56 @@ fn cached_estimate_answers_only_hits_and_counts_each_query_once() {
     );
     assert!(hit.cached);
     assert_eq!(counts(), (1, 1));
-    // A malformed query never answers from the cache.
-    assert_eq!(probe(&Query::BoxRange(vec![(9, 3)])), None);
-    // An ingest re-stamps the series: the probe misses rather than serve
-    // the old answer.
+    // `Store::estimate` reads the same line.
+    let estimated = store
+        .estimate("web", SummaryKind::Sample, &q, 0.9, None)
+        .unwrap();
+    assert!(estimated.cached);
+    assert_eq!(counts(), (2, 1));
+    // A malformed query keeps its error: no cache probe answers it, and
+    // answering it counts one miss.
+    let malformed = lookup(&Query::BoxRange(vec![(9, 3)]));
+    assert_eq!(store.cached_estimate(&malformed), None);
+    assert!(matches!(
+        store.answer(malformed),
+        Err(StoreError::BadRequest(_))
+    ));
+    assert_eq!(counts(), (2, 2));
+    // An ingest re-stamps the series: a new lookup misses rather than
+    // serve the old answer.
     store.ingest("web", 7, batch(10, 20, 2)).unwrap();
-    assert_eq!(probe(&q), None);
-    assert_eq!(counts(), (1, 1));
+    assert_eq!(store.cached_estimate(&lookup(&q)), None);
+    assert_eq!(counts(), (2, 2));
+}
+
+#[test]
+fn a_lookup_answers_against_the_snapshot_it_pinned() {
+    // A lookup taken before an ingest into its series answers as of
+    // before the ingest, and the query is counted once.
+    let dir = TempDir::new("lookup-snapshot");
+    let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+    store.ingest("web", 5, batch(0, 50, 1)).unwrap();
+    let before = store.snapshot().version;
+    let lookup = store.lookup("web".into(), SummaryKind::Sample, Query::Total, 0.9, None);
+    store.ingest("web", 7, batch(10_000, 20, 2)).unwrap();
+    assert!(store.snapshot().version > before);
+    let answer = store.answer(lookup).unwrap();
+    assert_eq!(answer.version, before);
+    assert_eq!(answer.estimate.value, exact_total(0, 50));
+    assert!(!answer.cached);
+    let stats = store.stats();
+    let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!((stat("cache_hits"), stat("cache_misses")), (0, 1));
+    // The old answer went into the old series stamp's line: the current
+    // snapshot does not read it.
+    let now = store
+        .estimate("web", SummaryKind::Sample, &Query::Total, 0.9, None)
+        .unwrap();
+    assert!(!now.cached);
+    assert_eq!(
+        now.estimate.value,
+        exact_total(0, 50) + exact_total(10_000, 20)
+    );
 }
 
 #[test]

@@ -29,6 +29,7 @@
 //! the store protocol embeds the same body layout in its
 //! `REQ_ESTIMATE` messages, and `tests/golden/` pins both encodings.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use sas_codec::{encode_frame, open_frame, proto, CodecError, Reader, Writer};
@@ -198,6 +199,40 @@ impl From<&MultiRangeQuery> for Query {
     }
 }
 
+/// The canonical form of a query ([`Query::canonical`]), its boxes
+/// borrowed from the query where it spells them out.
+enum Canonical<'a> {
+    Total,
+    BoxRange(Cow<'a, [(u64, u64)]>),
+    /// Two or more disjoint boxes, sorted.
+    MultiRange(Vec<&'a [(u64, u64)]>),
+}
+
+fn put_axes(w: &mut Writer, axes: &[(u64, u64)]) {
+    w.put_u64(axes.len() as u64);
+    for &(lo, hi) in axes {
+        w.put_u64(lo);
+        w.put_u64(hi);
+    }
+}
+
+/// The wire form of [`Query::BoxRange`].
+fn put_box(w: &mut Writer, axes: &[(u64, u64)]) {
+    w.section(1, |w| w.put_u8(1));
+    w.section(2, |w| put_axes(w, axes));
+}
+
+/// The wire form of [`Query::MultiRange`].
+fn put_multi<B: AsRef<[(u64, u64)]>>(w: &mut Writer, boxes: &[B]) {
+    w.section(1, |w| w.put_u8(2));
+    w.section(2, |w| {
+        w.put_u64(boxes.len() as u64);
+        for axes in boxes {
+            put_axes(w, axes.as_ref());
+        }
+    });
+}
+
 impl Query {
     /// A box query over one 1-D interval.
     pub fn interval(lo: u64, hi: u64) -> Self {
@@ -216,14 +251,23 @@ impl Query {
     /// The canonical form is what the store's query cache keys on, so
     /// `0..u64::MAX`, `Total`, and `node 64/0` all share one cache line.
     pub fn canonical(&self) -> Result<Query, QueryError> {
-        match self {
-            Query::Total => Ok(Query::Total),
+        Ok(match self.canonical_form()? {
+            Canonical::Total => Query::Total,
+            Canonical::BoxRange(axes) => Query::BoxRange(axes.into_owned()),
+            Canonical::MultiRange(boxes) => {
+                Query::MultiRange(boxes.into_iter().map(<[_]>::to_vec).collect())
+            }
+        })
+    }
+
+    /// The canonical form of [`Query::canonical`], borrowing this query's
+    /// boxes instead of copying them.
+    fn canonical_form(&self) -> Result<Canonical<'_>, QueryError> {
+        let axes: Cow<'_, [(u64, u64)]> = match self {
+            Query::Total => return Ok(Canonical::Total),
             Query::BoxRange(axes) => {
                 axes_valid(axes)?;
-                if axes.iter().all(|&a| a == FULL) {
-                    return Ok(Query::Total);
-                }
-                Ok(Query::BoxRange(axes.clone()))
+                Cow::Borrowed(axes)
             }
             Query::Point(coords) => {
                 if coords.is_empty() {
@@ -235,7 +279,7 @@ impl Query {
                         coords.len()
                     ));
                 }
-                Ok(Query::BoxRange(coords.iter().map(|&c| (c, c)).collect()))
+                Cow::Owned(coords.iter().map(|&c| (c, c)).collect())
             }
             Query::HierarchyNode { level, index } => {
                 let (level, index) = (*level, *index);
@@ -244,7 +288,7 @@ impl Query {
                 }
                 if level == 64 {
                     return if index == 0 {
-                        Ok(Query::Total)
+                        Ok(Canonical::Total)
                     } else {
                         bad(format!("level-64 node index {index} out of range"))
                     };
@@ -256,10 +300,7 @@ impl Query {
                 }
                 let lo = index << level;
                 let hi = lo + ((1u64 << level) - 1);
-                if (lo, hi) == FULL {
-                    return Ok(Query::Total);
-                }
-                Ok(Query::BoxRange(vec![(lo, hi)]))
+                Cow::Owned(vec![(lo, hi)])
             }
             Query::MultiRange(boxes) => {
                 if boxes.is_empty() {
@@ -283,14 +324,20 @@ impl Query {
                         }
                     }
                 }
-                if boxes.len() == 1 {
-                    return Query::BoxRange(boxes[0].clone()).canonical();
+                if let [only] = boxes.as_slice() {
+                    Cow::Borrowed(only)
+                } else {
+                    let mut sorted: Vec<&[(u64, u64)]> = boxes.iter().map(Vec::as_slice).collect();
+                    sorted.sort_unstable();
+                    return Ok(Canonical::MultiRange(sorted));
                 }
-                let mut sorted = boxes.clone();
-                sorted.sort();
-                Ok(Query::MultiRange(sorted))
             }
-        }
+        };
+        Ok(if axes.iter().all(|&a| a == FULL) {
+            Canonical::Total
+        } else {
+            Canonical::BoxRange(axes)
+        })
     }
 
     /// The disjoint boxes the (canonical) query evaluates over, each
@@ -308,45 +355,31 @@ impl Query {
                 .map(|i| axes.get(i).copied().unwrap_or(FULL))
                 .collect())
         };
-        match self.canonical()? {
-            Query::Total => Ok(vec![vec![FULL; dims]]),
-            Query::BoxRange(axes) => Ok(vec![norm(&axes)?]),
-            Query::MultiRange(boxes) => boxes.iter().map(|b| norm(b)).collect(),
-            other => unreachable!("canonical() never returns {other:?}"),
+        match self.canonical_form()? {
+            Canonical::Total => Ok(vec![vec![FULL; dims]]),
+            Canonical::BoxRange(axes) => Ok(vec![norm(&axes)?]),
+            Canonical::MultiRange(boxes) => boxes.into_iter().map(norm).collect(),
         }
     }
 
-    /// The canonical body bytes — what the store's query cache keys on.
+    /// The canonical body bytes — what the store's query cache keys on:
+    /// [`Query::canonical`]'s wire form, written straight from this
+    /// query's boxes.
     pub fn canonical_bytes(&self) -> Result<Vec<u8>, QueryError> {
-        let canonical = self.canonical()?;
         let mut w = Writer::new();
-        canonical.write_wire(&mut w);
+        match self.canonical_form()? {
+            Canonical::Total => Query::Total.write_wire(&mut w),
+            Canonical::BoxRange(axes) => put_box(&mut w, &axes),
+            Canonical::MultiRange(boxes) => put_multi(&mut w, &boxes),
+        }
         Ok(w.into_bytes())
     }
 
     /// Writes the wire representation (two sections: kind tag, payload).
     pub fn write_wire(&self, w: &mut Writer) {
-        let put_axes = |w: &mut Writer, axes: &[(u64, u64)]| {
-            w.put_u64(axes.len() as u64);
-            for &(lo, hi) in axes {
-                w.put_u64(lo);
-                w.put_u64(hi);
-            }
-        };
         match self {
-            Query::BoxRange(axes) => {
-                w.section(1, |w| w.put_u8(1));
-                w.section(2, |w| put_axes(w, axes));
-            }
-            Query::MultiRange(boxes) => {
-                w.section(1, |w| w.put_u8(2));
-                w.section(2, |w| {
-                    w.put_u64(boxes.len() as u64);
-                    for axes in boxes {
-                        put_axes(w, axes);
-                    }
-                });
-            }
+            Query::BoxRange(axes) => put_box(w, axes),
+            Query::MultiRange(boxes) => put_multi(w, boxes),
             Query::Point(coords) => {
                 w.section(1, |w| w.put_u8(3));
                 w.section(2, |w| {
@@ -430,7 +463,7 @@ impl Query {
         body.finish()?;
         // Structural validation beyond per-field checks (index ranges,
         // multi-range disjointness) is shared with the in-process path.
-        query.canonical().map_err(invalid)?;
+        query.canonical_form().map_err(invalid)?;
         Ok(query)
     }
 }
@@ -752,6 +785,82 @@ mod tests {
         assert_ne!(
             Query::interval(0, 5).canonical_bytes().unwrap(),
             Query::interval(0, 6).canonical_bytes().unwrap()
+        );
+    }
+
+    #[test]
+    fn canonical_bytes_match_the_canonical_querys_wire_form() {
+        // The borrowed writer against the owned reference, bytes and
+        // errors alike, over every shape and every fold.
+        let reference = |q: &Query| -> Result<Vec<u8>, QueryError> {
+            let mut w = Writer::new();
+            q.canonical()?.write_wire(&mut w);
+            Ok(w.into_bytes())
+        };
+        let mut queries = query_fixtures();
+        queries.extend([
+            // Unsorted multi-ranges, 1-D and 2-D, and a one-box multi-range.
+            Query::MultiRange(vec![vec![(40, 49)], vec![(0, 9)], vec![(20, 29)]]),
+            Query::MultiRange(vec![vec![(5, 9), (0, 3)], vec![(0, 4), (8, 9)]]),
+            Query::MultiRange(vec![vec![(7, 8), (1, 2)]]),
+            Query::MultiRange(vec![vec![(0, u64::MAX)]]),
+            // Full-domain boxes map to Total; a point maps to a box.
+            Query::BoxRange(vec![]),
+            Query::BoxRange(vec![(0, u64::MAX), (0, u64::MAX)]),
+            Query::Point(vec![0, u64::MAX]),
+            Query::HierarchyNode {
+                level: 64,
+                index: 0,
+            },
+            Query::HierarchyNode { level: 0, index: 9 },
+            Query::HierarchyNode {
+                level: 63,
+                index: 1,
+            },
+            // Errors.
+            Query::MultiRange(vec![vec![(0, 10)], vec![(10, 20)]]),
+            Query::MultiRange(vec![vec![(20, 30)], vec![(0, 10)], vec![(5, 6)]]),
+            Query::MultiRange(vec![]),
+            Query::BoxRange(vec![(9, 3)]),
+            Query::BoxRange(vec![(0, 1); MAX_QUERY_AXES + 1]),
+            Query::Point(vec![]),
+            Query::HierarchyNode {
+                level: 64,
+                index: 1,
+            },
+            Query::HierarchyNode {
+                level: 65,
+                index: 0,
+            },
+        ]);
+        for q in &queries {
+            assert_eq!(q.canonical_bytes(), reference(q), "{q:?}");
+        }
+        // The wire layout itself, written out by hand: a multi-range
+        // sorts its boxes before it writes them.
+        let mut w = Writer::new();
+        w.section(1, |w| w.put_u8(2));
+        w.section(2, |w| {
+            for v in [2, 1, 0, 9, 1, 40, 49] {
+                w.put_u64(v);
+            }
+        });
+        assert_eq!(
+            Query::MultiRange(vec![vec![(40, 49)], vec![(0, 9)]]).canonical_bytes(),
+            Ok(w.into_bytes())
+        );
+        // Spellings that fold together share bytes.
+        assert_eq!(
+            Query::HierarchyNode {
+                level: 64,
+                index: 0
+            }
+            .canonical_bytes(),
+            Query::Total.canonical_bytes()
+        );
+        assert_eq!(
+            Query::Point(vec![4, 5]).canonical_bytes(),
+            Query::BoxRange(vec![(4, 4), (5, 5)]).canonical_bytes()
         );
     }
 
