@@ -5,7 +5,8 @@
 //! is a box estimate at confidence 0.95, so it shares a line with a
 //! `REQ_ESTIMATE` of the same box at 0.95. The daemon's event loop also
 //! reads it, never waiting for the lock, through
-//! [`crate::Store::cached_estimate`]; only `Store::answer` fills it.
+//! [`crate::Store::cached_estimate`], and calls `Store::answer` itself
+//! only while no worker is running a job; only `Store::answer` fills it.
 //!
 //! Keys embed the **series stamp** of the `(dataset, kind)` series they
 //! read ([`crate::Snapshot::series_version`]): the global snapshot version

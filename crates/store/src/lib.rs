@@ -59,6 +59,7 @@ pub mod server;
 pub mod window;
 pub mod wire;
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs;
@@ -345,13 +346,16 @@ pub struct EstimateAnswer {
 /// An estimate started by [`Store::lookup`]: the snapshot it reads and
 /// the query's cache key (or the reason the query cannot have one),
 /// built once. [`Store::cached_estimate`] probes the cache with it and
-/// [`Store::answer`] finishes it, on whichever thread holds it.
+/// [`Store::answer`] finishes it, on whichever thread holds it. The
+/// dataset and query are borrowed when the caller keeps them (an
+/// in-process [`Store::estimate`]) and owned when the lookup must
+/// travel (the daemon's `Lookup<'static>`), so neither is ever copied.
 #[derive(Debug)]
-pub struct Lookup {
+pub struct Lookup<'q> {
     snap: Arc<Snapshot>,
-    pub(crate) dataset: String,
+    pub(crate) dataset: Cow<'q, str>,
     kind: SummaryKind,
-    query: Query,
+    query: Cow<'q, Query>,
     /// Holds the confidence and time filter too.
     pub(crate) key: Result<CacheKey, QueryError>,
 }
@@ -777,7 +781,7 @@ impl Store {
         confidence: f64,
         time: Option<(u64, u64)>,
     ) -> Result<EstimateAnswer, StoreError> {
-        self.answer(self.lookup(dataset.to_string(), kind, query.clone(), confidence, time))
+        self.answer(self.lookup(dataset.into(), kind, Cow::Borrowed(query), confidence, time))
     }
 
     /// [`Store::estimate`] plus a gap report, both computed against the
@@ -793,7 +797,7 @@ impl Store {
         confidence: f64,
         time: Option<(u64, u64)>,
     ) -> Result<(EstimateAnswer, Coverage), StoreError> {
-        let lookup = self.lookup(dataset.to_string(), kind, query.clone(), confidence, time);
+        let lookup = self.lookup(dataset.into(), kind, Cow::Borrowed(query), confidence, time);
         let coverage = lookup.snap.coverage(dataset, kind, time);
         Ok((self.answer(lookup)?, coverage))
     }
@@ -802,18 +806,18 @@ impl Store {
     /// query's cache key against it, once. A malformed query keeps its
     /// error instead; [`Store::answer`] reports it. Nothing is counted
     /// until the lookup is answered.
-    pub fn lookup(
+    pub fn lookup<'q>(
         &self,
-        dataset: String,
+        dataset: Cow<'q, str>,
         kind: SummaryKind,
-        query: Query,
+        query: Cow<'q, Query>,
         confidence: f64,
         time: Option<(u64, u64)>,
-    ) -> Lookup {
+    ) -> Lookup<'q> {
         let snap = self.snapshot();
         let key = query.canonical_bytes().map(|query| CacheKey {
             series_version: snap.series_version(&dataset, kind),
-            dataset: dataset.clone(),
+            dataset: String::from(&*dataset),
             kind_tag: kind.tag(),
             query,
             confidence_bits: confidence.to_bits(),
@@ -832,8 +836,9 @@ impl Store {
     /// on a miss, for a malformed query, or while the cache lock is held
     /// elsewhere. Only a hit is counted: the caller hands a miss to
     /// [`Store::answer`], which counts it, so each query counts once. The
-    /// daemon's event loop answers cache hits through this.
-    pub fn cached_estimate(&self, lookup: &Lookup) -> Option<EstimateAnswer> {
+    /// daemon's event loop answers cache hits through this whenever it
+    /// cannot rule out a worker holding the cache lock.
+    pub fn cached_estimate(&self, lookup: &Lookup<'_>) -> Option<EstimateAnswer> {
         let hit = self.cache.try_get(lookup.key.as_ref().ok()?)?;
         Some(self.cache_hit(lookup, hit))
     }
@@ -842,7 +847,7 @@ impl Store {
     /// cache hit, or else a counted miss answered from that snapshot and
     /// cached. A lookup taken before an ingest into its series answers
     /// as of before the ingest.
-    pub fn answer(&self, lookup: Lookup) -> Result<EstimateAnswer, StoreError> {
+    pub fn answer(&self, lookup: Lookup<'_>) -> Result<EstimateAnswer, StoreError> {
         if let Some(hit) = lookup.key.as_ref().ok().and_then(|k| self.cache.get(k)) {
             return Ok(self.cache_hit(&lookup, hit));
         }
@@ -872,7 +877,11 @@ impl Store {
 
     /// Counts a cache hit and frames it as an answer against the
     /// lookup's snapshot.
-    fn cache_hit(&self, lookup: &Lookup, (estimate, windows): (Estimate, u64)) -> EstimateAnswer {
+    fn cache_hit(
+        &self,
+        lookup: &Lookup<'_>,
+        (estimate, windows): (Estimate, u64),
+    ) -> EstimateAnswer {
         self.cache_cells(&lookup.dataset).hits.inc();
         EstimateAnswer {
             estimate,

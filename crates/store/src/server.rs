@@ -15,24 +15,35 @@
 //! [`crate::poller::WakeHandle`]. Only `Ping`, `Shutdown`, undecodable
 //! frames and `BUSY` refusals (plus a watch over its per-connection cap)
 //! are answered inline on the loop — a ping measures loop latency even
-//! while every worker is busy — and so are answer-cache hits.
+//! while every worker is busy — and so are the estimates below.
 //!
-//! ## Cache hits on the loop
+//! ## Estimates on the loop
 //!
-//! A cached answer costs about a microsecond, the worker round trip (job
-//! hand-off, worker wake, completion channel, loop wake) several times
-//! that. So the loop answers a `REQ_ESTIMATE` or legacy `REQ_QUERY` hit
-//! itself, with the bytes a worker would send. It takes up an estimate
-//! only when every earlier request on the connection has been answered,
-//! so a hit never overtakes an ingest pipelined ahead of it. Such an
-//! estimate is looked up once, inside its `parse` stage
-//! ([`Store::lookup`]: the snapshot pinned and the cache key built), and
-//! probed ([`Store::cached_estimate`], which never waits for the cache
-//! lock). On a miss the lookup itself travels to a worker, which finishes
-//! it ([`Store::answer`]) against the snapshot pinned at dispatch, without
-//! building the key again. Estimates behind an unanswered request,
-//! `REQ_ESTIMATE_COV` (its coverage walks the series) and watches go to
-//! the pool whole.
+//! A cached answer costs about a microsecond and a miss tens of
+//! microseconds, the worker round trip (job hand-off, worker wake,
+//! completion channel, loop wake) more than either. So the loop answers
+//! some `REQ_ESTIMATE` and legacy `REQ_QUERY` requests itself, with the
+//! bytes a worker would send (both frame through [`estimate_message`]).
+//! It takes up an estimate only when every earlier request on the
+//! connection has been answered, so it never overtakes an ingest
+//! pipelined ahead of it. Such an estimate is looked up once, inside its
+//! `parse` stage ([`Store::lookup`]: the snapshot pinned and the cache key
+//! built). Then:
+//!
+//! * when the worker pool is idle (no request, watch evaluation or
+//!   lifecycle job in flight) and the wakeup that delivered the request
+//!   delivered nothing else (one readiness event, one complete frame,
+//!   nothing parked or partial behind it), the loop finishes the lookup
+//!   itself ([`Store::answer`]), hit or miss. Nothing else is waiting for
+//!   the loop, and with no job in flight no worker holds the cache lock;
+//! * otherwise it probes the cache ([`Store::cached_estimate`], which
+//!   never waits for the lock) and answers a hit; a miss's lookup travels
+//!   to a worker, which finishes it against the snapshot pinned at
+//!   dispatch, without building the key again. A pipelined burst thus
+//!   spreads over the pool instead of being answered serially here.
+//!
+//! Estimates behind an unanswered request, `REQ_ESTIMATE_COV` (its
+//! coverage walks the series) and watches go to the pool whole.
 //!
 //! ## Pipelining & ordering
 //!
@@ -60,7 +71,7 @@
 //!   explicit `RESP_BUSY` frame and a clean close (never a silent drop).
 //! * With `dataset_inflight > 0`, requests against a dataset that already
 //!   has that many requests in flight get `RESP_BUSY` instead of queueing
-//!   — one hot dataset cannot monopolize the worker pool. A cache hit
+//!   — one hot dataset cannot monopolize the worker pool. An estimate
 //!   answered on the loop never occupies a worker, so it is never shed
 //!   and never counts as in flight.
 //!
@@ -90,6 +101,7 @@
 //! lifecycle job (retention, then compaction) on that cadence, or sooner
 //! once [`LIFECYCLE_INGESTS`] ingests have landed since the last one.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -182,9 +194,14 @@ pub struct ServerMetrics {
     pub idle_timeouts: u64,
     /// Connections dropped for fatal framing (oversized length).
     pub protocol_errors: u64,
-    /// Requests dispatched to the worker pool (cache hits answered on the
-    /// event loop are not among them).
+    /// Requests dispatched to the worker pool. Estimates answered on the
+    /// event loop are not among them: cache hits, and the misses counted
+    /// in `loop_misses`.
     pub requests: u64,
+    /// Estimate misses (malformed queries included) answered on the event
+    /// loop because the worker pool was idle; every other miss is among
+    /// `requests`.
+    pub loop_misses: u64,
     /// High-water mark of any connection's unwritten response bytes.
     pub max_queued_bytes: u64,
     /// Currently served connections.
@@ -205,6 +222,7 @@ struct MetricCells {
     idle_timeouts: Arc<ObsCounter>,
     protocol_errors: Arc<ObsCounter>,
     requests: Arc<ObsCounter>,
+    loop_misses: Arc<ObsCounter>,
     max_queued_bytes: Arc<ObsCounter>,
     active_conns: AtomicU64,
 }
@@ -219,6 +237,7 @@ impl MetricCells {
             idle_timeouts: reg.counter("sas_conn_idle_timeouts_total"),
             protocol_errors: reg.counter("sas_protocol_errors_total"),
             requests: reg.counter("sas_requests_dispatched_total"),
+            loop_misses: reg.counter("sas_loop_misses_answered_total"),
             max_queued_bytes: reg.counter("sas_conn_queued_bytes_highwater"),
             active_conns: AtomicU64::new(0),
         }
@@ -233,6 +252,7 @@ impl MetricCells {
             idle_timeouts: self.idle_timeouts.get(),
             protocol_errors: self.protocol_errors.get(),
             requests: self.requests.get(),
+            loop_misses: self.loop_misses.get(),
             max_queued_bytes: self.max_queued_bytes.get(),
             active_conns: self.active_conns.load(Ordering::Relaxed),
         }
@@ -245,15 +265,15 @@ impl MetricCells {
 
 /// Stage names of the per-request clock, in pipeline order. Every request
 /// is timed through all five; inline answers (ping, protocol errors) simply
-/// record zero for `queue` and `work`, and a cache hit answered on the loop
-/// records zero `queue` and its probe (plus encoding) as `work`.
+/// record zero for `queue` and `work`, and an estimate answered on the loop
+/// records zero `queue` and its answer (plus encoding) as `work`.
 const STAGES: [&str; 5] = ["parse", "queue", "work", "queued", "flush"];
 /// Decoding the frame, on the loop, and looking up an estimate the loop
 /// may answer.
 const PARSE: usize = 0;
 /// Waiting in the job channel for a worker.
 const QUEUE: usize = 1;
-/// Answering on the worker (or the loop, for a cache hit).
+/// Answering on the worker (or the loop, for an estimate it answers).
 const WORK: usize = 2;
 /// In the outbox, until the response's first byte reaches the socket.
 const QUEUED: usize = 3;
@@ -336,7 +356,7 @@ impl RequestObs {
 }
 
 /// What the slow-query log reports beyond timings. Captured (by a worker,
-/// or by the loop for a cache hit it answers) only when the log is enabled
+/// or by the loop for an estimate it answers) only when the log is enabled
 /// (the canonical-query hex costs an allocation per request).
 struct SlowMeta {
     dataset: String,
@@ -374,7 +394,7 @@ impl SlowMeta {
 
     /// A looked-up estimate's coordinates, the canonical bytes read off
     /// its cache key.
-    fn looked_up(lookup: &Lookup) -> SlowMeta {
+    fn looked_up(lookup: &Lookup<'_>) -> SlowMeta {
         let key = lookup.key.as_ref().ok();
         SlowMeta::new(Some(&lookup.dataset), key.map(|k| k.query.as_slice()))
     }
@@ -446,9 +466,8 @@ struct WatchSpec {
 enum Work {
     /// Answer a client request (the classic path).
     Req(Request),
-    /// Finish an estimate the loop looked up but found no cached answer
-    /// for.
-    Estimate(Reply, Lookup),
+    /// Finish an estimate the loop looked up but did not answer.
+    Estimate(Reply, Lookup<'static>),
     /// Validate a watch registration by answering its query once.
     WatchRegister { watch_id: u64, spec: Arc<WatchSpec> },
     /// Re-answer a registered watch after an ingest into its series.
@@ -615,11 +634,12 @@ impl Server {
                             }
                             Work::Estimate(reply, lookup) => {
                                 let slow = slow_enabled.then(|| SlowMeta::looked_up(&lookup));
-                                let response = reply.frame(store.answer(lookup));
-                                if let Some(trace) = &mut trace {
-                                    trace.slow = slow.map(|meta| meta.answered(&response));
-                                }
-                                Delivery::Response(to_message(&encode_response(&response)))
+                                Delivery::Response(estimate_message(
+                                    reply,
+                                    store.answer(lookup),
+                                    slow,
+                                    trace.as_mut(),
+                                ))
                             }
                             Work::WatchRegister { watch_id, spec } => {
                                 // Validate by answering once: a query the
@@ -870,11 +890,14 @@ struct EventLoop {
     waker: Waker,
     shared: Arc<Shared>,
     config: ServerConfig,
-    /// Used only to look up estimates and probe the cache
-    /// ([`Store::lookup`], [`Store::cached_estimate`]): everything that may
-    /// wait on the store runs on a worker.
+    /// Used only to look up and answer estimates ([`Store::lookup`],
+    /// [`Store::cached_estimate`], and [`Store::answer`] while the pool is
+    /// idle): everything else that may wait on the store runs on a worker.
     store: Arc<Store>,
     job_tx: Sender<Job>,
+    /// Jobs of every kind sent to the pool whose completion has not been
+    /// drained yet. Zero means no worker touches the store.
+    jobs_in_flight: usize,
     done_rx: Receiver<Completion>,
     poller: Poller,
     interest: InterestCache,
@@ -926,6 +949,7 @@ impl EventLoop {
             config,
             store,
             job_tx,
+            jobs_in_flight: 0,
             done_rx,
             poller,
             interest,
@@ -958,14 +982,24 @@ impl EventLoop {
                 self.lobs.spurious.inc();
             }
 
+            let fired: Vec<Event> = std::mem::take(&mut events);
+            // The wake pipe first, then the completion channel: a worker
+            // sends its completion before it writes its wake byte, so every
+            // byte drained here belongs to a completion the channel already
+            // holds. The other way round, a completion sent between the two
+            // drains would lose its wake and wait for an unrelated event or
+            // the poll cap.
+            if fired.iter().any(|ev| ev.token == WAKER_TOKEN) {
+                self.waker.drain();
+            }
             self.drain_completions();
 
-            let fired: Vec<Event> = std::mem::take(&mut events);
+            let solo = fired.len() == 1;
             for ev in fired {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => self.waker.drain(),
-                    token => self.conn_ready(token, ev),
+                    WAKER_TOKEN => {}
+                    token => self.conn_ready(token, ev, solo),
                 }
             }
 
@@ -1045,7 +1079,7 @@ impl EventLoop {
             work: Work::Lifecycle,
             trace: None,
         };
-        if self.job_tx.send(job).is_ok() {
+        if self.send_job(job).is_ok() {
             self.lifecycle_inflight = true;
             self.ingests_since_lifecycle = 0;
             self.lobs.lifecycle_ticks.inc();
@@ -1134,7 +1168,9 @@ impl EventLoop {
 
     // ---- connection I/O ----------------------------------------------
 
-    fn conn_ready(&mut self, token: u64, ev: Event) {
+    /// Serves one readiness event; `solo`: it is the only event of its
+    /// wakeup.
+    fn conn_ready(&mut self, token: u64, ev: Event, solo: bool) {
         if !self.conns.contains_key(&token) {
             return; // reaped earlier this tick
         }
@@ -1145,7 +1181,7 @@ impl EventLoop {
             return;
         }
         if ev.readable {
-            self.read_ready(token);
+            self.read_ready(token, solo);
         }
         if self.conns.contains_key(&token) && ev.writable {
             self.flush_conn(token);
@@ -1157,13 +1193,18 @@ impl EventLoop {
         self.maybe_close(token);
     }
 
-    fn read_ready(&mut self, token: u64) {
+    /// Reads what the socket holds and dispatches the complete frames.
+    /// `solo` (the read is its wakeup's only event) carries to a frame
+    /// that is also all the read delivered: nothing parked or partial
+    /// behind it.
+    fn read_ready(&mut self, token: u64, solo: bool) {
         enum Fate {
             Keep,
             Drop,
             Protocol,
         }
         let mut frames = Vec::new();
+        let mut solo = solo;
         // Scoped so the `conns` borrow ends before drop_conn/dispatch.
         let fate = {
             let Some(entry) = self.conns.get_mut(&token) else {
@@ -1225,6 +1266,12 @@ impl EventLoop {
             } else {
                 None
             };
+            // A read cut at the quantum may have left bytes in the kernel.
+            solo = solo
+                && frames.len() == 1
+                && total < READ_QUANTUM
+                && entry.conn.buffered_requests() == 0
+                && !entry.conn.has_partial_frame();
             if matches!(fate, Fate::Keep) && eof {
                 entry.peer_done = true;
                 if entry.conn.has_partial_frame() {
@@ -1254,7 +1301,7 @@ impl EventLoop {
             Fate::Keep => {}
         }
         for inbound in frames {
-            self.dispatch(token, inbound.seq, &inbound.frame);
+            self.dispatch(token, inbound.seq, &inbound.frame, solo);
         }
         self.pump(token);
         self.flush_conn(token);
@@ -1284,15 +1331,16 @@ impl EventLoop {
                 return;
             }
             for inbound in ready {
-                self.dispatch(token, inbound.seq, &inbound.frame);
+                self.dispatch(token, inbound.seq, &inbound.frame, false);
             }
         }
     }
 
-    /// Routes one request: inline answers (cache hits included) on the
-    /// loop, store work to the pool, BUSY under admission control. The
+    /// Routes one request: inline answers (estimates the loop may answer
+    /// included) on the loop, store work to the pool, BUSY under admission
+    /// control. `solo`: the request is all its wakeup delivered. The
     /// request's record starts here and travels with it to its flush.
-    fn dispatch(&mut self, token: u64, seq: u64, frame: &[u8]) {
+    fn dispatch(&mut self, token: u64, seq: u64, frame: &[u8], solo: bool) {
         let mut trace = ReqTrace::start(seq);
         let req = match decode_request(frame) {
             Ok(req) => req,
@@ -1320,7 +1368,7 @@ impl EventLoop {
             req => Work::Req(req),
         };
         trace.lap(PARSE, Instant::now());
-        match &work {
+        let work = match work {
             Work::Req(Request::Ping) => return self.respond_inline(token, trace, &Response::Pong),
             Work::Req(Request::Shutdown) => {
                 self.respond_inline(token, trace, &Response::Shutdown);
@@ -1329,18 +1377,21 @@ impl EventLoop {
                 }
                 return self.shared.begin_shutdown();
             }
-            // Before admission control: a hit never occupies a worker, so
-            // it is never shed.
-            Work::Estimate(reply, lookup) => {
-                if let Some(message) = self.answer_cached(*reply, lookup, &mut trace) {
-                    return self.respond(token, message, trace);
-                }
+            // Before admission control: an estimate answered here never
+            // occupies a worker, so it is never shed.
+            Work::Estimate(reply, lookup) if solo && self.jobs_in_flight == 0 => {
+                let message = self.answer_on_loop(reply, lookup, &mut trace);
+                return self.respond(token, message, trace);
             }
-            _ => {}
-        }
+            Work::Estimate(reply, lookup) => match self.answer_cached(reply, &lookup, &mut trace) {
+                Some(message) => return self.respond(token, message, trace),
+                None => Work::Estimate(reply, lookup),
+            },
+            work => work,
+        };
         let dataset = match &work {
             Work::Req(req) => request_dataset(req),
-            Work::Estimate(_, lookup) => Some(lookup.dataset.as_str()),
+            Work::Estimate(_, lookup) => Some(&*lookup.dataset),
             _ => None,
         };
         let cap = self.config.dataset_inflight;
@@ -1403,12 +1454,14 @@ impl EventLoop {
             work,
             trace: Some(trace),
         };
-        if let Err(SendError(Job {
-            trace: Some(trace), ..
-        })) = self.job_tx.send(job)
-        {
-            // Workers gone (shutdown race): answer what we can.
-            self.respond_inline(token, trace, &Response::Err("server stopping".into()));
+        if let Err(unsent) = self.send_job(job) {
+            if let SendError(Job {
+                trace: Some(trace), ..
+            }) = *unsent
+            {
+                // Workers gone (shutdown race): answer what we can.
+                self.respond_inline(token, trace, &Response::Err("server stopping".into()));
+            }
         }
     }
 
@@ -1427,23 +1480,58 @@ impl EventLoop {
         self.respond(token, to_message(&encode_response(resp)), trace);
     }
 
+    /// Hands `job` to the pool, counting it in flight until its
+    /// completion is drained.
+    fn send_job(&mut self, job: Job) -> Result<(), Box<SendError<Job>>> {
+        self.job_tx.send(job).map_err(Box::new)?;
+        self.jobs_in_flight += 1;
+        Ok(())
+    }
+
+    /// Finishes a looked-up `REQ_ESTIMATE` or `REQ_QUERY` right here on
+    /// the loop, hit or miss, with the bytes a worker would send. Only for
+    /// an estimate that arrived alone while the pool is idle (see the
+    /// module docs): nothing else waits for the loop, and no worker holds
+    /// the cache lock. Returns the response message, the answer timed as
+    /// `trace`'s `work` stage.
+    fn answer_on_loop(
+        &self,
+        reply: Reply,
+        lookup: Lookup<'static>,
+        trace: &mut ReqTrace,
+    ) -> Vec<u8> {
+        let slow = self
+            .config
+            .slow_query
+            .is_some()
+            .then(|| SlowMeta::looked_up(&lookup));
+        let answer = self.store.answer(lookup);
+        if !matches!(answer, Ok(EstimateAnswer { cached: true, .. })) {
+            self.shared.metrics.loop_misses.inc();
+        }
+        let message = estimate_message(reply, answer, slow, Some(&mut *trace));
+        trace.lap(WORK, Instant::now());
+        message
+    }
+
     /// Answers a looked-up `REQ_ESTIMATE` or `REQ_QUERY` whose answer is
-    /// cached, right here on the loop, with the bytes a worker would send
-    /// (both frame through [`Reply::frame`]). Returns the response
-    /// message, the probe timed as `trace`'s `work` stage; a miss returns
-    /// `None` and leaves the lookup for the worker pool.
+    /// cached, right here on the loop, without waiting for the cache lock.
+    /// Returns the response message, the probe timed as `trace`'s `work`
+    /// stage; a miss returns `None` and leaves the lookup for the pool.
     fn answer_cached(
         &self,
         reply: Reply,
-        lookup: &Lookup,
+        lookup: &Lookup<'_>,
         trace: &mut ReqTrace,
     ) -> Option<Vec<u8>> {
-        let response = reply.frame(Ok(self.store.cached_estimate(lookup)?));
-        let message = to_message(&encode_response(&response));
+        let hit = self.store.cached_estimate(lookup)?;
+        let slow = self
+            .config
+            .slow_query
+            .is_some()
+            .then(|| SlowMeta::looked_up(lookup));
+        let message = estimate_message(reply, Ok(hit), slow, Some(&mut *trace));
         trace.lap(WORK, Instant::now());
-        if self.config.slow_query.is_some() {
-            trace.slow = Some(SlowMeta::looked_up(lookup).answered(&response));
-        }
         Some(message)
     }
 
@@ -1452,6 +1540,7 @@ impl EventLoop {
             match self.done_rx.try_recv() {
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return,
                 Ok(done) => {
+                    self.jobs_in_flight -= 1;
                     if let Some(ds) = done.trace.as_ref().and_then(|t| t.dataset.as_deref()) {
                         if let Some(n) = self.dataset_inflight.get_mut(ds) {
                             *n -= 1;
@@ -1557,8 +1646,7 @@ impl EventLoop {
     /// flight.
     fn spawn_watch_eval(&mut self, token: u64, watch_id: u64, spec: Arc<WatchSpec>) {
         let sent = self
-            .job_tx
-            .send(Job {
+            .send_job(Job {
                 token,
                 work: Work::WatchEval { watch_id, spec },
                 trace: None, // no request, and no per-dataset admission
@@ -1852,9 +1940,7 @@ enum Reply {
 }
 
 impl Reply {
-    /// The response carrying `answer`. The loop's cache hits and the
-    /// workers' answers both frame here, so a hit answered on the loop is
-    /// byte-identical to a worker's answer.
+    /// The response carrying `answer`.
     fn frame(self, answer: Result<EstimateAnswer, StoreError>) -> Response {
         match (self, answer) {
             (_, Err(e)) => Response::Err(e.to_string()),
@@ -1872,12 +1958,30 @@ impl Reply {
     }
 }
 
+/// Frames a looked-up estimate's answer as its response message, and
+/// hands `trace` the lookup's slow-log metadata `slow` (when the log is
+/// on), completed with the windows the answer consulted. The loop and the
+/// workers both frame here, so an estimate answered on the loop is
+/// byte-identical to a worker's answer.
+fn estimate_message(
+    reply: Reply,
+    answer: Result<EstimateAnswer, StoreError>,
+    slow: Option<SlowMeta>,
+    trace: Option<&mut ReqTrace>,
+) -> Vec<u8> {
+    let response = reply.frame(answer);
+    if let Some(trace) = trace {
+        trace.slow = slow.map(|meta| meta.answered(&response));
+    }
+    to_message(&encode_response(&response))
+}
+
 /// Looks up a `REQ_QUERY` or `REQ_ESTIMATE` ([`Store::lookup`]), taking the
 /// request apart so its query is never copied, and says how the answer is
 /// framed. The legacy value-only tag is a box estimate at 0.95, the
 /// confidence its values have always been computed at, so it shares cache
 /// lines (and values, bit for bit) with `REQ_ESTIMATE` at 0.95.
-fn estimate_lookup(store: &Store, req: Request) -> (Reply, Lookup) {
+fn estimate_lookup(store: &Store, req: Request) -> (Reply, Lookup<'static>) {
     match req {
         Request::Query {
             dataset,
@@ -1886,7 +1990,13 @@ fn estimate_lookup(store: &Store, req: Request) -> (Reply, Lookup) {
             time,
         } => (
             Reply::Value,
-            store.lookup(dataset, kind, Query::BoxRange(range), 0.95, time),
+            store.lookup(
+                dataset.into(),
+                kind,
+                Cow::Owned(Query::BoxRange(range)),
+                0.95,
+                time,
+            ),
         ),
         Request::Estimate {
             dataset,
@@ -1896,7 +2006,7 @@ fn estimate_lookup(store: &Store, req: Request) -> (Reply, Lookup) {
             time,
         } => (
             Reply::Estimate,
-            store.lookup(dataset, kind, query, confidence, time),
+            store.lookup(dataset.into(), kind, Cow::Owned(query), confidence, time),
         ),
         other => unreachable!("{} is not an estimate request", request_tag(&other)),
     }
@@ -1944,5 +2054,105 @@ pub fn handle_request(store: &Store, req: Request) -> Response {
         Request::Metrics => Response::Metrics(store.obs().snapshot()),
         Request::Ping => Response::Pong,
         Request::Shutdown => Response::Shutdown,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{decode_response, encode_request};
+    use crate::StoreConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sas_core::WeightedKey;
+    use sas_summaries::{encode_summary, StoredSample, Summary};
+
+    /// An exact 1-D sample batch of keys `lo..lo + n`.
+    fn batch(lo: u64, n: u64) -> Box<dyn Summary> {
+        let rows: Vec<WeightedKey> = (lo..lo + n)
+            .map(|k| WeightedKey::new(k, 1.0 + (k % 7) as f64))
+            .collect();
+        let sample = sas_sampling::order::sample(&rows, rows.len(), &mut StdRng::seed_from_u64(1));
+        Box::new(StoredSample::one_dim(sample))
+    }
+
+    fn send(stream: &mut TcpStream, req: &Request) {
+        stream
+            .write_all(&to_message(&encode_request(req)))
+            .expect("send request");
+    }
+
+    fn recv(stream: &mut TcpStream, request_tag: u16) -> Response {
+        let mut prefix = [0u8; 4];
+        stream.read_exact(&mut prefix).expect("response length");
+        let mut frame = vec![0u8; u32::from_le_bytes(prefix) as usize];
+        stream.read_exact(&mut frame).expect("response frame");
+        decode_response(&frame, request_tag).expect("decodable response")
+    }
+
+    #[test]
+    fn a_miss_while_an_ingest_is_in_flight_goes_to_the_pool() {
+        let dir = std::env::temp_dir().join(format!(
+            "sas-server-unit-{}-ingest-in-flight",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Store::open(&dir, StoreConfig::default()).expect("open store"));
+        store
+            .ingest("web", 5, batch(0, 100))
+            .expect("in-process ingest");
+        let server = Server::start(store.clone(), "127.0.0.1:0", 2).expect("start daemon");
+        let addr = server.local_addr();
+
+        // Holding the writer lock parks the ingest on its worker: a job is
+        // in flight until the lock is released.
+        let writer = store.writer.lock().expect("writer lock");
+        let mut ingesting = TcpStream::connect(addr).expect("connect");
+        send(
+            &mut ingesting,
+            &Request::Ingest {
+                dataset: "feed".into(),
+                ts: 61,
+                frame: encode_summary(batch(0, 10).as_ref()),
+            },
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.metrics().requests == 0 {
+            assert!(Instant::now() < deadline, "the ingest was never dispatched");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        // A lone miss on another connection: the pool is busy, so the
+        // other worker answers it.
+        let mut asking = TcpStream::connect(addr).expect("connect");
+        send(
+            &mut asking,
+            &Request::Estimate {
+                dataset: "web".into(),
+                kind: SummaryKind::Sample,
+                query: Query::interval(0, 40),
+                confidence: 0.95,
+                time: None,
+            },
+        );
+        assert!(matches!(
+            recv(&mut asking, proto::REQ_ESTIMATE),
+            Response::Estimate { cached: false, .. }
+        ));
+        let m = server.metrics();
+        assert_eq!(
+            (m.requests, m.loop_misses),
+            (2, 0),
+            "the miss went to the pool"
+        );
+
+        drop(writer);
+        assert!(matches!(
+            recv(&mut ingesting, proto::REQ_INGEST),
+            Response::Ingest { .. }
+        ));
+        server.shutdown();
+        server.wait();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

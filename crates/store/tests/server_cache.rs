@@ -17,7 +17,7 @@ use sas_summaries::query::MAX_QUERY_AXES;
 use sas_summaries::{Query, SummaryKind};
 
 use sas_store::wire::{Request, Response};
-use util::{batch, batch_frame, message, recv_response, start};
+use util::{answered_on, batch, batch_frame, message, recv_response, start, AnsweredOn};
 
 fn estimate_req() -> Request {
     Request::Estimate {
@@ -216,18 +216,18 @@ fn the_loop_answers_a_new_spelling_of_a_cached_query_at_first_sight() {
     store.ingest("web", 5, batch(0, 100, 1)).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut ask = |req: &Request| {
-        let before = server.metrics().requests;
+        let before = server.metrics();
         stream.write_all(&message(req)).unwrap();
         let frame = match util::recv_message(&mut stream) {
             util::Recv::Message(frame) => frame,
             other => panic!("expected a response, got {other:?}"),
         };
-        let on_worker = server.metrics().requests > before;
         let cached = matches!(
             sas_store::wire::decode_response(&frame, sas_codec::proto::REQ_ESTIMATE),
             Ok(Response::Estimate { cached: true, .. })
         );
-        (frame, cached, on_worker)
+        let on = answered_on(&before, &server.metrics(), cached);
+        (frame, cached, on)
     };
     let estimate = |query: Query| Request::Estimate {
         dataset: "web".into(),
@@ -240,12 +240,18 @@ fn the_loop_answers_a_new_spelling_of_a_cached_query_at_first_sight() {
         estimate(Query::Point(vec![7])),
         estimate(Query::interval(7, 7)),
     );
-    let (_, cached, on_worker) = ask(&point);
-    assert!(!cached && on_worker, "the first answer is computed");
-    let (first_sight, cached, on_worker) = ask(&degenerate_box);
-    assert!(cached && !on_worker, "a new spelling hits on the loop");
-    let (repeat, cached, on_worker) = ask(&degenerate_box);
-    assert!(cached && !on_worker, "so does its repeat");
+    // Every request arrives alone at an idle pool, so the loop answers
+    // each: the first is computed there, the others hit.
+    let (_, cached, on) = ask(&point);
+    assert!(!cached, "the first answer is computed");
+    assert_eq!(on, AnsweredOn::Loop, "a lone miss on an idle daemon");
+    let (first_sight, cached, on) = ask(&degenerate_box);
+    assert!(
+        cached && on == AnsweredOn::Loop,
+        "a new spelling hits on the loop"
+    );
+    let (repeat, cached, on) = ask(&degenerate_box);
+    assert!(cached && on == AnsweredOn::Loop, "so does its repeat");
     assert_eq!(first_sight, repeat);
     server.shutdown();
     server.wait();
@@ -253,8 +259,9 @@ fn the_loop_answers_a_new_spelling_of_a_cached_query_at_first_sight() {
 
 #[test]
 fn every_estimate_the_loop_looks_up_is_counted_once() {
-    // Each estimate is one cache hit or one miss, whether the loop answers
-    // it or hands its lookup to a worker — an unanswerable one included.
+    // Each estimate is one cache hit or one miss, and answered in one
+    // place — an unanswerable one included. Sent one at a time to an idle
+    // pool, every one is answered on the loop, misses too.
     let (_dir, store, server) = start("counted-once", ServerConfig::default());
     store.ingest("web", 5, batch(0, 100, 1)).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -276,19 +283,26 @@ fn every_estimate_the_loop_looks_up_is_counted_once() {
             confidence: 0.95,
             time: None,
         };
-        let before = server.metrics().requests;
+        let before = server.metrics();
         stream.write_all(&message(&req)).unwrap();
-        match recv_response(&mut stream, sas_codec::proto::REQ_ESTIMATE) {
-            Response::Estimate { cached, .. } => assert_eq!(cached, *hit, "query {i}"),
-            Response::Err(_) => assert!(!hit, "query {i}"),
+        let cached = match recv_response(&mut stream, sas_codec::proto::REQ_ESTIMATE) {
+            Response::Estimate { cached, .. } => cached,
+            Response::Err(_) => false,
             other => panic!("query {i}: {other:?}"),
-        }
-        let on_worker = server.metrics().requests > before;
-        assert_eq!(on_worker, !hit, "query {i}: only misses leave the loop");
+        };
+        assert_eq!(cached, *hit, "query {i}");
+        let on = answered_on(&before, &server.metrics(), cached);
+        assert_eq!(on, AnsweredOn::Loop, "query {i}");
     }
     let stats = store.stats();
     let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
     assert_eq!((stat("cache_hits"), stat("cache_misses")), (3, 4));
+    let m = server.metrics();
+    assert_eq!(
+        (m.loop_misses, m.requests),
+        (4, 0),
+        "no estimate left the loop"
+    );
     server.shutdown();
     server.wait();
 }

@@ -179,7 +179,10 @@ fn cache_hits_are_never_shed_and_never_dispatched() {
         }
         other => panic!("warm-up: {other:?}"),
     };
-    let dispatched = server.metrics().requests;
+    // The ingest went to a worker; the warm-up miss, alone at an idle
+    // pool, was answered on the loop.
+    let warmed = server.metrics();
+    assert_eq!((warmed.requests, warmed.loop_misses), (1, 1));
 
     const N: usize = 8;
     stream.write_all(&estimate.repeat(N)).unwrap();
@@ -196,7 +199,11 @@ fn cache_hits_are_never_shed_and_never_dispatched() {
     }
     let m = server.metrics();
     assert_eq!(m.shed_requests, 0);
-    assert_eq!(m.requests, dispatched, "no hit was dispatched to a worker");
+    assert_eq!(
+        m.requests, warmed.requests,
+        "no hit was dispatched to a worker"
+    );
+    assert_eq!(m.loop_misses, warmed.loop_misses, "nor counted as a miss");
     // Each estimate is counted once, as a hit or a miss: the loop's probe
     // counts its hits only.
     let report = store.obs().snapshot();
@@ -428,8 +435,16 @@ fn metrics_count_accepts_and_requests() {
     a.stats().unwrap();
     b.list().unwrap();
     a.ping().unwrap(); // inline: not a worker request
+
+    // A lone miss at an idle pool is answered on the loop, and counted
+    // there instead.
+    let empty = b
+        .estimate("web", SummaryKind::Sample, &Query::Total, 0.9, None)
+        .unwrap();
+    assert!(!empty.cached);
     wait_metrics(&server, "accept count", |m| m.accepted == 2);
     wait_metrics(&server, "request count", |m| m.requests == 2);
+    wait_metrics(&server, "loop miss count", |m| m.loop_misses == 1);
     wait_metrics(&server, "active count", |m| m.active_conns == 2);
     drop(a);
     drop(b);

@@ -6,14 +6,14 @@ mod util;
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sas_codec::proto;
 use sas_store::server::ServerConfig;
 use sas_store::wire::{decode_response, Request, Response};
 use sas_summaries::{Estimate, Query, SummaryKind};
 
-use util::{batch_frame, message, recv_message, recv_response, start, Recv};
+use util::{batch, batch_frame, message, recv_message, recv_response, start, Recv};
 
 /// The mixed ingest/query/estimate/list/stats/ping workload both modes
 /// run. Ingests use fixed seeds, so every response byte is deterministic.
@@ -283,6 +283,8 @@ struct HitIngestHit {
     third: ([u64; 5], u64),
     /// Worker dispatches the three pipelined requests caused.
     dispatched: u64,
+    /// Misses the loop answered among them.
+    loop_misses: u64,
 }
 
 /// Warms one estimate, then pipelines three requests on one connection
@@ -337,17 +339,20 @@ fn hit_ingest_hit(name: &str, threads: usize) -> HitIngestHit {
     stream.write_all(&estimate).unwrap();
     let (warm, cached) = answer(&mut stream);
     assert!(!cached, "the warm-up computes its answer");
+    let warmed = server.metrics();
+    assert_eq!(warmed.loop_misses, 1, "alone at an idle pool, on the loop");
     let before = in_process();
-    assert_eq!(warm, before, "the worker's answer is the store's");
+    assert_eq!(warm, before, "the loop's answer is the store's");
 
-    let dispatched = server.metrics().requests;
     stream
         .write_all(&[estimate.clone(), ingest(121, 50, 2), estimate].concat())
         .unwrap();
     let (first, first_cached) = answer(&mut stream);
     ingested(&mut stream);
     let (third, _) = answer(&mut stream);
-    let dispatched = server.metrics().requests - dispatched;
+    let m = server.metrics();
+    let dispatched = m.requests - warmed.requests;
+    let loop_misses = m.loop_misses - warmed.loop_misses;
     let after = in_process();
     server.shutdown();
     server.wait();
@@ -358,6 +363,7 @@ fn hit_ingest_hit(name: &str, threads: usize) -> HitIngestHit {
         first_cached,
         third,
         dispatched,
+        loop_misses,
     }
 }
 
@@ -377,6 +383,7 @@ fn loop_answered_hits_never_overtake_a_pipelined_ingest() {
     assert_eq!(value(run.third), value(run.before) + second);
     assert_eq!(run.third.1, 2, "request 3 reads both windows");
     assert_eq!(run.dispatched, 2, "request 1 was answered on the loop");
+    assert_eq!(run.loop_misses, 0, "as a hit");
 }
 
 #[test]
@@ -396,4 +403,196 @@ fn loop_answered_hits_wait_for_earlier_requests_with_four_workers() {
         run.dispatched, 2,
         "the ingest and request 3 went to workers"
     );
+    assert_eq!(run.loop_misses, 0, "request 1 was a hit on the loop");
+}
+
+/// An estimate of `query` over `web`'s sample series at 0.95.
+fn estimate(query: Query) -> Request {
+    Request::Estimate {
+        dataset: "web".into(),
+        kind: SummaryKind::Sample,
+        query,
+        confidence: 0.95,
+        time: None,
+    }
+}
+
+/// One raw response message.
+fn recv_frame(stream: &mut TcpStream) -> Vec<u8> {
+    match recv_message(stream) {
+        Recv::Message(frame) => frame,
+        other => panic!("expected a response, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_lone_miss_on_an_idle_daemon_is_answered_on_the_loop() {
+    let (_dir, store, server) = start("lone-miss", ServerConfig::default());
+    store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .write_all(&message(&estimate(Query::interval(10, 60))))
+        .unwrap();
+    let Response::Estimate {
+        estimate: served,
+        cached: false,
+        ..
+    } = recv_response(&mut stream, proto::REQ_ESTIMATE)
+    else {
+        panic!("expected a computed estimate");
+    };
+    let m = server.metrics();
+    assert_eq!((m.loop_misses, m.requests), (1, 0), "no worker took it");
+    // It was answered through the store's cache: the in-process repeat
+    // hits the line the loop filled, bit for bit.
+    let again = store
+        .estimate(
+            "web",
+            SummaryKind::Sample,
+            &Query::interval(10, 60),
+            0.95,
+            None,
+        )
+        .unwrap();
+    assert!(again.cached);
+    assert_eq!(bits(&again.estimate), bits(&served));
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn a_pipelined_burst_of_misses_goes_to_the_pool_in_order() {
+    // Two daemons over identical stores: eight distinct misses written in
+    // one `write_all` to the first, the same eight one at a time to the
+    // second. The burst is spread over the pool and comes back in request
+    // order; the lone requests are answered on the loop; the bytes agree.
+    const N: u64 = 8;
+    let (_dir_a, store_a, burst) = start("burst-pool", ServerConfig::default());
+    let (_dir_b, store_b, lone) = start("burst-loop", ServerConfig::default());
+    for store in [&store_a, &store_b] {
+        store.ingest("web", 5, batch(0, 100, 1)).unwrap();
+    }
+    let queries: Vec<Request> = (0..N)
+        .map(|i| estimate(Query::interval(0, 10 * i + 5)))
+        .collect();
+
+    let mut stream = TcpStream::connect(burst.local_addr()).unwrap();
+    let all: Vec<u8> = queries.iter().flat_map(message).collect();
+    stream.write_all(&all).unwrap();
+    let pipelined: Vec<Vec<u8>> = (0..N).map(|_| recv_frame(&mut stream)).collect();
+    let m = burst.metrics();
+    assert_eq!((m.requests, m.loop_misses), (N, 0), "all went to the pool");
+
+    let mut stream = TcpStream::connect(lone.local_addr()).unwrap();
+    let one_at_a_time: Vec<Vec<u8>> = queries
+        .iter()
+        .map(|req| {
+            stream.write_all(&message(req)).unwrap();
+            recv_frame(&mut stream)
+        })
+        .collect();
+    let m = lone.metrics();
+    assert_eq!(
+        (m.requests, m.loop_misses),
+        (0, N),
+        "all answered on the loop"
+    );
+
+    for (i, (a, b)) in pipelined.iter().zip(&one_at_a_time).enumerate() {
+        assert!(
+            matches!(
+                decode_response(a, proto::REQ_ESTIMATE),
+                Ok(Response::Estimate { cached: false, .. })
+            ),
+            "response {i} is a computed estimate"
+        );
+        assert_eq!(a, b, "response {i}: pool and loop bytes differ");
+    }
+    let distinct: std::collections::BTreeSet<&Vec<u8>> = pipelined.iter().collect();
+    assert_eq!(
+        distinct.len(),
+        N as usize,
+        "each response answers its own query"
+    );
+    for server in [burst, lone] {
+        server.shutdown();
+        server.wait();
+    }
+}
+
+#[test]
+fn completions_are_delivered_without_waiting_for_the_poll_cap() {
+    // A worker sends its completion, then writes the loop's wake byte. A
+    // loop that drained the completion channel before the wake pipe could
+    // swallow the byte of a completion sent between the two, leaving its
+    // response to wait for an unrelated event or the loop's 500 ms poll
+    // cap. Each round, two connections pipeline a miss behind an ingest,
+    // so four workers complete close together, while a third pipelines a
+    // burst of cache hits the loop answers itself: its read is what widens
+    // the gap between the two drains. Every round must finish far inside
+    // the cap. The time the round's ingests spent appending and syncing
+    // their log records is not counted: a slow disk is not a lost wakeup.
+    const ROUNDS: u64 = 100;
+    const HITS: usize = 64;
+    let (_dir, store, server) = start(
+        "lost-wakeup",
+        ServerConfig {
+            threads: 4,
+            ..ServerConfig::default()
+        },
+    );
+    store.ingest("hot", 5, batch(0, 100, 1)).unwrap();
+    let hit = message(&Request::Estimate {
+        dataset: "hot".into(),
+        kind: SummaryKind::Sample,
+        query: Query::interval(0, 50),
+        confidence: 0.95,
+        time: None,
+    });
+    let mut hits = TcpStream::connect(server.local_addr()).unwrap();
+    hits.write_all(&hit).unwrap();
+    recv_response(&mut hits, proto::REQ_ESTIMATE);
+    let mut conns: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+        .collect();
+    let log = store.obs().histogram("sas_store_ingest_ns{stage=\"log\"}");
+    let mut slowest = Duration::ZERO;
+    for round in 0..ROUNDS {
+        let started = Instant::now();
+        let logged = log.snapshot().sum;
+        for (c, stream) in (0u64..).zip(&mut conns) {
+            let ingest = message(&Request::Ingest {
+                dataset: "web".into(),
+                ts: 61 + 60 * round,
+                frame: batch_frame(100 * c, 50, round),
+            });
+            let miss = message(&estimate(Query::interval(c, 2 * round + 50)));
+            stream.write_all(&[ingest, miss].concat()).unwrap();
+        }
+        hits.write_all(&hit.repeat(HITS)).unwrap();
+        for stream in &mut conns {
+            assert!(matches!(
+                recv_response(stream, proto::REQ_INGEST),
+                Response::Ingest { .. }
+            ));
+            assert!(matches!(
+                recv_response(stream, proto::REQ_ESTIMATE),
+                Response::Estimate { .. }
+            ));
+        }
+        for _ in 0..HITS {
+            assert!(matches!(
+                recv_response(&mut hits, proto::REQ_ESTIMATE),
+                Response::Estimate { cached: true, .. }
+            ));
+        }
+        let syncing = Duration::from_nanos(log.snapshot().sum - logged);
+        slowest = slowest.max(started.elapsed().saturating_sub(syncing));
+    }
+    assert!(
+        slowest < Duration::from_millis(250),
+        "slowest round took {slowest:?}"
+    );
+    server.shutdown();
+    server.wait();
 }

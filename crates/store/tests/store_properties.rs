@@ -3,6 +3,7 @@
 //! bit-identity, snapshot consistency under concurrent ingest + query, and
 //! the TCP daemon round trip.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -638,7 +639,15 @@ fn cached_estimate_answers_only_hits_and_counts_each_query_once() {
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     store.ingest("web", 5, batch(0, 50, 1)).unwrap();
     let q = Query::BoxRange(vec![(0, 30)]);
-    let lookup = |q: &Query| store.lookup("web".into(), SummaryKind::Sample, q.clone(), 0.9, None);
+    let lookup = |q: &Query| {
+        store.lookup(
+            "web".into(),
+            SummaryKind::Sample,
+            Cow::Owned(q.clone()),
+            0.9,
+            None,
+        )
+    };
     let counts = || {
         let stats = store.stats();
         let stat = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
@@ -696,7 +705,13 @@ fn a_lookup_answers_against_the_snapshot_it_pinned() {
     let store = Store::open(dir.path(), StoreConfig::default()).unwrap();
     store.ingest("web", 5, batch(0, 50, 1)).unwrap();
     let before = store.snapshot().version;
-    let lookup = store.lookup("web".into(), SummaryKind::Sample, Query::Total, 0.9, None);
+    let lookup = store.lookup(
+        "web".into(),
+        SummaryKind::Sample,
+        Cow::Owned(Query::Total),
+        0.9,
+        None,
+    );
     store.ingest("web", 7, batch(10_000, 20, 2)).unwrap();
     assert!(store.snapshot().version > before);
     let answer = store.answer(lookup).unwrap();

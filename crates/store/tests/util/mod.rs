@@ -159,6 +159,32 @@ pub fn wait_metrics(server: &Server, what: &str, cond: impl Fn(&ServerMetrics) -
     }
 }
 
+/// Where the daemon answered an estimate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnsweredOn {
+    /// On the event loop: a cache hit, or a miss counted in
+    /// `loop_misses`.
+    Loop,
+    /// On a worker: dispatched, and counted in `requests`.
+    Pool,
+}
+
+/// Where the daemon answered the one estimate sent between the `before`
+/// and `after` metric reads, whose response said `cached`. Panics unless
+/// it was answered in exactly one place: dispatched once, or answered on
+/// the loop (counted as a loop miss exactly when it missed).
+pub fn answered_on(before: &ServerMetrics, after: &ServerMetrics, cached: bool) -> AnsweredOn {
+    let dispatched = after.requests - before.requests;
+    let loop_misses = after.loop_misses - before.loop_misses;
+    match (dispatched, loop_misses, cached) {
+        (1, 0, _) => AnsweredOn::Pool,
+        (0, 0, true) | (0, 1, false) => AnsweredOn::Loop,
+        other => panic!(
+            "not answered in exactly one place: (dispatched, loop misses, cached) = {other:?}"
+        ),
+    }
+}
+
 /// Blocks until the peer closes the connection (EOF or reset), draining
 /// anything it still sends; panics if it stays open past 10 s.
 pub fn wait_closed(stream: &mut TcpStream, what: &str) {
