@@ -335,6 +335,9 @@ fn run() -> Result<(), String> {
             } else if label == "sample2d" {
                 obj.num("answer_batch_2d_qps", *batch_qps)
                     .num("answer_loop_2d_qps", *loop_qps);
+            } else if label == "varopt" {
+                obj.num("answer_batch_varopt_qps", *batch_qps)
+                    .num("answer_loop_varopt_qps", *loop_qps);
             }
         }
         let mut kinds = JsonObj::new();

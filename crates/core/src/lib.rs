@@ -36,6 +36,9 @@
 //!   paper's Eqns. 2–4) and the ε-approximation size bound (Theorem 2).
 //! * [`discrepancy`] — sample-vs-expectation discrepancy Δ(S, R), the
 //!   central quality measure of the paper.
+//! * [`key_index`] — [`KeyIndex`], the key-order index every 1-D answer
+//!   kernel finds a key range through: finished samples, VarOpt
+//!   reservoirs and their mapped segments alike.
 //!
 //! ## Quick start
 //!
@@ -64,6 +67,7 @@ pub mod bounds;
 pub mod discrepancy;
 pub mod estimate;
 pub mod ipps;
+pub mod key_index;
 pub mod poisson;
 pub mod reservoir;
 pub mod systematic;
@@ -72,6 +76,7 @@ pub mod varopt;
 pub use aggregate::{pair_aggregate, AggregationState};
 pub use estimate::{Sample, SampleEntry};
 pub use ipps::{inclusion_probabilities, threshold_exact, StreamingThreshold};
+pub use key_index::KeyIndex;
 pub use varopt::VarOptSampler;
 
 /// Identifier of a key in a data set.

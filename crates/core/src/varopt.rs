@@ -14,10 +14,13 @@
 //! sample size, and the inclusion/exclusion product bounds (conditions
 //! (i)–(iii) of Appendix A).
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use crate::aggregate::{aggregate_all, AggregationState};
 use crate::estimate::{Sample, SampleEntry};
+use crate::key_index::KeyIndex;
 use crate::{ipps, KeyId, WeightedKey};
 
 /// One key held in the VarOpt reservoir.
@@ -55,6 +58,10 @@ pub struct VarOptSampler {
     count: usize,
     /// Total processed weight (for diagnostics).
     total_weight: f64,
+    /// Key-order indexes over `large` and `small`, built on first use and
+    /// reset by [`VarOptSampler::push`] and [`VarOptSampler::merge`], the
+    /// only mutators.
+    index: OnceLock<[KeyIndex; 2]>,
 }
 
 impl VarOptSampler {
@@ -71,6 +78,7 @@ impl VarOptSampler {
             tau: 0.0,
             count: 0,
             total_weight: 0.0,
+            index: OnceLock::new(),
         }
     }
 
@@ -102,6 +110,7 @@ impl VarOptSampler {
             weight.is_finite() && weight >= 0.0,
             "invalid weight {weight}"
         );
+        self.index.take();
         self.count += 1;
         self.total_weight += weight;
         if weight == 0.0 {
@@ -220,6 +229,7 @@ impl VarOptSampler {
     ///
     /// `other`'s capacity may differ; the merged capacity is `self`'s.
     pub fn merge<R: Rng + ?Sized>(&mut self, other: VarOptSampler, rng: &mut R) {
+        self.index.take();
         self.count += other.count;
         self.total_weight += other.total_weight;
         // Trivial merges keep the existing reservoir state untouched.
@@ -326,9 +336,34 @@ impl VarOptSampler {
         self.large.iter().map(|h| (h.key, h.weight))
     }
 
+    /// Entry `i` of [`VarOptSampler::large_entries`].
+    pub fn large_entry(&self, i: usize) -> (KeyId, f64) {
+        let h = self.large[i];
+        (h.key, h.weight)
+    }
+
     /// The small partition: keys whose adjusted weight is exactly τ.
     pub fn small_keys(&self) -> &[KeyId] {
         &self.small
+    }
+
+    /// The key-order indexes of the large partition (over the item order
+    /// of [`VarOptSampler::large_entries`]) and of the small partition,
+    /// built on first use.
+    pub fn key_indexes(&self) -> &[KeyIndex; 2] {
+        self.index.get_or_init(|| {
+            let large = KeyIndex::build(self.large.len(), |i| self.large[i].key);
+            let small = KeyIndex::build(self.small.len(), |i| self.small[i]);
+            [large, small].map(|index| index.expect("a reservoir holds at most u32::MAX keys"))
+        })
+    }
+
+    /// Horvitz–Thompson estimate of the total weight: every large key at
+    /// `max(w, τ)`, summed in [`VarOptSampler::large_entries`] order, plus
+    /// `τ` per small key.
+    pub fn total_estimate(&self) -> f64 {
+        let large: f64 = self.large.iter().map(|h| h.weight.max(self.tau)).sum();
+        large + self.small.len() as f64 * self.tau
     }
 
     /// Total weight processed so far.
@@ -396,6 +431,7 @@ impl VarOptSampler {
             tau,
             count,
             total_weight,
+            index: OnceLock::new(),
         })
     }
 

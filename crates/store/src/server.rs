@@ -23,7 +23,7 @@
 //! microseconds, the worker round trip (job hand-off, worker wake,
 //! completion channel, loop wake) more than either. So the loop answers
 //! some `REQ_ESTIMATE` and legacy `REQ_QUERY` requests itself, with the
-//! bytes a worker would send (both frame through [`estimate_message`]).
+//! bytes a worker would send (both frame through `estimate_message`).
 //! It takes up an estimate only when every earlier request on the
 //! connection has been answered, so it never overtakes an ingest
 //! pipelined ahead of it. Such an estimate is looked up once, inside its

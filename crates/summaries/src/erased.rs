@@ -23,14 +23,13 @@ use rand::RngCore;
 
 use sas_codec::{encode_frame, open_frame, CodecError, Reader, Writer};
 use sas_core::varopt::VarOptSampler;
-use sas_core::KeyId;
 use sas_sampling::sharded::merge_pairwise;
 use sas_structures::product::BoxRange;
 
 use crate::countsketch::SketchSummary;
 use crate::fold::{self, SampleColumns};
 use crate::qdigest::QDigestSummary;
-use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
+use crate::query::{Estimate, Query, QueryError};
 use crate::stored::StoredSample;
 use crate::wavelet::WaveletSummary;
 
@@ -453,9 +452,7 @@ impl Summary for VarOptSampler {
     }
 
     fn total_estimate(&self) -> f64 {
-        let tau = self.tau();
-        let large: f64 = self.large_entries().map(|(_, w)| w.max(tau)).sum();
-        large + self.small_keys().len() as f64 * tau
+        VarOptSampler::total_estimate(self)
     }
 
     fn tau(&self) -> Option<f64> {
@@ -471,41 +468,15 @@ impl Summary for VarOptSampler {
         queries: &[Query],
         confidence: f64,
     ) -> Result<Vec<Estimate>, QueryError> {
-        let tau = self.tau();
-        let compiled: Vec<Vec<Vec<(u64, u64)>>> = queries
-            .iter()
-            .map(|q| q.boxes(1))
-            .collect::<Result<_, _>>()?;
-        let hit =
-            |boxes: &[Vec<(u64, u64)>], k: KeyId| boxes.iter().any(|axes| in_interval(axes[0], k));
-        // One pass over the reservoir per item class. Large keys are held
-        // with probability 1 and fold as heavy items of weight `max(w, τ)`;
-        // small keys carry the HT weight τ with unknown original weight,
-        // so they are only counted ([`SampleAccumulator::add_small`]).
-        let mut accs = vec![SampleAccumulator::default(); queries.len()];
-        let mut small_counts = vec![0usize; queries.len()];
-        for (k, w) in self.large_entries() {
-            for (acc, boxes) in accs.iter_mut().zip(&compiled) {
-                if hit(boxes, k) {
-                    let large = w.max(tau);
-                    acc.add(large, large);
-                }
-            }
-        }
-        for &k in self.small_keys() {
-            for (count, boxes) in small_counts.iter_mut().zip(&compiled) {
-                if hit(boxes, k) {
-                    *count += 1;
-                }
-            }
-        }
-        accs.into_iter()
-            .zip(small_counts)
-            .map(|(mut acc, small)| {
-                acc.add_small(small, tau);
-                acc.finish(confidence)
-            })
-            .collect()
+        let [large, small] = self.key_indexes();
+        let small_keys = self.small_keys();
+        fold::varopt_1d(
+            self.tau(),
+            (|i| self.large_entry(i).0, |i| self.large_entry(i).1, large),
+            (|i| small_keys[i], small),
+            queries,
+            confidence,
+        )
     }
 
     fn merge_in_place(

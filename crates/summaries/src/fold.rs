@@ -8,20 +8,24 @@
 //! answer and a mapped answer therefore run the same code, and agree bit
 //! for bit by construction.
 //!
-//! * [`sample_1d`] — 1-D samples, through a [`KeyOrder`] index built with
-//!   block sums: each box finds its index positions through the key
+//! Every 1-D kernel finds a key range through a [`KeyIndex`], the
+//! key-order index of `sas_core::key_index`, whose searches read keys
+//! through an accessor.
+//!
+//! * [`sample_1d`] — 1-D samples, through a [`KeyOrder`]: the key index
+//!   plus block sums. Each box finds its index positions through the key
 //!   fence, then folds its edge items one by one and every whole block in
 //!   between through the block's stored [`SampleAccumulator`].
 //!   O(k·(log n + BLOCK) + b) per query for a `k`-box query over `n`
 //!   items whose boxes cover `b ≤ n/BLOCK` whole blocks.
 //! * [`sample_2d`] — 2-D samples: one pass over the items for the whole
 //!   batch, each item tested against every query's boxes.
-//! * [`varopt_1d`] — mapped VarOpt reservoirs: large hits, found through
-//!   the same fence, are marked in a bitset ([`Hits`]) and fold in item
-//!   order as heavy items of weight `max(w, τ)`; small keys only count, so
-//!   their counts are differences of index positions (the boxes of a
-//!   validated [`Query`] are disjoint), and fold in through
-//!   [`SampleAccumulator::add_small`].
+//! * [`varopt_1d`] — VarOpt reservoirs, owned and mapped, through the key
+//!   indexes of their two partitions: large hits are marked in a bitset
+//!   ([`Hits`]) and fold in item order as heavy items of weight
+//!   `max(w, τ)`; small keys only count, so their counts are differences
+//!   of index positions (the boxes of a validated [`Query`] are
+//!   disjoint), and fold in through [`SampleAccumulator::add_small`].
 //!
 //! Every kernel finishes its answers through [`SampleAccumulator::finish`].
 //!
@@ -38,6 +42,7 @@ use std::sync::Arc;
 
 use sas_codec::segment::{Le, Word};
 use sas_codec::CodecError;
+use sas_core::key_index::{KeyIndex, BLOCK};
 
 use crate::erased::in_interval;
 use crate::query::{Estimate, Query, QueryError, SampleAccumulator};
@@ -82,76 +87,33 @@ impl<T: Word> Column<T> for Le<'_, T> {
     }
 }
 
-/// Index positions per block: the key fence holds the key at the start
-/// of every block, and a sample index one block sum per whole block.
-const BLOCK: usize = 16;
-
-/// The key-order index of one key column. Shared, so cloning a summary
-/// that holds one stays cheap.
+/// The key-order index of a 1-D sample's key column, with the block sums
+/// that [`sample_1d`] folds whole blocks through. Shared, so cloning a
+/// summary that holds one stays cheap.
 #[derive(Clone)]
-pub(crate) struct KeyOrder(Arc<Index>);
-
-struct Index {
-    /// Item indices stably sorted by key.
-    order: Box<[u32]>,
-    /// The key at index position `b·BLOCK`, for every block `b`: a
-    /// search picks its block here before it touches the index.
-    fence: Box<[u64]>,
-    /// For a sample column ([`KeyOrder::build_sample`]), block `b`'s items
-    /// folded in position order, one per whole block; empty otherwise.
-    blocks: Box<[SampleAccumulator]>,
+pub(crate) struct KeyOrder {
+    index: KeyIndex,
+    /// Block `b`'s items folded in position order, one per whole block.
+    blocks: Arc<[SampleAccumulator]>,
 }
 
 impl fmt::Debug for KeyOrder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "KeyOrder({} items)", self.len())
-    }
-}
-
-/// Items a key-order index can address: its entries are `u32`.
-fn index_len(items: usize) -> Result<u32, CodecError> {
-    u32::try_from(items).map_err(|_| {
-        CodecError::Invalid(format!(
-            "key column of {items} items exceeds the index limit of {}",
-            u32::MAX
-        ))
-    })
-}
-
-impl Index {
-    /// Sorts the item indices of a key column by key, ties in item order,
-    /// and samples the fence. The `(key, index)` pairs exist only while
-    /// sorting.
-    fn sort(keys: impl Column<u64>) -> Result<Self, CodecError> {
-        index_len(keys.len())?;
-        let mut pairs: Vec<(u64, u32)> = keys.values().zip(0u32..).collect();
-        pairs.sort_unstable();
-        Ok(Index {
-            fence: pairs.iter().step_by(BLOCK).map(|&(k, _)| k).collect(),
-            order: pairs.into_iter().map(|(_, i)| i).collect(),
-            blocks: Box::new([]),
-        })
+        write!(f, "KeyOrder({} items)", self.index.order().len())
     }
 }
 
 impl KeyOrder {
-    /// The index of a key column that carries no per-item sums (the
-    /// VarOpt partitions).
-    pub(crate) fn build(keys: impl Column<u64>) -> Result<Self, CodecError> {
-        Ok(KeyOrder(Arc::new(Index::sort(keys)?)))
-    }
-
-    /// The index of a 1-D sample's key column, with the block sums that
-    /// [`sample_1d`] folds whole blocks through: each block's items fold
-    /// in position order through [`SampleAccumulator::add`].
+    /// Indexes a 1-D sample's key column and sums its blocks: each block's
+    /// items fold in position order through [`SampleAccumulator::add`].
     pub(crate) fn build_sample(
         keys: impl Column<u64>,
         weights: impl Column<f64>,
         adjusted: impl Column<f64>,
     ) -> Result<Self, CodecError> {
-        let mut index = Index::sort(keys)?;
-        index.blocks = index
-            .order
+        let index = KeyIndex::build(keys.len(), |i| keys.at(i)).map_err(CodecError::Invalid)?;
+        let blocks = index
+            .order()
             .chunks_exact(BLOCK)
             .map(|block| {
                 let mut acc = SampleAccumulator::default();
@@ -159,35 +121,7 @@ impl KeyOrder {
                 acc
             })
             .collect();
-        Ok(KeyOrder(Arc::new(index)))
-    }
-
-    fn len(&self) -> usize {
-        self.0.order.len()
-    }
-
-    /// The first index position whose key fails `before`, a predicate
-    /// that holds on a prefix of the keys in index order: the fence picks
-    /// the block, one block of the index finishes the search. Equal to
-    /// `partition_point` over the whole index.
-    fn partition_point(&self, keys: impl Column<u64>, before: impl Fn(u64) -> bool) -> usize {
-        let Index { order, fence, .. } = &*self.0;
-        let Some(block) = fence.partition_point(|&k| before(k)).checked_sub(1) else {
-            return 0;
-        };
-        let start = block * BLOCK;
-        let run = &order[start..order.len().min(start + BLOCK)];
-        start + run.partition_point(|&i| before(keys.at(i as usize)))
-    }
-
-    /// The index positions of the items whose keys lie in `[lo, hi]`.
-    fn positions(&self, keys: impl Column<u64>, (lo, hi): (u64, u64)) -> Range<usize> {
-        self.partition_point(keys, |k| k < lo)..self.partition_point(keys, |k| k <= hi)
-    }
-
-    /// The items whose keys lie in `[lo, hi]`.
-    fn span(&self, keys: impl Column<u64>, range: (u64, u64)) -> &[u32] {
-        &self.0.order[self.positions(keys, range)]
+        Ok(KeyOrder { index, blocks })
     }
 
     /// Folds one query's boxes, in their validated ascending order. Each
@@ -199,10 +133,10 @@ impl KeyOrder {
         c: &SampleColumns<U, F>,
         boxes: &[Vec<(u64, u64)>],
     ) -> SampleAccumulator {
-        let Index { order, blocks, .. } = &*self.0;
+        let (order, blocks) = (self.index.order(), &*self.blocks);
         let mut acc = SampleAccumulator::default();
         for axes in boxes {
-            let Range { start, end } = self.positions(c.keys, axes[0]);
+            let Range { start, end } = self.index.positions(|i| c.keys.at(i), axes[0]);
             let (first, last) = (start.div_ceil(BLOCK), end / BLOCK);
             if first < last {
                 add_items(
@@ -370,28 +304,32 @@ pub(crate) fn sample_2d<U: Column<u64>, F: Column<f64>>(
 }
 
 /// VarOpt answers through the key-order indexes of the reservoir's two
-/// partitions, each given as its columns and index: large hits fold in
-/// item order, small hits are counted by position.
-pub(crate) fn varopt_1d<U: Column<u64>, F: Column<f64>>(
+/// partitions, each given as its item accessors and index: large hits fold
+/// in item order, small hits are counted by position.
+pub(crate) fn varopt_1d(
     tau: f64,
-    (large_keys, large_weights, large_order): (U, F, &KeyOrder),
-    (small_keys, small_order): (U, &KeyOrder),
+    (large_key, large_weight, large_index): (
+        impl Fn(usize) -> u64,
+        impl Fn(usize) -> f64,
+        &KeyIndex,
+    ),
+    (small_key, small_index): (impl Fn(usize) -> u64, &KeyIndex),
     queries: &[Query],
     confidence: f64,
 ) -> Result<Vec<Estimate>, QueryError> {
     let compiled = compile(queries, 1)?;
-    let mut hits = Hits::new(large_order.len());
+    let mut hits = Hits::new(large_index.order().len());
     compiled
         .iter()
         .map(|boxes| {
             let mut small = 0;
             for axes in boxes {
-                hits.mark(large_order.span(large_keys, axes[0]));
-                small += small_order.span(small_keys, axes[0]).len();
+                hits.mark(large_index.span(&large_key, axes[0]));
+                small += small_index.positions(&small_key, axes[0]).len();
             }
             let mut acc = SampleAccumulator::default();
             hits.drain(|i| {
-                let large = large_weights.at(i).max(tau);
+                let large = large_weight(i).max(tau);
                 acc.add(large, large);
             });
             acc.add_small(small, tau);
@@ -567,145 +505,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn key_order_index_is_a_stable_sort_by_key() {
-        let keys: &[u64] = &[5, 1, 5, u64::MAX, 0, 1, 5];
-        let bytes: Vec<u8> = keys.iter().flat_map(|k| k.to_le_bytes()).collect();
-        let le = Le::<u64>::new(&bytes);
-        for order in [KeyOrder::build(keys).unwrap(), KeyOrder::build(le).unwrap()] {
-            assert_eq!(&*order.0.order, &[4, 1, 5, 0, 2, 6, 3]);
-            assert_eq!(order.span(keys, (5, 5)), &[0, 2, 6]);
-            assert_eq!(order.span(le, (5, 5)), &[0, 2, 6]);
-            assert_eq!(order.span(keys, (2, 4)), &[] as &[u32]);
-            assert_eq!(order.span(keys, (0, u64::MAX)).len(), 7);
-            assert_eq!(order.span(le, (u64::MAX, u64::MAX)), &[3]);
-        }
-    }
-
-    #[test]
-    fn key_order_index_caps_columns_at_u32_items() {
-        // A segment whose key column the `u32` index cannot address (a
-        // 32 GiB column) is refused; the limit is checked on the count.
-        assert!(index_len(u32::MAX as usize).is_ok());
-        assert!(matches!(
-            index_len(u32::MAX as usize + 1),
-            Err(CodecError::Invalid(_))
-        ));
-    }
-
-    /// The whole-index search the fence replaces: the slice [`KeyOrder::span`]
-    /// must return.
-    fn whole_index_span<'a>(order: &'a [u32], keys: &[u64], (lo, hi): (u64, u64)) -> &'a [u32] {
-        let start = order.partition_point(|&i| keys[i as usize] < lo);
-        let rest = &order[start..];
-        &rest[..rest.partition_point(|&i| keys[i as usize] <= hi)]
-    }
-
-    /// A key column of `n` items in scrambled item order. In key order the
-    /// keys rise in steps of 0–4, the three positions around every fence
-    /// (`b·BLOCK − 1 ..= b·BLOCK + 1`) share one key, and on odd seeds the
-    /// last keys are `u64::MAX` (the first key is 0 on some seeds).
-    fn fence_fixture(n: usize, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut key = rng.gen_range(0..3u64);
-        let mut keys: Vec<u64> = (0..n)
-            .map(|p| {
-                if p > 0 && p % BLOCK > 1 {
-                    key += rng.gen_range(0..5u64);
-                }
-                key
-            })
-            .collect();
-        if seed % 2 == 1 {
-            let tail = n.saturating_sub(3);
-            keys[tail..].fill(u64::MAX);
-        }
-        for i in (1..n).rev() {
-            keys.swap(i, rng.gen_range(0..=i));
-        }
-        keys
-    }
-
-    /// Ranges whose ends are 0, `u64::MAX`, and every distinct key and its
-    /// two neighbours: every pair of ends when there are few, else each
-    /// end alone, against each domain end, and paired with a later end.
-    fn fence_probe_ranges(keys: &[u64]) -> Vec<(u64, u64)> {
-        let mut ends = vec![0, u64::MAX];
-        for &k in keys {
-            ends.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
-        }
-        ends.sort_unstable();
-        ends.dedup();
-        if ends.len() <= 120 {
-            return ends
-                .iter()
-                .enumerate()
-                .flat_map(|(i, &lo)| ends[i..].iter().map(move |&hi| (lo, hi)))
-                .collect();
-        }
-        ends.iter()
-            .enumerate()
-            .flat_map(|(i, &e)| {
-                [
-                    (e, e),
-                    (0, e),
-                    (e, u64::MAX),
-                    (e, ends[(i + 7).min(ends.len() - 1)]),
-                ]
-            })
-            .collect()
-    }
-
-    /// The probe ranges on which `order` answers a different slice from
-    /// the whole-index search over `reference`, the keys' stable sort.
-    fn fence_mismatches(order: &KeyOrder, keys: &[u64], reference: &[u32]) -> usize {
-        let bytes: Vec<u8> = keys.iter().flat_map(|k| k.to_le_bytes()).collect();
-        let le = Le::<u64>::new(&bytes);
-        fence_probe_ranges(keys)
-            .into_iter()
-            .filter(|&range| {
-                let want = whole_index_span(reference, keys, range);
-                order.span(keys, range) != want || order.span(le, range) != want
-            })
-            .count()
-    }
-
-    #[test]
-    fn fence_search_returns_the_whole_index_slice() {
-        for n in [0, 1, 15, 16, 17, 31, 32, 33, 1000] {
-            for seed in 0..6u64 {
-                let keys = fence_fixture(n, seed);
-                let order = KeyOrder::build(keys.as_slice()).unwrap();
-                assert_eq!(order.0.fence.len(), n.div_ceil(BLOCK), "n {n}");
-                let reference: Vec<u32> =
-                    sorted_pairs(&keys).iter().map(|&(_, i)| i as u32).collect();
-                assert_eq!(&*order.0.order, reference.as_slice(), "n {n}");
-                let bad = fence_mismatches(&order, &keys, &reference);
-                assert_eq!(bad, 0, "n {n}, seed {seed}: {bad} ranges differ");
-            }
-        }
-        // The fixtures hold runs of duplicate keys across fences.
-        let keys = fence_fixture(1000, 2);
-        let order = KeyOrder::build(keys.as_slice()).unwrap();
-        let at = |p: usize| keys[order.0.order[p] as usize];
-        assert!((1..1000 / BLOCK).all(|b| at(b * BLOCK - 1) == at(b * BLOCK)));
-    }
-
-    #[test]
-    fn fence_off_by_one_block_is_caught() {
-        let keys = fence_fixture(1000, 3);
-        let order = KeyOrder::build(keys.as_slice()).unwrap();
-        let index = &*order.0;
-        // Each block's fence entry names the next block's first key.
-        let shifted: Box<[u64]> = index.fence[1..].iter().copied().chain([u64::MAX]).collect();
-        let mutated = KeyOrder(Arc::new(Index {
-            order: index.order.clone(),
-            fence: shifted,
-            blocks: Box::new([]),
-        }));
-        assert!(fence_mismatches(&mutated, &keys, &index.order) > 0);
-    }
-
     /// A 1-D sample of `n` items: key-order position `p` holds key `10·p`,
     /// item `i` holds position `37·i mod n` (a scramble for `n` coprime to
     /// 37), and `light(p)` picks the light positions. Light items carry the
@@ -792,7 +591,11 @@ pub(crate) mod tests {
         for (start, end) in spans {
             let range = positions(start, end);
             let want = start as usize..end as usize;
-            assert_eq!(order.positions(s.keys(), range), want, "{range:?}");
+            assert_eq!(
+                order.index.positions(|i| s.keys()[i], range),
+                want,
+                "{range:?}"
+            );
             queries.push(Query::interval(range.0, range.1));
         }
         for offset in [0, 3] {

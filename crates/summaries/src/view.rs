@@ -36,8 +36,10 @@
 //! `crate::fold`'s tests: bit for bit against a naive replay of the block
 //! decomposition, and to within float reassociation against an
 //! item-by-item scan.
-//! VarOpt segments answer through `crate::fold::varopt_1d`; the owned
-//! [`VarOptSampler`] keeps its own scan, and both finish through the
+//! VarOpt reservoirs answer through `crate::fold::varopt_1d` over one
+//! [`KeyIndex`] per partition, mapped or owned alike: a segment builds
+//! its indexes when it opens, the owned [`VarOptSampler`] on its first
+//! query (its `push` and `merge` drop them). Both finish through the
 //! sample accumulator's one Eqn. (4) finisher. The same tests pin the two
 //! together and both to an independent copy of the reservoir's answer
 //! formula.
@@ -56,7 +58,7 @@ use rand::RngCore;
 use sas_codec::segment::{Le, SegmentBuilder, SegmentView, Word};
 use sas_codec::{CodecError, Writer};
 use sas_core::varopt::VarOptSampler;
-use sas_core::KeyId;
+use sas_core::{KeyId, KeyIndex};
 
 use crate::erased::{answer_one, SummaryError};
 use crate::fold::{self, KeyOrder, SampleColumns};
@@ -161,8 +163,8 @@ enum Layout {
         large_keys: Run,
         large_weights: Run,
         small_keys: Run,
-        large_order: KeyOrder,
-        small_order: KeyOrder,
+        large_order: KeyIndex,
+        small_order: KeyIndex,
     },
 }
 
@@ -315,22 +317,22 @@ impl SegmentSummary {
         // `hydrate` cannot fail on these bytes.
         let large: Vec<(KeyId, f64)> = lk.values().zip(lw.values()).collect();
         let small: Vec<KeyId> = sk.values().collect();
-        VarOptSampler::from_parts(capacity, large, small, tau, count, total_weight)
+        let sampler = VarOptSampler::from_parts(capacity, large, small, tau, count, total_weight)
             .map_err(CodecError::Invalid)?;
-        // Mirrors the erased `VarOptSampler::total_estimate` (same order).
-        let large_total: f64 = lw.values().map(|w| w.max(tau)).sum();
-        let total = large_total + sk.len() as f64 * tau;
+        let index = |keys: Le<'_, u64>| {
+            KeyIndex::build(keys.len(), |i| keys.at(i)).map_err(CodecError::Invalid)
+        };
         Ok(Layout::VarOpt {
             capacity,
             tau,
             count,
             total_weight,
-            total,
+            total: sampler.total_estimate(),
             large_keys,
             large_weights,
             small_keys,
-            large_order: KeyOrder::build(lk)?,
-            small_order: KeyOrder::build(sk)?,
+            large_order: index(lk)?,
+            small_order: index(sk)?,
         })
     }
 
@@ -473,17 +475,17 @@ impl Summary for SegmentSummary {
                 large_order,
                 small_order,
                 ..
-            } => fold::varopt_1d(
-                *tau,
-                (
-                    le::<u64>(b, large_keys),
-                    le::<f64>(b, large_weights),
-                    large_order,
-                ),
-                (le::<u64>(b, small_keys), small_order),
-                queries,
-                confidence,
-            ),
+            } => {
+                let (lk, lw) = (le::<u64>(b, large_keys), le::<f64>(b, large_weights));
+                let sk = le::<u64>(b, small_keys);
+                fold::varopt_1d(
+                    *tau,
+                    (|i| lk.at(i), |i| lw.at(i), large_order),
+                    (|i| sk.at(i), small_order),
+                    queries,
+                    confidence,
+                )
+            }
         }
     }
 
@@ -974,6 +976,59 @@ mod tests {
                     s.kind()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pushes_and_merges_never_leave_the_varopt_key_index_stale() {
+        // Each step answers through the index the previous query built, so
+        // a mutator that kept it would answer over stale partitions. The
+        // answers must match a fresh decode of the reservoir's own frame,
+        // which builds its index anew, and the reservoir formula.
+        let check = |v: &VarOptSampler, ctx: &str| {
+            let held: Vec<u64> = v
+                .large_entries()
+                .map(|(k, _)| k)
+                .chain(v.small_keys().iter().copied())
+                .collect();
+            let queries = index_probe_queries(&mut StdRng::seed_from_u64(held.len() as u64), &held);
+            let fresh = decode_summary(&encode_summary(v)).unwrap();
+            for confidence in [0.5, 0.9] {
+                let got = v.answer_batch(&queries, confidence).unwrap();
+                let want = fresh.answer_batch(&queries, confidence).unwrap();
+                assert_same_bits(&got, &want, &queries, &format!("{ctx}: vs fresh decode"));
+                let reference: Vec<Estimate> = queries
+                    .iter()
+                    .map(|q| reference_varopt_answer(v, q, confidence).unwrap())
+                    .collect();
+                assert_same_bits(&got, &reference, &queries, &format!("{ctx}: vs reference"));
+            }
+        };
+        for seed in 0..20u64 {
+            let span = if seed % 2 == 0 { 300 } else { u64::MAX };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut v = rollup_varopt_fixture(seed, span);
+            check(&v, &format!("seed {seed}: base"));
+            for (i, wk) in random_rows(&mut rng, 24, span).into_iter().enumerate() {
+                v.push(wk.key, wk.weight, &mut rng);
+                check(&v, &format!("seed {seed}: after push {i}"));
+            }
+            v.merge(rollup_varopt_fixture(seed + 100, span), &mut rng);
+            check(&v, &format!("seed {seed}: after merge"));
+
+            // The store's mutation path: clone (sharing the built index),
+            // then merge the clone through the erased trait.
+            let before = v.answer_batch(&probe_queries(false), 0.9).unwrap();
+            let mut copy = v.clone_box();
+            let other = rollup_varopt_fixture(seed + 200, span);
+            copy.merge_in_place(Box::new(other), None, &mut rng)
+                .unwrap();
+            let copy = copy.as_any().downcast_ref::<VarOptSampler>().unwrap();
+            check(copy, &format!("seed {seed}: merged clone"));
+            let after = v.answer_batch(&probe_queries(false), 0.9).unwrap();
+            let ctx = format!("seed {seed}: source");
+            assert_same_bits(&after, &before, &probe_queries(false), &ctx);
+            check(&v, &ctx);
         }
     }
 

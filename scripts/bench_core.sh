@@ -57,6 +57,8 @@ answer_batch_1d_qps=$(field "$tmp/query.json" answer_batch_1d_qps)
 answer_loop_1d_qps=$(field "$tmp/query.json" answer_loop_1d_qps)
 answer_batch_2d_qps=$(field "$tmp/query.json" answer_batch_2d_qps)
 answer_loop_2d_qps=$(field "$tmp/query.json" answer_loop_2d_qps)
+answer_batch_varopt_qps=$(field "$tmp/query.json" answer_batch_varopt_qps)
+answer_loop_varopt_qps=$(field "$tmp/query.json" answer_loop_varopt_qps)
 store_hot_8t_ops_per_s=$(field "$tmp/query.json" store_hot_8t_ops_per_s)
 interval_per_s=$(field "$tmp/query.json" interval_per_s)
 cold_query_view_qps=$(field "$tmp/cold.json" cold_query_view_qps)
@@ -78,6 +80,8 @@ cold_query_decode_qps=$(field "$tmp/cold.json" cold_query_decode_qps)
     answer_loop_1d_qps "$answer_loop_1d_qps" \
     answer_batch_2d_qps "$answer_batch_2d_qps" \
     answer_loop_2d_qps "$answer_loop_2d_qps" \
+    answer_batch_varopt_qps "$answer_batch_varopt_qps" \
+    answer_loop_varopt_qps "$answer_loop_varopt_qps" \
     cold_query_view_qps "$cold_query_view_qps" \
     cold_query_decode_qps "$cold_query_decode_qps" \
     interval_per_s "$interval_per_s"

@@ -19,7 +19,8 @@ fail=0
 rates="ingest_keys_per_s sharded8_keys_per_s merge_tree_merges_per_s \
   codec_encode_mb_s codec_decode_mb_s merge_from_disk_mb_s \
   merge_from_disk_merges_per_s answer_batch_1d_qps answer_loop_1d_qps \
-  answer_batch_2d_qps answer_loop_2d_qps store_hot_8t_ops_per_s \
+  answer_batch_2d_qps answer_loop_2d_qps answer_batch_varopt_qps \
+  answer_loop_varopt_qps store_hot_8t_ops_per_s \
   cold_query_view_qps cold_query_decode_qps interval_per_s"
 for name in $rates; do
   c=$(field "$cur" "$name" || true)
